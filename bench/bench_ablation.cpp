@@ -79,7 +79,11 @@ std::vector<Variant> make_variants() {
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_ablation [--nets N] [--targets N] [--jobs N]");
+  }
   const tech::Technology tech = tech::make_tech180();
   const int nets = bench::net_count(args, 10);
   const int targets = bench::targets_per_net(args, 8);

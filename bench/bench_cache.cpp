@@ -83,7 +83,12 @@ bool same_result(const rip::dp::ChainDpResult& a,
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_cache [--nets N] [--targets N] [--jobs N] [--stream K] "
+        "[--capacity N] [--shards N] [--json PATH]");
+  }
   const tech::Technology tech = tech::make_tech180();
 
   const int nets = bench::net_count(args, 4);

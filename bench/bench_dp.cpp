@@ -226,7 +226,13 @@ void print_report(const ConfigReport& report) {
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_dp [--nets N] [--targets N] [--repeats N] [--jobs N] "
+        "[--shard I/N] [--grain G] [--mode static|dynamic|guided] "
+        "[--json PATH]");
+  }
   const tech::Technology tech = tech::make_tech180();
 
   const int nets = bench::net_count(args, 4);

@@ -219,6 +219,14 @@ inline ChunkPolicy chunk_policy(const CliArgs& args) {
   return policy;
 }
 
+/// Every bench declares `--help` as a boolean flag; main() answers it
+/// with `return bench::usage("bench_x [--opt V] ...")`, which prints
+/// the usage line and exits 0.
+inline int usage(const char* synopsis) {
+  std::cout << "usage: " << synopsis << "\n";
+  return 0;
+}
+
 /// Flag mistyped options instead of silently ignoring them (mirrors
 /// rip_cli); call after every option has been read.
 inline void warn_unused(const CliArgs& args) {

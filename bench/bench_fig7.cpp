@@ -11,9 +11,11 @@
 //
 // Environment: RIP_BENCH_TARGETS / RIP_BENCH_JOBS set the sweep size
 // and worker threads; --targets / --jobs override. `--shard I/N`
-// solves only shard I of an N-way round-robin split of the sweep;
-// the merged figure over all shards is bit-identical to the unsharded
-// one (eval::merge_fig7_shards).
+// solves only shard I of an N-way split of the sweep. The unit of the
+// split is a group: the RIP target sweep, or one granularity's
+// baseline target sweep; group j goes to shard j % N. The merged
+// figure over all shards is bit-identical to the unsharded one
+// (eval::merge_fig7_shards).
 
 #include <iostream>
 
@@ -26,7 +28,11 @@
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_fig7 [--targets N] [--jobs N] [--shard I/N]");
+  }
   const tech::Technology tech = tech::make_tech180();
 
   eval::Fig7Config config;

@@ -115,7 +115,12 @@ void spin_up_parallel_for(std::size_t count, int jobs,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_parallel [--nets N] [--targets N] [--max-jobs N] "
+        "[--grain G] [--mode static|dynamic|guided]");
+  }
   const tech::Technology tech = tech::make_tech180();
   const int nets = bench::net_count(args, 8);
   const int targets = bench::targets_per_net(args, 8);

@@ -71,7 +71,12 @@ std::vector<eval::CaseResult> blocking_run(
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_service [--nets N] [--targets N] [--jobs N] "
+        "[--max-pending N]");
+  }
   const tech::Technology tech = tech::make_tech180();
   const int nets = bench::net_count(args, 4);
   const int targets = bench::targets_per_net(args, 4);

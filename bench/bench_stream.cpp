@@ -125,7 +125,12 @@ struct ScaleResult {
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv, {"keep"});
+  const CliArgs args = CliArgs::parse(argc, argv, {"help", "keep"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_stream [--scales N,N,...] [--jobs N] [--max-pending N] "
+        "[--rss-limit R] [--dir DIR] [--keep] [--json PATH]");
+  }
   const int jobs = bench::jobs(args, 1);
   const int max_pending = args.get_int_or("max-pending", 64);
   RIP_REQUIRE(max_pending >= 1, "--max-pending must be >= 1");

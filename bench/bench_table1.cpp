@@ -8,10 +8,12 @@
 //
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS / RIP_BENCH_JOBS
 // shrink or parallelize the run; --nets / --targets / --jobs override.
-// `--shard I/N` solves only shard I of an N-way round-robin split of
-// the case space (for multi-machine runs); the merged table over all
-// shards is bit-identical to the unsharded one
-// (eval::merge_table1_shards).
+// `--shard I/N` solves only shard I of an N-way split (for
+// multi-machine runs). The unit of the split is a group: one net's RIP
+// target sweep, or one (net, g) baseline target sweep, whose frontier
+// is swept once and every target selected from it; group j goes to
+// shard j % N. The merged table over all shards is bit-identical to
+// the unsharded one (eval::merge_table1_shards).
 
 #include <iostream>
 
@@ -23,7 +25,11 @@
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_table1 [--nets N] [--targets N] [--jobs N] [--shard I/N]");
+  }
   const tech::Technology tech = tech::make_tech180();
 
   eval::Table1Config config;

@@ -22,7 +22,11 @@
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_table2 [--nets N] [--targets N] [--jobs N] [--shard I/N]");
+  }
   const tech::Technology tech = tech::make_tech180();
 
   // Default reduced to 10x10 (the g_DP=10u baseline costs seconds per

@@ -29,7 +29,11 @@
 
 int main(int argc, char** argv) try {
   using namespace rip;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  const CliArgs args = CliArgs::parse(argc, argv, {"help"});
+  if (args.has("help")) {
+    return bench::usage(
+        "bench_tree [--nets N] [--targets N] [--jobs N]");
+  }
   const tech::Technology tech = tech::make_tech180();
   const auto& device = tech.device();
   const int tree_count = bench::net_count(args, 8);

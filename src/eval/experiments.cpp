@@ -66,6 +66,44 @@ CaseResult run_case(const net::Net& net, const tech::Technology& tech,
 // minimize a pluggable objective backend (config.backend); the
 // reductions run serially in the original input order, so any
 // (shard_count, jobs) combination reproduces the serial bits.
+//
+// Table 1 and Fig. 7 group each (net, library)'s whole target sweep
+// into one task (RIP groups by net, the baseline by (net, g)); Table 2
+// keeps one case per task so its runtime columns time cold solves.
+
+namespace {
+
+/// Solve one group's targets in order through a task-local frontier
+/// cache of capacity 1: the first target sweeps the target-independent
+/// chain-DP frontier, every later one is a select_from_frontier walk
+/// (bit-identical to a cold solve, dp/chain_dp.hpp), and the frontier
+/// is freed with the group. `solve(ti, cache)` answers target ti with a
+/// RIP or baseline result.
+template <class Solve>
+void sweep_group(std::span<SolveOutcome> out, Solve&& solve) {
+  SolveCache frontier({.capacity = 1, .shard_count = 1});
+  for (std::size_t ti = 0; ti < out.size(); ++ti) {
+    const auto result = solve(ti, &frontier);
+    out[ti] = SolveOutcome{result.status == dp::Status::kOptimal,
+                           result.total_width_u};
+  }
+}
+
+/// Table 1 / Fig. 7 baselines: one size-N uniform library per
+/// granularity.
+template <class Config>
+std::vector<core::BaselineOptions> uniform_baselines(const Config& config) {
+  std::vector<core::BaselineOptions> baselines;
+  baselines.reserve(config.granularities_u.size());
+  for (const double g : config.granularities_u) {
+    baselines.push_back(core::BaselineOptions::uniform_library(
+        config.baseline_min_width_u, g, config.baseline_library_size,
+        config.pitch_um));
+  }
+  return baselines;
+}
+
+}  // namespace
 
 Table1Shard run_table1_shard(const tech::Technology& tech,
                              const Table1Config& config, int shard_index,
@@ -92,37 +130,32 @@ Table1Shard run_table1_shard(const tech::Technology& tech,
   shard.shard_count = shard_count;
   for (const auto& wn : workload) shard.net_names.push_back(wn.net.name());
 
-  // RIP runs once per (net, target); each baseline granularity reuses it.
+  // RIP runs once per (net, target); each baseline granularity reuses
+  // it. A RIP group is one net's targets, a baseline group one
+  // (net, g)'s: flat index (ni * g_n + gi) * tgt_n + ti.
   shard.rip = run_sweep_slice<SolveOutcome>(
-      net_n * tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t k) {
-        const std::size_t ni = k / tgt_n;
-        const std::size_t ti = k % tgt_n;
-        const auto rip = core::rip_insert(
-            workload[ni].net, tech.device(), targets[ni][ti], config.rip,
-            dp::Workspace::local(), nullptr, config.backend);
-        return SolveOutcome{rip.status == dp::Status::kOptimal,
-                            rip.total_width_u};
+      net_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+      [&](std::size_t ni, std::span<SolveOutcome> out) {
+        sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
+          return core::rip_insert(workload[ni].net, tech.device(),
+                                  targets[ni][ti], config.rip,
+                                  dp::Workspace::local(), cache,
+                                  config.backend);
+        });
       });
 
-  std::vector<core::BaselineOptions> baselines;
-  baselines.reserve(g_n);
-  for (const double g : config.granularities_u) {
-    baselines.push_back(core::BaselineOptions::uniform_library(
-        config.baseline_min_width_u, g, config.baseline_library_size,
-        config.pitch_um));
-  }
+  const auto baselines = uniform_baselines(config);
   shard.dp = run_sweep_slice<SolveOutcome>(
-      net_n * g_n * tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t k) {
-        const std::size_t ni = k / (g_n * tgt_n);
-        const std::size_t gi = (k / tgt_n) % g_n;
-        const std::size_t ti = k % tgt_n;
-        const auto dp = core::run_baseline(
-            workload[ni].net, tech.device(), targets[ni][ti], baselines[gi],
-            dp::Workspace::local(), nullptr, config.backend);
-        return SolveOutcome{dp.status == dp::Status::kOptimal,
-                            dp.total_width_u};
+      net_n * g_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+      [&](std::size_t group, std::span<SolveOutcome> out) {
+        const std::size_t ni = group / g_n;
+        const std::size_t gi = group % g_n;
+        sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
+          return core::run_baseline(workload[ni].net, tech.device(),
+                                    targets[ni][ti], baselines[gi],
+                                    dp::Workspace::local(), cache,
+                                    config.backend);
+        });
       });
   return shard;
 }
@@ -134,10 +167,10 @@ Table1Result merge_table1_shards(const Table1Config& config,
   const std::size_t tgt_n = static_cast<std::size_t>(config.targets_per_net);
   const std::size_t g_n = config.granularities_u.size();
 
-  // Reassemble the full flat case spaces from the round-robin slices.
+  // Reassemble the full flat case spaces from the shards' groups.
   std::vector<SolveOutcome> rip_runs(net_n * tgt_n);
   std::vector<SolveOutcome> dp_runs(net_n * g_n * tgt_n);
-  reassemble_sweep_shards(shards, rip_runs, dp_runs,
+  reassemble_sweep_shards(shards, tgt_n, rip_runs, dp_runs,
                           [&](const Table1Shard& shard) {
                             RIP_REQUIRE(
                                 shard.net_names == shards.front().net_names,
@@ -256,23 +289,22 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
   for (const auto& wn : workload) shard.net_names.push_back(wn.net.name());
 
   // RIP runs once per (net, target); every granularity row reuses it.
-  // Runtimes are wall clock per task, taken inside the worker. The DP
-  // flat space is granularity x net x target — granularity-major, the
-  // unsharded loop order.
+  // Runtimes are wall clock per task, taken inside the worker. Groups
+  // hold one case, so every solve is cold: T_DP and T_RIP are the
+  // paper's per-design runtimes. The DP flat space is granularity x net
+  // x target — granularity-major, the unsharded loop order.
   shard.rip = run_sweep_slice<TimedSolveOutcome>(
-      net_n * tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t k) {
+      net_n * tgt_n, 1, config.jobs, shard_index, shard_count,
+      [&](std::size_t k, std::span<TimedSolveOutcome> out) {
         const std::size_t ni = k / tgt_n;
         const std::size_t ti = k % tgt_n;
         WallTimer timer;
         const auto rip = core::rip_insert(
             workload[ni].net, tech.device(), all_targets[ni][ti], config.rip,
             dp::Workspace::local(), nullptr, config.backend);
-        TimedSolveOutcome oc;
-        oc.runtime_s = timer.seconds();
-        oc.feasible = rip.status == dp::Status::kOptimal;
-        oc.width_u = rip.total_width_u;
-        return oc;
+        out[0].runtime_s = timer.seconds();
+        out[0].feasible = rip.status == dp::Status::kOptimal;
+        out[0].width_u = rip.total_width_u;
       });
 
   std::vector<core::BaselineOptions> baselines;
@@ -283,8 +315,8 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
         config.pitch_um));
   }
   shard.dp = run_sweep_slice<TimedSolveOutcome>(
-      g_n * net_n * tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t k) {
+      g_n * net_n * tgt_n, 1, config.jobs, shard_index, shard_count,
+      [&](std::size_t k, std::span<TimedSolveOutcome> out) {
         const std::size_t gi = k / (net_n * tgt_n);
         const std::size_t ni = (k / tgt_n) % net_n;
         const std::size_t ti = k % tgt_n;
@@ -292,11 +324,9 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
         const auto dp = core::run_baseline(
             workload[ni].net, tech.device(), all_targets[ni][ti],
             baselines[gi], dp::Workspace::local(), nullptr, config.backend);
-        TimedSolveOutcome oc;
-        oc.runtime_s = timer.seconds();
-        oc.feasible = dp.status == dp::Status::kOptimal;
-        oc.width_u = dp.total_width_u;
-        return oc;
+        out[0].runtime_s = timer.seconds();
+        out[0].feasible = dp.status == dp::Status::kOptimal;
+        out[0].width_u = dp.total_width_u;
       });
   return shard;
 }
@@ -310,7 +340,7 @@ Table2Result merge_table2_shards(const Table2Config& config,
 
   std::vector<TimedSolveOutcome> rip_runs(net_n * tgt_n);
   std::vector<TimedSolveOutcome> dp_runs(g_n * net_n * tgt_n);
-  reassemble_sweep_shards(shards, rip_runs, dp_runs,
+  reassemble_sweep_shards(shards, 1, rip_runs, dp_runs,
                           [&](const Table2Shard& shard) {
                             RIP_REQUIRE(
                                 shard.net_names == shards.front().net_names,
@@ -387,32 +417,26 @@ Fig7Shard run_fig7_shard(const tech::Technology& tech,
 
   // RIP once per target; both series reuse it. The DP flat space is
   // granularity x target (granularity-major, the unsharded loop order).
+  // The RIP sweep is one group, each granularity's sweep another.
   shard.rip = run_sweep_slice<SolveOutcome>(
-      tgt_n, config.jobs, shard_index, shard_count, [&](std::size_t k) {
-        const auto rip = core::rip_insert(
-            wn.net, tech.device(), targets[k], config.rip,
-            dp::Workspace::local(), nullptr, config.backend);
-        return SolveOutcome{rip.status == dp::Status::kOptimal,
-                            rip.total_width_u};
+      tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+      [&](std::size_t, std::span<SolveOutcome> out) {
+        sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
+          return core::rip_insert(wn.net, tech.device(), targets[ti],
+                                  config.rip, dp::Workspace::local(), cache,
+                                  config.backend);
+        });
       });
 
-  std::vector<core::BaselineOptions> baselines;
-  baselines.reserve(g_n);
-  for (const double g : config.granularities_u) {
-    baselines.push_back(core::BaselineOptions::uniform_library(
-        config.baseline_min_width_u, g, config.baseline_library_size,
-        config.pitch_um));
-  }
+  const auto baselines = uniform_baselines(config);
   shard.dp = run_sweep_slice<SolveOutcome>(
-      g_n * tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t k) {
-        const std::size_t gi = k / tgt_n;
-        const std::size_t ti = k % tgt_n;
-        const auto dp = core::run_baseline(
-            wn.net, tech.device(), targets[ti], baselines[gi],
-            dp::Workspace::local(), nullptr, config.backend);
-        return SolveOutcome{dp.status == dp::Status::kOptimal,
-                            dp.total_width_u};
+      g_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+      [&](std::size_t gi, std::span<SolveOutcome> out) {
+        sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
+          return core::run_baseline(wn.net, tech.device(), targets[ti],
+                                    baselines[gi], dp::Workspace::local(),
+                                    cache, config.backend);
+        });
       });
   return shard;
 }
@@ -427,7 +451,7 @@ Fig7Result merge_fig7_shards(const Fig7Config& config,
 
   std::vector<SolveOutcome> rip_runs(tgt_n);
   std::vector<SolveOutcome> dp_runs(g_n * tgt_n);
-  reassemble_sweep_shards(shards, rip_runs, dp_runs,
+  reassemble_sweep_shards(shards, tgt_n, rip_runs, dp_runs,
                           [&](const Fig7Shard& shard) {
                             RIP_REQUIRE(
                                 shard.net_name == shards.front().net_name &&

@@ -3,8 +3,9 @@
 /// @file experiments.hpp
 /// Runners that regenerate every table and figure of the paper's
 /// evaluation (Section 6). Each returns a structured result that the
-/// bench binaries print via util::Table; EXPERIMENTS.md records the
-/// paper-vs-measured comparison.
+/// bench binaries (bench/bench_table1.cpp, bench_table2.cpp,
+/// bench_fig7.cpp) print via util::Table next to the paper's reference
+/// values.
 
 #include <span>
 #include <string>
@@ -68,9 +69,10 @@ struct Table1Config {
   double baseline_min_width_u = 10.0;
   double pitch_um = 200.0;
   core::RipOptions rip;
-  /// Worker threads for the (net, target, granularity) sweep; 1 = the
-  /// serial reference path, 0 = all hardware threads. Results are
-  /// bit-identical at any job count (see eval/parallel.hpp).
+  /// Worker threads for the sweep, which fans out one (net, library)
+  /// group at a time; 1 = the serial reference path, 0 = all hardware
+  /// threads. Results are bit-identical at any job count (see
+  /// eval/parallel.hpp).
   int jobs = 1;
   /// Objective backend every solve of the sweep minimizes; nullptr =
   /// the paper's objective (bit-identical to before backends existed).
@@ -117,9 +119,12 @@ struct SolveOutcome {
 
 /// One shard of the Table 1 sweep: the outcomes of the cases this
 /// shard owns, in ascending global order. The RIP flat case space is
-/// net x target, the DP space net x granularity x target; both are
-/// split round-robin (flat index k belongs to shard k % shard_count),
-/// so one giant net does not land wholesale on one shard.
+/// net x target, the DP space net x granularity x target. Both are cut
+/// into groups of one (net, library)'s targets — RIP's sweep of one
+/// net, the baseline's sweep of one (net, g) — and group j belongs to
+/// shard j % shard_count. A group is solved by one task that sweeps
+/// its target-independent frontier once and selects every target from
+/// it, bit-identical to solving each target cold.
 struct Table1Shard {
   int shard_index = 0;
   int shard_count = 1;
@@ -169,8 +174,10 @@ struct Table2Config {
 struct Table2Row {
   double granularity_u = 0;
   double delta_mean_pct = 0;  ///< mean RIP improvement over the DP
-  double dp_runtime_s = 0;    ///< mean DP runtime per design
-  double rip_runtime_s = 0;   ///< mean RIP runtime per design
+  /// Mean cold DP runtime per design: every (net, target) solve sweeps
+  /// its own frontier, never reuses another target's.
+  double dp_runtime_s = 0;
+  double rip_runtime_s = 0;   ///< mean cold RIP runtime per design
   double speedup = 0;         ///< dp_runtime / rip_runtime
   int compared = 0;
 };
@@ -196,11 +203,11 @@ struct TimedSolveOutcome {
   double runtime_s = 0;
 };
 
-/// One shard of the Table 2 sweep — the same round-robin split Table 1
-/// got: the RIP flat case space is net x target, the DP space
-/// granularity x net x target (granularity-major, matching the
-/// unsharded runner's loop order); flat index k belongs to shard
-/// k % shard_count.
+/// One shard of the Table 2 sweep: the RIP flat case space is net x
+/// target, the DP space granularity x net x target (granularity-major,
+/// matching the unsharded runner's loop order). Unlike Table 1 the
+/// split is per case — flat index k belongs to shard k % shard_count —
+/// so every timed solve stays cold.
 struct Table2Shard {
   int shard_index = 0;
   int shard_count = 1;
@@ -272,9 +279,12 @@ Table to_table(const Fig7Result& result);
 
 // -------------------------------------------------- Fig. 7 sharding
 
-/// One shard of the Fig. 7 sweep. The RIP flat case space is the
-/// target sweep, the DP space granularity x target (granularity-major,
-/// matching the unsharded runner); both split round-robin.
+/// One shard of the Fig. 7 sweep, outcomes in ascending global order.
+/// The RIP flat case space is the target sweep, the DP space
+/// granularity x target (granularity-major, matching the unsharded
+/// runner). As in Table 1 the split is by group: the RIP sweep is one
+/// group and each granularity's sweep another, group j belongs to
+/// shard j % shard_count, and each group sweeps its frontier once.
 struct Fig7Shard {
   int shard_index = 0;
   int shard_count = 1;

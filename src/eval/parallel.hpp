@@ -13,9 +13,10 @@
 /// select a deterministic round-robin subset of the cases
 /// (case i belongs to shard i % shard_count), each shard runs
 /// independently, and merge_shards() reassembles the full result
-/// vector bit-identical to an unsharded run. eval::run_table1/
-/// run_table2/run_fig7, rip_cli (`sweep`/`compare` `--shard I/N`) and
-/// the bench binaries all sit on top of this via `--jobs`/`--shard`.
+/// vector bit-identical to an unsharded run. rip_cli (`sweep`/`compare`
+/// `--shard I/N`) and the bench binaries sit on top of this via
+/// `--jobs`/`--shard`; eval::run_table1/run_table2/run_fig7 apply the
+/// same assignment to groups of cases (eval/sharded_sweep.hpp).
 ///
 /// run_cases itself is a thin blocking wrapper over the asynchronous
 /// eval::EvalService (eval/service.hpp): it submits the shard's cases

@@ -3,11 +3,18 @@
 /// @file sharded_sweep.hpp
 /// The generic sharded-sweep surface behind Table 1, Table 2 and
 /// Fig. 7. All three experiments share one shape: two flat case spaces
-/// (RIP solves and DP-baseline solves), each split round-robin across
-/// processes (eval::shard_case_indices) and fanned out over the
-/// persistent scheduler within a process; the reduction runs only at
-/// merge time, serially, in the original input order — so any
+/// (RIP solves and DP-baseline solves), each cut into groups of
+/// consecutive cases that are split round-robin across processes
+/// (eval::shard_case_indices over group indices) and fanned out over
+/// the persistent scheduler within a process; the reduction runs only
+/// at merge time, serially, in the original input order — so any
 /// (shard_count, jobs) combination reproduces the serial bits.
+///
+/// A group is the unit of work and of shard ownership. Table 1 and
+/// Fig. 7 group a whole target sweep of one (net, library), so one task
+/// sweeps the target-independent frontier once and selects every
+/// target from it; Table 2 uses groups of one case, so every solve it
+/// times stays cold.
 ///
 /// run_sweep_slice solves one shard's slice of one flat case space;
 /// reassemble_sweep_shards validates a full set of shards and scatters
@@ -16,6 +23,7 @@
 /// they own only the case-space geometry (how a flat index decodes to
 /// (net, granularity, target)), the solve body, and the reduction.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -27,35 +35,58 @@
 
 namespace rip::eval {
 
-/// Solve this shard's round-robin slice of a `case_count`-sized flat
-/// case space, fanning the slice out over `jobs` workers. `solve` maps
-/// a *global* flat index to an outcome; it runs on scheduler worker
-/// threads (use dp::Workspace::local() inside), must not touch shared
-/// mutable state, and each call writes only its own slot — which is
-/// what keeps every (jobs, shard) combination bit-identical to the
-/// serial loop. Returns the slice's outcomes in ascending global order.
+namespace detail {
+/// Groups in a `case_count`-sized case space cut into `group_size`
+/// consecutive cases each; the cut must be exact.
+inline std::size_t sweep_group_count(std::size_t case_count,
+                                     std::size_t group_size) {
+  RIP_REQUIRE(group_size >= 1, "sweep group size must be >= 1");
+  RIP_REQUIRE(case_count % group_size == 0,
+              "sweep case count is not a multiple of the group size");
+  return case_count / group_size;
+}
+}  // namespace detail
+
+/// Solve this shard's slice of a `case_count`-sized flat case space cut
+/// into groups of `group_size`: group j owns flat cases
+/// [j * group_size, (j + 1) * group_size) and belongs to shard
+/// j % shard_count. The slice's groups fan out over `jobs` workers;
+/// `solve(j, out)` fills group j's span (out[i] is flat case
+/// j * group_size + i). It runs on a scheduler worker thread (use
+/// dp::Workspace::local() inside), solves its cases in order on that
+/// one thread — so it may carry task-local state such as a frontier
+/// cache from case to case — must not touch shared mutable state, and
+/// writes only its own span, which is what keeps every (jobs, shard)
+/// combination bit-identical to the serial loop. Returns the slice's
+/// outcomes in ascending global order.
 template <class Outcome, class Solve>
-std::vector<Outcome> run_sweep_slice(std::size_t case_count, int jobs,
+std::vector<Outcome> run_sweep_slice(std::size_t case_count,
+                                     std::size_t group_size, int jobs,
                                      int shard_index, int shard_count,
                                      Solve&& solve) {
-  const auto mine = shard_case_indices(case_count, shard_index, shard_count);
-  std::vector<Outcome> out(mine.size());
-  parallel_for_indexed(mine.size(), jobs,
-                       [&](std::size_t j) { out[j] = solve(mine[j]); });
+  const auto mine =
+      shard_case_indices(detail::sweep_group_count(case_count, group_size),
+                         shard_index, shard_count);
+  std::vector<Outcome> out(mine.size() * group_size);
+  parallel_for_indexed(mine.size(), jobs, [&](std::size_t j) {
+    solve(mine[j],
+          std::span<Outcome>(out).subspan(j * group_size, group_size));
+  });
   return out;
 }
 
 /// Validate a complete set of sweep shards and scatter each shard's
-/// `rip`/`dp` slices into the full-size case spaces (`rip_runs` and
-/// `dp_runs`, pre-sized by the caller). A Shard must carry
-/// `shard_index`, `shard_count`, and `rip`/`dp` outcome vectors.
-/// `check_meta(shard)` is the experiment's own consistency check
-/// (e.g. every shard saw the same workload); it should throw on
-/// disagreement. Throws rip::Error if shards are missing, duplicated,
-/// out of range, from different splits, or slice sizes do not match
-/// the round-robin assignment.
+/// `rip`/`dp` slices, whole groups of `group_size` at a time, into the
+/// full-size case spaces (`rip_runs` and `dp_runs`, pre-sized by the
+/// caller). A Shard must carry `shard_index`, `shard_count`, and
+/// `rip`/`dp` outcome vectors. `check_meta(shard)` is the experiment's
+/// own consistency check (e.g. every shard saw the same workload); it
+/// should throw on disagreement. Throws rip::Error if shards are
+/// missing, duplicated, out of range, from different splits, or slice
+/// sizes do not match the shard's group assignment.
 template <class Shard, class Outcome, class CheckMeta>
 void reassemble_sweep_shards(std::span<const Shard> shards,
+                             std::size_t group_size,
                              std::vector<Outcome>& rip_runs,
                              std::vector<Outcome>& dp_runs,
                              CheckMeta&& check_meta) {
@@ -63,6 +94,21 @@ void reassemble_sweep_shards(std::span<const Shard> shards,
   const int shard_count = shards.front().shard_count;
   RIP_REQUIRE(static_cast<int>(shards.size()) == shard_count,
               "merge needs every shard of the split");
+  const auto scatter = [&](const std::vector<Outcome>& slice,
+                           std::vector<Outcome>& runs, int shard_index,
+                           const std::string& what) {
+    const auto groups = shard_case_indices(
+        detail::sweep_group_count(runs.size(), group_size), shard_index,
+        shard_count);
+    RIP_REQUIRE(slice.size() == groups.size() * group_size,
+                "shard " + what + " case count mismatch");
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      std::copy_n(slice.begin() + static_cast<std::ptrdiff_t>(j * group_size),
+                  group_size,
+                  runs.begin() +
+                      static_cast<std::ptrdiff_t>(groups[j] * group_size));
+    }
+  };
   std::vector<bool> seen(static_cast<std::size_t>(shard_count), false);
   for (const Shard& shard : shards) {
     RIP_REQUIRE(shard.shard_count == shard_count,
@@ -73,20 +119,8 @@ void reassemble_sweep_shards(std::span<const Shard> shards,
                 "duplicate shard " + std::to_string(shard.shard_index));
     seen[static_cast<std::size_t>(shard.shard_index)] = true;
     check_meta(shard);
-    const auto rip_mine =
-        shard_case_indices(rip_runs.size(), shard.shard_index, shard_count);
-    RIP_REQUIRE(shard.rip.size() == rip_mine.size(),
-                "shard RIP case count mismatch");
-    for (std::size_t j = 0; j < rip_mine.size(); ++j) {
-      rip_runs[rip_mine[j]] = shard.rip[j];
-    }
-    const auto dp_mine =
-        shard_case_indices(dp_runs.size(), shard.shard_index, shard_count);
-    RIP_REQUIRE(shard.dp.size() == dp_mine.size(),
-                "shard DP case count mismatch");
-    for (std::size_t j = 0; j < dp_mine.size(); ++j) {
-      dp_runs[dp_mine[j]] = shard.dp[j];
-    }
+    scatter(shard.rip, rip_runs, shard.shard_index, "RIP");
+    scatter(shard.dp, dp_runs, shard.shard_index, "DP");
   }
 }
 

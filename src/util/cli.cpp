@@ -18,17 +18,20 @@ CliArgs CliArgs::parse(int argc, const char* const* argv,
     args.command_ = argv[i];
     ++i;
   }
+  // Malformed lines are user input errors: plain usage messages, never
+  // precondition failures.
   for (; i < argc; ++i) {
     const std::string token = argv[i];
-    RIP_REQUIRE(starts_with(token, "--"),
-                "unexpected positional argument '" + token + "'");
+    if (!starts_with(token, "--")) {
+      throw Error("unexpected positional argument '" + token + "'");
+    }
     const std::string name = token.substr(2);
-    RIP_REQUIRE(!name.empty(), "empty option name");
+    if (name.empty()) throw Error("empty option name '--'");
     if (boolean_flags.count(name) > 0) {
       args.flags_.insert(name);
       continue;
     }
-    RIP_REQUIRE(i + 1 < argc, "option --" + name + " needs a value");
+    if (i + 1 >= argc) throw Error("option --" + name + " needs a value");
     args.options_[name] = argv[++i];
   }
   return args;

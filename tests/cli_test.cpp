@@ -58,10 +58,26 @@ TEST(CliArgs, DefaultsAndFallbacks) {
   EXPECT_FALSE(args.get("csv").has_value());
 }
 
+/// Expect CliArgs::parse to reject a line with exactly `message` — a
+/// plain usage error, not a "precondition failed ... cli.cpp:N" trace.
+void expect_usage_error(std::initializer_list<const char*> tokens,
+                        const std::string& message) {
+  try {
+    parse(tokens);
+    FAIL() << "expected rip::Error: " << message;
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
 TEST(CliArgs, ErrorsOnMalformedInput) {
-  EXPECT_THROW(parse({"solve", "--net"}), Error);       // missing value
-  EXPECT_THROW(parse({"solve", "stray"}), Error);       // extra positional
-  EXPECT_THROW(parse({"solve", "--"}), Error);          // empty name
+  expect_usage_error({"solve", "--net"}, "option --net needs a value");
+  expect_usage_error({"solve", "stray"},
+                     "unexpected positional argument 'stray'");
+  expect_usage_error({"solve", "--"}, "empty option name '--'");
+  // A flag the binary did not declare boolean reads as an option that
+  // is missing its value.
+  expect_usage_error({"--help"}, "option --help needs a value");
   const auto args = parse({"solve", "--points", "abc"});
   EXPECT_THROW(args.get_int_or("points", 1), Error);
   EXPECT_THROW(args.require("net"), Error);

@@ -3,9 +3,11 @@
 // configurations).
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dp/workspace.hpp"
 #include "eval/experiments.hpp"
 #include "eval/workload.hpp"
 #include "util/error.hpp"
@@ -197,6 +199,92 @@ TEST(Fig7, RendersViolationsDistinctly) {
   std::ostringstream os;
   table.print(os);
   EXPECT_NE(os.str().find("VIOL"), std::string::npos);
+}
+
+// ------------------------------------------------------- frontier reuse
+//
+// Table 1 and Fig. 7 sweep each (net, library) chain-DP frontier once
+// and select every target from it; Table 2 times the paper's cold
+// per-design runtimes, so it solves every task cold. At jobs 1
+// every solve runs on this thread's workspace, whose chain_solves
+// counter then accounts for each one.
+
+template <class Fn>
+std::size_t chain_solves_in(Fn&& fn) {
+  const std::size_t before = dp::Workspace::local().stats().chain_solves;
+  fn();
+  return dp::Workspace::local().stats().chain_solves - before;
+}
+
+/// Stage-3 solves RIP performs on every (net, target) of the sweep,
+/// counted from direct cold rip_insert calls: each sweeps its coarse
+/// stage once, so the rest of its chain solves are stage 3.
+std::size_t stage3_solves(const std::vector<WorkloadNet>& workload,
+                          int targets_per_net) {
+  std::size_t solves = 0;
+  for (const auto& wn : workload) {
+    for (const double tau : timing_targets_fs(wn.tau_min_fs, targets_per_net)) {
+      solves += chain_solves_in([&] {
+                  core::rip_insert(wn.net, technology().device(), tau);
+                }) - 1;
+    }
+  }
+  return solves;
+}
+
+/// The runners' own workload: its tau_min solves and its nets.
+std::size_t workload_solves(int net_count, std::uint64_t seed,
+                            std::vector<WorkloadNet>& workload) {
+  return chain_solves_in(
+      [&] { workload = make_paper_workload(technology(), net_count, seed); });
+}
+
+TEST(FrontierReuse, Table1SweepsEachNetLibraryFrontierOnce) {
+  Table1Config config;
+  config.net_count = 3;
+  config.targets_per_net = 5;
+  std::vector<WorkloadNet> workload;
+  const std::size_t tau_min = workload_solves(3, config.seed, workload);
+  const std::size_t stage3 = stage3_solves(workload, 5);
+  ASSERT_GT(stage3, 0u);
+
+  const std::size_t solves =
+      chain_solves_in([&] { run_table1(technology(), config); });
+  // One frontier per net for RIP's coarse library plus one per
+  // (net, g) for the baseline — not one per target.
+  const std::size_t g_n = config.granularities_u.size();
+  EXPECT_EQ(solves, tau_min + 3 * (g_n + 1) + stage3);
+}
+
+TEST(FrontierReuse, Fig7SweepsEachLibraryFrontierOnce) {
+  Fig7Config config;
+  config.points = 6;
+  config.net_index = 1;
+  std::vector<WorkloadNet> workload;
+  const std::size_t tau_min = workload_solves(2, config.seed, workload);
+  const std::size_t stage3 =
+      stage3_solves({workload.back()}, config.points);
+
+  const std::size_t solves =
+      chain_solves_in([&] { run_fig7(technology(), config); });
+  EXPECT_EQ(solves,
+            tau_min + (config.granularities_u.size() + 1) + stage3);
+}
+
+TEST(FrontierReuse, Table2SolvesEveryTaskCold) {
+  Table2Config config;
+  config.net_count = 2;
+  config.targets_per_net = 3;
+  config.granularities_u = {40.0, 20.0};
+  std::vector<WorkloadNet> workload;
+  const std::size_t tau_min = workload_solves(2, config.seed, workload);
+  const std::size_t stage3 = stage3_solves(workload, 3);
+
+  const std::size_t solves =
+      chain_solves_in([&] { run_table2(technology(), config); });
+  // Every T_RIP task sweeps its coarse stage and every T_DP task its
+  // baseline: 2 nets x 3 targets x (1 + 2 granularities).
+  EXPECT_EQ(solves, tau_min + 2 * 3 * 3 + stage3);
 }
 
 }  // namespace

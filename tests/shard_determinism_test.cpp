@@ -372,6 +372,39 @@ TEST(ShardDeterminism, Table2AndFig7MergeRejectIncompleteSplits) {
   EXPECT_THROW(merge_fig7_shards(f7, {&f7_shard, 1}), Error);
 }
 
+TEST(ShardDeterminism, Table1MergeRejectsSlicesOffTheirGroupAssignment) {
+  // 3 nets x 2 targets over 2 shards. A group is one net's RIP sweep or
+  // one (net, g) baseline sweep, and group j belongs to shard j % 2:
+  // shard 0 owns nets 0 and 2 (4 RIP cases), shard 1 owns net 1 (2).
+  Table1Config config;
+  config.net_count = 3;
+  config.targets_per_net = 2;
+  config.granularities_u = {40.0};
+  const std::vector<Table1Shard> shards = {
+      run_table1_shard(technology(), config, 0, 2),
+      run_table1_shard(technology(), config, 1, 2)};
+  ASSERT_EQ(shards[0].rip.size(), 4u);
+  ASSERT_EQ(shards[1].rip.size(), 2u);
+  ASSERT_EQ(shards[0].dp.size(), 4u);
+  EXPECT_NO_THROW(merge_table1_shards(config, shards));
+
+  // The per-case round-robin layout (3/3) is not this split's.
+  auto per_case = shards;
+  per_case[1].rip.push_back(per_case[0].rip.back());
+  per_case[0].rip.pop_back();
+  EXPECT_THROW(merge_table1_shards(config, per_case), Error);
+
+  // A baseline slice one case short of its groups.
+  auto short_dp = shards;
+  short_dp[1].dp.pop_back();
+  EXPECT_THROW(merge_table1_shards(config, short_dp), Error);
+
+  // A merge under another target count cuts different groups.
+  Table1Config other = config;
+  other.targets_per_net = 3;
+  EXPECT_THROW(merge_table1_shards(other, shards), Error);
+}
+
 TEST(ShardDeterminism, MergeAcceptsShardsInAnyOrder) {
   Table1Config config;
   config.net_count = 2;
