@@ -94,13 +94,10 @@ int main(int argc, char** argv) try {
   const int nets = bench::net_count(args, 4);
   const int targets = bench::targets_per_net(args, 8);
   const int jobs = bench::jobs(args);
-  const int stream_factor = args.get_int_or("stream", 4);
-  const int capacity = args.get_int_or("capacity", 1024);
-  const int shards = args.get_int_or("shards", 16);
+  const std::uint64_t stream_factor = count_option(args, "stream", 4, 1);
+  const std::uint64_t capacity = count_option(args, "capacity", 1024, 1);
+  const std::uint64_t shards = count_option(args, "shards", 16, 1);
   const std::string json_path = args.get_or("json", "");
-  RIP_REQUIRE(stream_factor >= 1, "--stream must be >= 1");
-  RIP_REQUIRE(capacity >= 1, "--capacity must be >= 1");
-  RIP_REQUIRE(shards >= 1, "--shards must be >= 1");
 
   std::cout << "=== solve-cache bench (" << nets << " nets x " << targets
             << " targets, stream x" << stream_factor << ", capacity "

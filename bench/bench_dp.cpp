@@ -237,12 +237,11 @@ int main(int argc, char** argv) try {
 
   const int nets = bench::net_count(args, 4);
   const int targets = bench::targets_per_net(args, 10);
-  const int repeats = args.get_int_or("repeats", 3);
+  const int repeats = static_cast<int>(count_option(args, "repeats", 3, 1));
   const int jobs = bench::jobs(args);
   const ShardSpec shard = bench::shard(args);
   const ChunkPolicy policy = bench::chunk_policy(args);
   const std::string json_path = args.get_or("json", "");
-  RIP_REQUIRE(repeats >= 1, "--repeats must be >= 1");
 
   std::cout << "=== DP kernel bench (" << nets << " nets x " << targets
             << " targets, " << repeats << " repeats, jobs " << jobs;

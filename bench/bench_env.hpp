@@ -208,9 +208,7 @@ inline ShardSpec shard(const CliArgs& args) { return shard_option(args); }
 /// bit-identical results; it only shifts load balance.
 inline ChunkPolicy chunk_policy(const CliArgs& args) {
   ChunkPolicy policy;
-  const int grain = args.get_int_or("grain", 0);
-  RIP_REQUIRE(grain >= 0, "--grain must be >= 0 (0 = auto)");
-  policy.grain = static_cast<std::size_t>(grain);
+  policy.grain = count_option(args, "grain", 0);
   const std::string mode = args.get_or("mode", "dynamic");
   if (mode == "static") policy.mode = ChunkPolicy::Mode::kStatic;
   else if (mode == "dynamic") policy.mode = ChunkPolicy::Mode::kDynamic;

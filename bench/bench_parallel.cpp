@@ -11,9 +11,9 @@
 //                vs a PR 2-style spin-up-per-call pool (reimplemented
 //                here as the reference), and the ChunkPolicy modes on
 //                an uneven one-giant-among-tiny workload;
-//   sharding     the batch split into two shards, run independently,
-//                merged with eval::merge_shards, and compared to the
-//                unsharded results.
+//   sharding     the batch split into two eval::CaseShards, run
+//                independently, merged with eval::merge_shards, and
+//                compared to the unsharded results.
 //
 // Every multi-job, every-chunk-mode, and merged-shard run is checked
 // against the jobs=1 results — the engine's contract is bit-identical
@@ -124,10 +124,9 @@ int main(int argc, char** argv) try {
   const tech::Technology tech = tech::make_tech180();
   const int nets = bench::net_count(args, 8);
   const int targets = bench::targets_per_net(args, 8);
-  const int max_jobs_raw = args.get_int_or("max-jobs", bench::jobs(8));
-  RIP_REQUIRE(max_jobs_raw >= 0,
-              "--max-jobs must be >= 0 (0 = all hardware threads)");
-  const int max_jobs = resolve_jobs(max_jobs_raw);
+  // 0 = all hardware threads.
+  const int max_jobs = resolve_jobs(static_cast<int>(count_option(
+      args, "max-jobs", static_cast<std::uint64_t>(bench::jobs(8)))));
 
   std::cout << "=== Parallel engine scaling (Table 1 workload) ===\n";
   std::cout << "(" << nets << " nets x " << targets << " targets; "
@@ -298,7 +297,7 @@ int main(int argc, char** argv) try {
     const int shards = 2;
     std::cout << "\n--- sharding: run_cases split " << shards
               << " ways, merged vs unsharded ---\n";
-    std::vector<std::vector<eval::CaseResult>> pieces;
+    std::vector<eval::CaseShard> pieces;
     std::size_t solved = 0;
     WallTimer timer;
     for (int s = 0; s < shards; ++s) {
@@ -306,10 +305,11 @@ int main(int argc, char** argv) try {
       batch.jobs = max_jobs;
       batch.shard_index = s;
       batch.shard_count = shards;
-      pieces.push_back(eval::run_cases(tech, cases, batch));
-      solved += pieces.back().size();
+      pieces.push_back({s, shards, eval::run_cases(tech, cases, batch)});
+      solved += pieces.back().results.size();
     }
-    const auto merged = eval::merge_shards(pieces);
+    const auto merged =
+        eval::merge_shards(std::span<const eval::CaseShard>(pieces));
     if (!same_results(merged, reference)) {
       std::cerr << "FAIL: merged shard results diverged from the "
                    "unsharded run\n";

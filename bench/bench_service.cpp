@@ -2,14 +2,12 @@
 // (eval/service.hpp). Four sections:
 //
 //   submit     raw submission throughput: tiny thunks enqueued while
-//              dispatch is paused (pure queue cost), then drain wall
-//              clock once resumed;
+//              gate thunks hold every worker (pure queue cost), then
+//              drain wall clock once the gates open;
 //   batches    many-small-batches: the same cases evaluated as B
 //              sequential submit_batch/wait_all rounds through the
-//              service vs the PR 3 blocking path (a direct
-//              parallel_for_indexed over the cases, reimplemented here
-//              as the reference) — the per-batch overhead the async
-//              front-end adds;
+//              service vs the blocking eval::run_cases — the per-batch
+//              overhead the async front-end adds;
 //   latency    submit latency under backpressure: a bounded pending
 //              queue (--max-pending, default 8) with real cases, mean
 //              and max per-submit blocking time;
@@ -22,9 +20,11 @@
 // --max-pending override.
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <iostream>
+#include <mutex>
 #include <vector>
 
 #include "bench_env.hpp"
@@ -55,19 +55,6 @@ bool same_results(const std::vector<eval::CaseResult>& a,
   return true;
 }
 
-// The PR 3 blocking engine, for the overhead reference: fan the cases
-// straight out over the scheduler, no service in between.
-std::vector<eval::CaseResult> blocking_run(
-    const tech::Technology& tech, const std::vector<eval::Case>& cases,
-    int jobs) {
-  std::vector<eval::CaseResult> results(cases.size());
-  parallel_for_indexed(cases.size(), jobs, [&](std::size_t i) {
-    const eval::Case& c = cases[i];
-    results[i] = eval::run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline);
-  });
-  return results;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -81,8 +68,7 @@ int main(int argc, char** argv) try {
   const int nets = bench::net_count(args, 4);
   const int targets = bench::targets_per_net(args, 4);
   const int jobs = bench::jobs(args);
-  const int max_pending = args.get_int_or("max-pending", 8);
-  RIP_REQUIRE(max_pending >= 1, "--max-pending must be >= 1");
+  const std::uint64_t max_pending = count_option(args, "max-pending", 8, 1);
 
   std::cout << "=== Async evaluation service (" << nets << " nets x "
             << targets << " targets, jobs " << jobs << ") ===\n";
@@ -104,8 +90,26 @@ int main(int argc, char** argv) try {
     constexpr std::size_t kSubmissions = 10000;
     eval::ServiceOptions options;
     options.jobs = jobs;
-    options.start_paused = true;
     eval::EvalService service(tech, options);
+    // One gate thunk per worker holds them all, so the timed submits
+    // only ever touch the queue.
+    std::mutex mutex;
+    std::condition_variable cv;
+    int held = 0;
+    bool open = false;
+    for (int w = 0; w < jobs; ++w) {
+      service.submit_fn([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++held;
+        cv.notify_all();
+        cv.wait(lock, [&] { return open; });
+        return eval::CaseResult{};
+      });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return held == jobs; });
+    }
     std::vector<std::future<eval::CaseResult>> futures;
     futures.reserve(kSubmissions);
     WallTimer timer;
@@ -115,13 +119,17 @@ int main(int argc, char** argv) try {
     }
     const double submit_s = timer.seconds();
     timer.reset();
-    service.resume();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
     for (auto& future : futures) future.get();
     const double drain_s = timer.seconds();
 
     std::cout << "\n--- submit: " << kSubmissions << " queued thunks ---\n";
     Table table({"phase", "wall_s", "per_item_us"});
-    table.add_row({"submit (paused)", fmt_f(submit_s, 3),
+    table.add_row({"submit (workers held)", fmt_f(submit_s, 3),
                    fmt_f(submit_s / kSubmissions * 1e6, 2)});
     table.add_row({"drain", fmt_f(drain_s, 3),
                    fmt_f(drain_s / kSubmissions * 1e6, 2)});
@@ -129,14 +137,16 @@ int main(int argc, char** argv) try {
   }
 
   // --------------------------------------------- many small batches
-  // The shape PR 3 left open: an iterative driver submitting one small
-  // batch per step. Service rounds vs the blocking engine, same cases.
+  // An iterative driver submitting one small batch per step: service
+  // batches vs the blocking engine, same cases.
   std::vector<eval::CaseResult> reference;
   {
     constexpr std::size_t kRounds = 20;
+    eval::BatchOptions batch;
+    batch.jobs = jobs;
     WallTimer timer;
     for (std::size_t r = 0; r < kRounds; ++r) {
-      const auto results = blocking_run(tech, cases, jobs);
+      const auto results = eval::run_cases(tech, cases, batch);
       if (r == 0) reference = results;
     }
     const double blocking_s = timer.seconds();
@@ -148,7 +158,7 @@ int main(int argc, char** argv) try {
     for (std::size_t r = 0; r < kRounds; ++r) {
       const auto results = service.submit_batch(cases).results();
       if (!same_results(results, reference)) {
-        std::cerr << "FAIL: service batch round " << r
+        std::cerr << "FAIL: service batch " << r
                   << " diverged from the blocking engine\n";
         return 1;
       }
@@ -158,7 +168,7 @@ int main(int argc, char** argv) try {
     std::cout << "\n--- batches: " << kRounds << " rounds x "
               << cases.size() << " cases ---\n";
     Table table({"engine", "wall_s", "ms/batch"});
-    table.add_row({"blocking parallel_for (PR 3)", fmt_f(blocking_s, 2),
+    table.add_row({"blocking run_cases", fmt_f(blocking_s, 2),
                    fmt_f(blocking_s / kRounds * 1e3, 2)});
     table.add_row({"async service", fmt_f(service_s, 2),
                    fmt_f(service_s / kRounds * 1e3, 2)});
@@ -172,7 +182,7 @@ int main(int argc, char** argv) try {
   {
     eval::ServiceOptions options;
     options.jobs = jobs;
-    options.max_pending = static_cast<std::size_t>(max_pending);
+    options.max_pending = max_pending;
     eval::EvalService service(tech, options);
     std::vector<std::future<eval::CaseResult>> futures;
     futures.reserve(cases.size());
@@ -199,8 +209,8 @@ int main(int argc, char** argv) try {
     table.add_row({"max submit ms", fmt_f(max_submit_s * 1e3, 3)});
     table.add_row({"total wall s", fmt_f(wall_s, 2)});
     table.print(std::cout);
-    std::cout << "(submits beyond the bound block until the dispatcher "
-                 "drains the queue — that blocking IS the backpressure)\n";
+    std::cout << "(submits beyond the bound block until a worker takes "
+                 "a queued case — that blocking IS the backpressure)\n";
 
     // Service-side latency histograms (ServiceStats): how long cases
     // sat queued vs how long they ran. Quantiles are upper bounds of

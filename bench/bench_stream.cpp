@@ -30,6 +30,7 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -132,21 +133,32 @@ int main(int argc, char** argv) try {
         "[--rss-limit R] [--dir DIR] [--keep] [--json PATH]");
   }
   const int jobs = bench::jobs(args, 1);
-  const int max_pending = args.get_int_or("max-pending", 64);
-  RIP_REQUIRE(max_pending >= 1, "--max-pending must be >= 1");
-  const double rss_limit = args.get_double_or("rss-limit", 1.35);
-  RIP_REQUIRE(rss_limit > 1.0, "--rss-limit must be > 1");
+  const std::uint64_t max_pending = count_option(args, "max-pending", 64, 1);
   const std::string json_path = args.get_or("json", "");
   const bool keep = args.has("keep");
 
+  // Bad values are usage errors: the whole token must parse.
+  const auto parsed = [](const std::string& text, auto& value) {
+    const char* end = text.data() + text.size();
+    const auto result = std::from_chars(text.data(), end, value);
+    return result.ec == std::errc() && result.ptr == end;
+  };
+  const std::string rss_text = args.get_or("rss-limit", "1.35");
+  double rss_limit = 0;
+  if (!parsed(rss_text, rss_limit) || !(rss_limit > 1.0)) {
+    throw Error("--rss-limit expects a ratio > 1 (e.g. --rss-limit 1.35), "
+                "got '" + rss_text + "'");
+  }
+  const std::string scales_text = args.get_or("scales", "10000,100000");
   std::vector<std::uint64_t> scales;
-  for (const auto& token : split_on(args.get_or("scales", "10000,100000"),
-                                    ',')) {
-    const int nets = parse_int(trim(token), "--scales");
-    RIP_REQUIRE(nets >= 1, "--scales entries must be >= 1");
-    scales.push_back(static_cast<std::uint64_t>(nets));
-    RIP_REQUIRE(scales.size() < 2 || scales[scales.size() - 2] < scales.back(),
-                "--scales must be ascending");
+  for (const auto& token : split_on(scales_text, ',')) {
+    std::uint64_t nets = 0;
+    if (!parsed(trim(token), nets) || nets < 1 ||
+        (!scales.empty() && scales.back() >= nets)) {
+      throw Error("--scales expects ascending net counts >= 1 (e.g. "
+                  "--scales 10000,100000), got '" + scales_text + "'");
+    }
+    scales.push_back(nets);
   }
 
   const std::string dir = args.get_or(
@@ -168,7 +180,7 @@ int main(int argc, char** argv) try {
 
     eval::StreamOptions options;
     options.jobs = jobs;
-    options.max_pending = static_cast<std::size_t>(max_pending);
+    options.max_pending = max_pending;
     const auto stream = eval::run_stream(tech, input, output, options);
     RIP_REQUIRE(stream.finished && stream.rows_written == nets,
                 "stream did not complete the workload");

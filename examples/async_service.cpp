@@ -1,7 +1,6 @@
 // async_service — tour of the asynchronous batch-evaluation service
 // (eval/service.hpp): submit cases, get futures, watch progress
-// counters, get a completion callback, use priorities, and cancel
-// queued work. This is the submit/await shape an iterative
+// counters, get a completion callback, and cancel queued work. This is the submit/await shape an iterative
 // optimization driver or a network front-end builds on, instead of
 // blocking in eval::run_cases for a whole batch.
 
@@ -51,8 +50,8 @@ int main() {
 
   // --- a batch with a completion callback and progress counters -------
   std::atomic<bool> batch_done{false};
-  eval::BatchHandle batch = service.submit_batch(
-      cases, eval::Priority::kNormal, [&] { batch_done = true; });
+  eval::BatchHandle batch =
+      service.submit_batch(cases, [&] { batch_done = true; });
   while (batch.settled() < batch.size()) {
     std::cout << "progress: " << batch.settled() << "/" << batch.size()
               << " settled\n";
@@ -70,25 +69,20 @@ int main() {
             << fmt_f(mean_impr / static_cast<double>(batch.size()), 2)
             << "%\n";
 
-  // --- priorities and cooperative cancellation ------------------------
-  // Pause dispatch so everything queues, submit a low-priority batch
-  // and one high-priority case, cancel the batch, then resume: only
-  // the high-priority case runs; the batch's futures fail with
-  // CancelledError.
-  service.pause();
-  eval::BatchHandle doomed =
-      service.submit_batch(cases, eval::Priority::kLow);
-  std::future<eval::CaseResult> urgent =
-      service.submit(cases.back(), eval::Priority::kHigh);
+  // --- cooperative cancellation --------------------------------------
+  // Cancel a batch right after submitting it: cases no worker has
+  // picked up yet settle as cancelled (their futures throw
+  // CancelledError); cases already running finish normally.
+  eval::BatchHandle doomed = service.submit_batch(cases);
   const std::size_t cancelled = doomed.cancel();
-  service.resume();
-  urgent.get();
-  std::cout << "cancelled " << cancelled << " queued low-priority cases; "
-            << "the high-priority case still ran\n";
+  doomed.wait_all();
+  std::cout << "cancelled " << cancelled << " of " << doomed.size()
+            << " cases; " << doomed.completed()
+            << " had already started and ran\n";
   try {
-    doomed.future(0).get();
+    doomed.results();
   } catch (const eval::CancelledError&) {
-    std::cout << "cancelled case's future throws CancelledError\n";
+    std::cout << "a cancelled case's future throws CancelledError\n";
   }
 
   // The destructor drains: every accepted case settles before exit.

@@ -24,13 +24,6 @@
 //   rip_cli stream  --in big.rnlb --out rows.csv --resume
 //                   --checkpoint big.ckpt --every 200   # after a kill
 //
-// `sweep` and `compare` also run through the asynchronous evaluation
-// service (eval/service.hpp) with `--async`: points are submitted
-// individually and collected from futures, with `--max-pending N`
-// bounding the pending queue (submit blocks when full — the
-// backpressure a long-running driver loop wants). Output is identical
-// to the blocking path; wall-clock columns excepted.
-//
 // A custom technology file (riptech format) can replace the built-in
 // 0.18 um kit everywhere with --tech kit.tech. The sweep/compare
 // multi-target commands fan out over `--jobs N` worker threads
@@ -53,7 +46,6 @@
 #include "dp/min_delay.hpp"
 #include "dp/workspace.hpp"
 #include "eval/parallel.hpp"
-#include "eval/service.hpp"
 #include "eval/solve_cache.hpp"
 #include "eval/stream.hpp"
 #include "eval/workload.hpp"
@@ -94,12 +86,11 @@ int usage(int rc = 2) {
       "           [--granularity G] [--lib-size N] [--min-width W]\n"
       "           [--backend NAME]\n"
       "  sweep    --net file.net [--points N] [--csv out.csv] [--jobs N]\n"
-      "           [--shard I/N] [--async] [--max-pending N]\n"
-      "           [--cache] [--cache-capacity N] [--backend NAME]\n"
+      "           [--shard I/N] [--cache] [--cache-capacity N]\n"
+      "           [--backend NAME]\n"
       "  compare  --net file.net [--points N] [--granularity G]\n"
       "           [--lib-size N] [--min-width W] [--csv out.csv]\n"
-      "           [--jobs N] [--shard I/N] [--async] [--max-pending N]\n"
-      "           [--cache] [--cache-capacity N]\n"
+      "           [--jobs N] [--shard I/N] [--cache] [--cache-capacity N]\n"
       "           [--backend NAME[|NAME...]]\n"
       "  check    --net file.net --sol file.sol [--target-ns T]\n"
       "  merge    --in shard0.csv,shard1.csv[,...] --out merged.csv\n"
@@ -139,17 +130,6 @@ tech::Technology load_tech(const CliArgs& args) {
 
 net::Net load_net(const CliArgs& args) {
   return net::read_net_file(args.require("net"));
-}
-
-/// Service options for `--async`: worker threads from --jobs and the
-/// bounded pending queue from --max-pending (absent = unbounded; an
-/// explicit --max-pending 0 is rejected — say what you mean).
-eval::ServiceOptions async_service_options(const CliArgs& args, int jobs) {
-  eval::ServiceOptions options;
-  options.jobs = jobs;
-  options.max_pending =
-      static_cast<std::size_t>(count_option(args, "max-pending", 0, 1));
-  return options;
 }
 
 /// --cache / --cache-capacity: the optional per-invocation frontier
@@ -404,32 +384,12 @@ int cmd_sweep(const CliArgs& args) {
   const std::unique_ptr<eval::SolveCache> cache = make_cache(args);
   const std::unique_ptr<tech::ObjectiveBackend> backend =
       backend_option(args, tech);
-  const auto solve_point = [&](std::size_t j) {
+  parallel_for_indexed(runs.size(), jobs, [&](std::size_t j) {
     runs[j] = core::rip_insert(n, tech.device(),
                                factors[mine[j]] * md.tau_min_fs, {},
                                dp::Workspace::local(), cache.get(),
                                backend.get());
-  };
-  if (args.has("async")) {
-    // The async service via the submit_fn escape hatch: the sweep is
-    // RIP-only, so each point writes its index-addressed slot and uses
-    // the future purely as a completion signal. Output is identical to
-    // the blocking path.
-    eval::EvalService service(tech, async_service_options(args, jobs));
-    std::vector<std::future<eval::CaseResult>> futures;
-    futures.reserve(mine.size());
-    for (std::size_t j = 0; j < mine.size(); ++j) {
-      futures.push_back(service.submit_fn([&, j] {
-        solve_point(j);
-        return eval::CaseResult{};
-      }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    parallel_for_indexed(runs.size(), jobs, [&](std::size_t j) {
-      solve_point(j);
-    });
-  }
+  });
   print_cache_stats(cache.get());
 
   Table table({"idx", "tau_t_ns", "tau_over_min", "width_u", "repeaters",
@@ -479,7 +439,7 @@ int cmd_compare(const CliArgs& args) {
   // (no --backend) single sweep keeps the legacy byte-identical table;
   // 'a|b|c' runs one sweep per backend and emits per-backend column
   // groups without the wall-clock columns, so the multi-backend table
-  // is bit-identical at any jobs/shard/async combination. With --cache
+  // is bit-identical at any jobs/shard combination. With --cache
   // every backend shares one frontier cache — solve keys fold the
   // backend identity, so entries never collide across backends.
   std::vector<std::unique_ptr<tech::ObjectiveBackend>> backends;
@@ -507,25 +467,7 @@ int cmd_compare(const CliArgs& args) {
   std::vector<std::vector<eval::CaseResult>> all_results(backends.size());
   for (std::size_t b = 0; b < backends.size(); ++b) {
     batch.context.backend = backends[b].get();
-    if (args.has("async")) {
-      // One future per point through the async service (FIFO order);
-      // --max-pending exercises the bounded-queue backpressure. Results
-      // are collected in submission order, so the table is identical to
-      // the blocking run_cases path (wall-clock columns excepted).
-      eval::ServiceOptions service_options =
-          async_service_options(args, batch.jobs);
-      service_options.context = batch.context;
-      eval::EvalService service(tech, service_options);
-      std::vector<std::future<eval::CaseResult>> futures;
-      futures.reserve(mine.size());
-      for (const std::size_t k : mine) {
-        futures.push_back(service.submit(cases[k]));
-      }
-      all_results[b].reserve(futures.size());
-      for (auto& future : futures) all_results[b].push_back(future.get());
-    } else {
-      all_results[b] = eval::run_cases(tech, cases, batch);
-    }
+    all_results[b] = eval::run_cases(tech, cases, batch);
   }
   print_cache_stats(cache.get());
 
@@ -741,7 +683,7 @@ int main(int argc, char** argv) {
   try {
     const CliArgs args =
         CliArgs::parse(argc, argv,
-                       {"zone-hop", "help", "async", "cache", "resume"});
+                       {"zone-hop", "help", "cache", "resume"});
     if (args.has("help")) return usage(0);
     // --faults overrides any RIP_FAULTS env configuration; --fault-seed
     // feeds the deterministic p= triggers.

@@ -14,10 +14,9 @@
 ///   backend   == nullptr  -> the paper's minimum-total-width objective,
 ///                            bit-identical to before backends existed
 ///
-/// The batch engines (run_cases, EvalService) evaluate on scheduler
-/// worker threads and hand each participant its own thread-local
-/// workspace — they reject a non-null `workspace`, which would be a
-/// data race. Pass a workspace only to the single-threaded run_case.
+/// The batch engines (run_cases, EvalService) evaluate on several
+/// worker threads, each on its own thread-local workspace — they
+/// reject a non-null `workspace`, which would be a data race. Pass a workspace only to the single-threaded run_case.
 
 #include <cstdint>
 

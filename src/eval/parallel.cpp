@@ -1,6 +1,5 @@
 #include "eval/parallel.hpp"
 
-#include "eval/service.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,59 +26,36 @@ std::vector<std::size_t> shard_case_indices(std::size_t case_count,
   return indices;
 }
 
+CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
+                         SolveContext context, std::uint64_t fault_key) {
+  // context.workspace stays nullptr, so run_case solves on this
+  // thread's own workspace; the deadline lives on this stack frame.
+  if (context.fault_key == kFaultAutoKey) context.fault_key = fault_key;
+  const Deadline deadline(c.deadline_ms);
+  if (deadline.active()) context.deadline = &deadline;
+  return run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline, context);
+}
+
 std::vector<CaseResult> run_cases(const tech::Technology& tech,
                                   std::span<const Case> cases,
                                   const BatchOptions& options) {
   for (const Case& c : cases) {
     RIP_REQUIRE(c.net != nullptr, "batch case without a net");
   }
-  const auto mine = shard_case_indices(cases.size(), options.shard_index,
-                                       options.shard_count);
-  // The blocking engine is a thin wrapper over the async EvalService:
-  // submit this shard's cases as one batch and wait — there is exactly
-  // one execution path for batch evaluation. The service evaluates each
-  // case with run_case (whose WallTimers start inside the worker, so
-  // the per-case runtime columns measure the task, not the batch) and
-  // results() returns them in submission == input order. Like the
-  // pre-service engine, a failure aborts the batch early (remaining
-  // cases are skipped via cancel-on-failure) and the lowest failing
-  // index's exception is rethrown here.
   RIP_REQUIRE(options.context.workspace == nullptr,
               "run_cases evaluates on worker-local workspaces; "
               "BatchOptions::context.workspace must stay nullptr");
-  ServiceOptions service_options;
-  service_options.jobs = options.jobs;
-  service_options.chunk = options.chunk;
-  service_options.context = options.context;
-  EvalService service(tech, service_options);
-  std::vector<Case> shard_cases;
-  shard_cases.reserve(mine.size());
-  for (const std::size_t i : mine) shard_cases.push_back(cases[i]);
-  return service
-      .submit_batch(shard_cases, Priority::kNormal, {},
-                    /*cancel_remaining_on_failure=*/true)
-      .results();
-}
-
-std::vector<CaseResult> merge_shards(
-    std::span<const std::vector<CaseResult>> shards) {
-  RIP_REQUIRE(!shards.empty(), "merge_shards needs at least one shard");
-  const int shard_count = static_cast<int>(shards.size());
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<CaseResult> merged(total);
-  for (int s = 0; s < shard_count; ++s) {
-    const auto indices = shard_case_indices(total, s, shard_count);
-    RIP_REQUIRE(shards[static_cast<std::size_t>(s)].size() ==
-                    indices.size(),
-                "shard " + std::to_string(s) +
-                    " result count does not match the round-robin "
-                    "assignment");
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      merged[indices[j]] = shards[static_cast<std::size_t>(s)][j];
-    }
-  }
-  return merged;
+  const auto mine = shard_case_indices(cases.size(), options.shard_index,
+                                       options.shard_count);
+  // Case j of the shard writes only slot j, and its shard-local index
+  // is its fault-point key. The scheduler runs jobs 1 as the serial
+  // loop on this thread and, on a failure, skips unclaimed cases and
+  // rethrows the lowest failing index's exception.
+  std::vector<CaseResult> results(mine.size());
+  parallel_for_indexed(mine.size(), options.jobs, [&](std::size_t j) {
+    results[j] = evaluate_case(tech, cases[mine[j]], options.context, j);
+  });
+  return results;
 }
 
 std::vector<CaseResult> merge_shards(std::span<const CaseShard> shards) {

@@ -8,30 +8,30 @@
 /// to the serial loop: every case writes only its own slot and
 /// reductions stay serial in input order.
 ///
-/// On top of the in-process fan-out (`jobs`, `chunk`), a batch can be
-/// split across processes or machines: `shard_index`/`shard_count`
-/// select a deterministic round-robin subset of the cases
-/// (case i belongs to shard i % shard_count), each shard runs
-/// independently, and merge_shards() reassembles the full result
-/// vector bit-identical to an unsharded run. rip_cli (`sweep`/`compare`
-/// `--shard I/N`) and the bench binaries sit on top of this via
-/// `--jobs`/`--shard`; eval::run_table1/run_table2/run_fig7 apply the
-/// same assignment to groups of cases (eval/sharded_sweep.hpp).
+/// On top of the in-process fan-out (`jobs`), a batch can be split
+/// across processes or machines: `shard_index`/`shard_count` select a
+/// deterministic round-robin subset of the cases (case i belongs to
+/// shard i % shard_count), each shard runs independently, and
+/// merge_shards() reassembles the full result vector bit-identical to
+/// an unsharded run. rip_cli (`sweep`/`compare` `--shard I/N`) and the
+/// bench binaries sit on top of this via `--jobs`/`--shard`;
+/// eval::run_table1/run_table2/run_fig7 apply the same assignment to
+/// groups of cases (eval/sharded_sweep.hpp).
 ///
-/// run_cases itself is a thin blocking wrapper over the asynchronous
-/// eval::EvalService (eval/service.hpp): it submits the shard's cases
-/// as one batch and waits, so the blocking and async front-ends share
-/// one execution path.
+/// run_cases is one parallel_for_indexed over the shard's cases — the
+/// path the table runners take too. The asynchronous front-end,
+/// eval::EvalService (eval/service.hpp), evaluates each Case with the
+/// same evaluate_case, so both produce the same bits.
 ///
 /// Memory model: every case's DP solves run on the evaluating thread's
-/// own dp::Workspace (the service hands each scheduler participant its
-/// Workspace::local()), so a long sweep performs zero steady-state
-/// allocations in the DP kernel regardless of how cases are stolen
-/// across workers. Workspace state never leaks into results — any
-/// (jobs, chunk, shard) combination stays bit-identical to the serial
+/// own dp::Workspace::local(), so a long sweep performs zero
+/// steady-state allocations in the DP kernel regardless of how cases
+/// are stolen across workers. Workspace state never leaks into results
+/// — any (jobs, shard) combination stays bit-identical to the serial
 /// loop.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,7 +40,6 @@
 #include "eval/context.hpp"
 #include "eval/experiments.hpp"
 #include "tech/technology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 
@@ -67,9 +66,6 @@ struct BatchOptions {
   /// Worker threads: 1 = serial on the calling thread (the reference
   /// path the golden tests pin), 0 = one per hardware thread.
   int jobs = 1;
-  /// Chunking/stealing policy for the in-process fan-out. Any policy
-  /// yields bit-identical results; it only changes load balance.
-  ChunkPolicy chunk;
   /// Cross-process sharding: this process evaluates only the cases with
   /// case_shard(i, shard_count) == shard_index. Defaults to the single,
   /// unsharded shard.
@@ -93,39 +89,39 @@ std::vector<std::size_t> shard_case_indices(std::size_t case_count,
                                             int shard_index,
                                             int shard_count);
 
+/// Evaluate one Case with eval::run_case on the calling thread's
+/// dp::Workspace::local(), under the case's own deadline (a fresh
+/// budget per call, so a retry starts over) and with `fault_key` as its
+/// solve.* fault-point key unless `context` already pins one. The one
+/// per-case body of run_cases and EvalService::submit/submit_batch.
+CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
+                         SolveContext context, std::uint64_t fault_key);
+
 /// Evaluate this shard's cases (RIP + the DP baseline) and return their
 /// results in input order — with the default unsharded options, that is
 /// every case. Runtimes (`rip_runtime_s`, `dp_runtime_s`) are wall
 /// clock measured inside the worker, per task — never around the whole
 /// batch — so Table 1/2 runtime columns stay meaningful at any job
-/// count. jobs=1 is the plain serial loop; jobs>1 is bit-identical
-/// because cases are independent and each writes only its own slot.
+/// count. jobs=1 is the plain serial loop on the calling thread; jobs>1
+/// is bit-identical because cases are independent and each writes only
+/// its own slot. A failing case stops the batch: cases not yet started
+/// are skipped and the lowest failing index's exception is rethrown.
 std::vector<CaseResult> run_cases(const tech::Technology& tech,
                                   std::span<const Case> cases,
                                   const BatchOptions& options = {});
 
-/// Reassemble per-shard run_cases outputs (element s = shard s's
-/// results, all from the same shard_count = shards.size() split) into
-/// the full batch result, bit-identical to an unsharded run. Throws if
-/// the shard sizes are inconsistent with the round-robin assignment.
-/// NOTE: this positional overload has no way to notice two equal-size
-/// shards passed in the wrong slots — prefer the CaseShard overload
-/// below, which carries each shard's own index/count metadata and
-/// rejects every inconsistent combination instead of mis-interleaving.
-std::vector<CaseResult> merge_shards(
-    std::span<const std::vector<CaseResult>> shards);
-
 /// A shard's results together with the split metadata it was produced
-/// under — what a sharded driver should ship between processes so the
-/// merge can *verify* the reassembly instead of trusting argument order.
+/// under — what a sharded driver ships between processes so the merge
+/// can *verify* the reassembly instead of trusting argument order.
 struct CaseShard {
   int shard_index = 0;
   int shard_count = 1;
   std::vector<CaseResult> results;
 };
 
-/// Metadata-checked merge: shards may arrive in any order. Throws
-/// rip::Error if any shard disagrees on shard_count, an index is
+/// Reassemble per-shard run_cases outputs into the full batch result,
+/// bit-identical to an unsharded run. Shards may arrive in any order.
+/// Throws rip::Error if any shard disagrees on shard_count, an index is
 /// duplicated, out of range, or missing, or a shard's result count does
 /// not match its round-robin slice.
 std::vector<CaseResult> merge_shards(std::span<const CaseShard> shards);

@@ -1,23 +1,21 @@
 #include "eval/service.hpp"
 
-#include "dp/workspace.hpp"
-
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
+
+#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 namespace detail {
 
 /// Shared state of one batch (or one single submission). Kept alive by
-/// the BatchHandle, the queued entries, and any in-flight round, so it
-/// outlives the service when handles do.
+/// the BatchHandle and the queued or running entries, so it outlives
+/// the service when handles do.
 struct BatchState {
   std::vector<std::promise<CaseResult>> promises;
   /// Populated for submit_batch only; single submissions hand their
@@ -31,10 +29,6 @@ struct BatchState {
 
   std::function<void()> on_complete;
   std::shared_ptr<ServiceState> service;  ///< for cancel(); may outlive it
-  /// Once a case of this batch fails, settle the batch's remaining
-  /// not-yet-run cases as cancelled instead of evaluating them — the
-  /// early-abort discipline the blocking engine (run_cases) wants.
-  bool cancel_on_failure = false;
 
   /// Once-guard for complete_batch: the completion callback (and the
   /// all_done hand-off) must fire exactly once even if a late cancel()
@@ -47,28 +41,23 @@ struct BatchState {
   bool all_done = false;  ///< settled == size and on_complete returned
 };
 
-/// One queued evaluation: a thunk plus its slot in a batch. The queue
-/// is FIFO; a dispatch round stable-sorts its snapshot by priority, so
-/// FIFO order is preserved within each priority class.
+/// One queued evaluation: a thunk plus its slot in a batch.
 struct QueueEntry {
   std::function<CaseResult()> solve;
   std::shared_ptr<BatchState> batch;
   std::size_t slot = 0;
-  Priority priority = Priority::kNormal;
   /// When the entry was accepted — settle() turns it into queue time.
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// The queue and dispatch flags shared by the service, its dispatcher
-/// thread, scheduler completion callbacks, and outstanding handles.
+/// The FIFO and counters shared by the service, its workers, and
+/// outstanding handles.
 struct ServiceState {
   mutable std::mutex mutex;
-  std::condition_variable work_cv;   ///< wakes the dispatcher
+  std::condition_variable work_cv;   ///< wakes idle workers
   std::condition_variable space_cv;  ///< wakes backpressure-blocked submits
   std::deque<QueueEntry> queue;      ///< pending (accepted, not started)
-  bool paused = false;
   bool stopping = false;
-  bool round_in_flight = false;
   RetryPolicy retry;                 ///< immutable after construction
   std::atomic<std::uint64_t> evaluated{0};  ///< cases actually run
   std::atomic<std::uint64_t> retries{0};    ///< transient re-runs
@@ -129,26 +118,13 @@ CaseResult solve_with_retry(ServiceState& service, QueueEntry& entry) {
 /// which is what keeps one failing case from touching its neighbours.
 void settle(ServiceState& service, QueueEntry& entry) {
   BatchState& batch = *entry.batch;
-  if (batch.cancel_on_failure && batch.failed.load() > 0) {
-    // A sibling already failed: cooperative skip, like the scheduler
-    // cancelling a region's unclaimed chunks after a failure.
-    {
-      std::promise<CaseResult> promise =
-          std::move(batch.promises[entry.slot]);
-      promise.set_exception(std::make_exception_ptr(CancelledError()));
-    }
-    batch.cancelled.fetch_add(1);
-    finish_slot(batch);
-    return;
-  }
   {
     // Move the promise out and let it die here, on the settling
     // thread: once the result is set, the consumer's future must hold
     // the last reference to the shared state, so a stored exception is
     // destroyed on the thread that read it — never concurrently with
-    // that read (the same exception-lifetime discipline the
-    // scheduler's blocking path uses when it moves the region error
-    // out before rethrowing).
+    // that read (the same exception-lifetime discipline the scheduler
+    // uses when it moves a region's error out before rethrowing).
     std::promise<CaseResult> promise =
         std::move(batch.promises[entry.slot]);
     const auto started = std::chrono::steady_clock::now();
@@ -199,10 +175,8 @@ std::size_t cancel_queued(ServiceState& service, const BatchState* only) {
     }
   }
   if (removed.empty()) return 0;
-  // The queue shrank (backpressure space) and may have emptied (a
-  // draining destructor could be waiting on that).
+  // The queue shrank: wake submitters blocked on backpressure.
   service.space_cv.notify_all();
-  service.work_cv.notify_all();
   for (QueueEntry& entry : removed) {
     {
       // Same promise-dies-on-the-settling-thread rule as settle().
@@ -214,6 +188,24 @@ std::size_t cancel_queued(ServiceState& service, const BatchState* only) {
     finish_slot(*entry.batch);
   }
   return removed.size();
+}
+
+/// One worker: pop the front of the FIFO and settle it, until the
+/// service is stopping and the queue has drained.
+void work(ServiceState& service) {
+  for (;;) {
+    QueueEntry entry;
+    {
+      std::unique_lock<std::mutex> lock(service.mutex);
+      service.work_cv.wait(
+          lock, [&] { return !service.queue.empty() || service.stopping; });
+      if (service.queue.empty()) return;  // stopping, fully drained
+      entry = std::move(service.queue.front());
+      service.queue.pop_front();
+    }
+    service.space_cv.notify_one();  // one slot freed
+    settle(service, entry);
+  }
 }
 
 std::shared_ptr<BatchState> make_batch_state(
@@ -268,9 +260,8 @@ std::vector<CaseResult> BatchHandle::results() const {
   wait_all();
   std::vector<CaseResult> out;
   out.reserve(size());
-  // Ascending order; a real failure outranks cancellations (which may
-  // themselves be fallout of that failure under cancel-on-failure), so
-  // remember the first CancelledError and keep scanning for a failure.
+  // Ascending order; a real failure outranks cancellations, so remember
+  // the first CancelledError and keep scanning for a failure.
   std::exception_ptr first_cancelled;
   for (std::size_t i = 0; i < size(); ++i) {
     try {
@@ -300,25 +291,35 @@ EvalService::EvalService(const tech::Technology& tech,
               "ServiceOptions::context.workspace must stay nullptr");
   RIP_REQUIRE(options_.retry.max_attempts >= 1,
               "ServiceOptions::retry.max_attempts must be >= 1");
-  state_->paused = options.start_paused;
   state_->retry = options_.retry;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  const int jobs = resolve_jobs(options_.jobs);
+  try {
+    for (int w = 0; w < jobs; ++w) {
+      workers_.emplace_back([state = state_.get()] { detail::work(*state); });
+    }
+  } catch (...) {
+    // A thread failed to start. No destructor runs for a half-built
+    // service, so join the workers that did start before rethrowing.
+    drain_and_join();
+    throw;
+  }
 }
 
-EvalService::~EvalService() {
+EvalService::~EvalService() { drain_and_join(); }
+
+void EvalService::drain_and_join() {
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
     state_->stopping = true;
-    state_->paused = false;  // a paused service still drains
   }
   state_->work_cv.notify_all();
   state_->space_cv.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void EvalService::enqueue(std::function<CaseResult()> solve,
                           const std::shared_ptr<detail::BatchState>& batch,
-                          std::size_t slot, Priority priority) {
+                          std::size_t slot) {
   // Local copies: keep the state (and the bound we wait on) alive
   // through the blocking wait even if the service object is
   // (erroneously) destroyed mid-submit — the predicate must not read
@@ -339,56 +340,39 @@ void EvalService::enqueue(std::function<CaseResult()> solve,
     entry.solve = std::move(solve);
     entry.batch = batch;
     entry.slot = slot;
-    entry.priority = priority;
     entry.enqueued = std::chrono::steady_clock::now();
     state->queue.push_back(std::move(entry));
   }
-  state->work_cv.notify_all();
+  state->work_cv.notify_one();
 }
 
 std::future<CaseResult> EvalService::submit_fn(
-    std::function<CaseResult()> fn, Priority priority) {
+    std::function<CaseResult()> fn) {
   RIP_REQUIRE(static_cast<bool>(fn), "submit_fn needs a callable");
   auto batch = std::make_shared<detail::BatchState>();
   batch->promises.resize(1);
   batch->service = state_;
   std::future<CaseResult> future = batch->promises[0].get_future();
-  enqueue(std::move(fn), batch, 0, priority);
+  enqueue(std::move(fn), batch, 0);
   return future;
 }
 
-std::future<CaseResult> EvalService::submit(const Case& c,
-                                            Priority priority) {
+std::future<CaseResult> EvalService::submit(const Case& c) {
   RIP_REQUIRE(c.net != nullptr, "submitted case without a net");
   const tech::Technology& tech = *tech_;
   const SolveContext context = options_.context;
-  return submit_fn(
-      [c, &tech, context] {
-        // Evaluated on a service thread: hand the solve that thread's
-        // own DP workspace, so each scheduler participant reuses its
-        // arenas across every case it runs or steals; the service-wide
-        // frontier cache and objective backend (if any) are shared by
-        // all of them. The deadline lives on this thread's stack for
-        // exactly one attempt — a retry starts a fresh budget.
-        SolveContext ctx = context;
-        ctx.workspace = &dp::Workspace::local();
-        const Deadline deadline(c.deadline_ms);
-        if (deadline.active()) ctx.deadline = &deadline;
-        return run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline, ctx);
-      },
-      priority);
+  return submit_fn([c, &tech, context] {
+    return evaluate_case(tech, c, context, kFaultAutoKey);
+  });
 }
 
 BatchHandle EvalService::submit_batch(const std::vector<Case>& cases,
-                                      Priority priority,
-                                      std::function<void()> on_complete,
-                                      bool cancel_remaining_on_failure) {
+                                      std::function<void()> on_complete) {
   for (const Case& c : cases) {
     RIP_REQUIRE(c.net != nullptr, "batch case without a net");
   }
   auto batch = detail::make_batch_state(cases.size(), std::move(on_complete),
                                         state_);
-  batch->cancel_on_failure = cancel_remaining_on_failure;
   if (cases.empty()) {
     // Nothing will ever settle it: complete (callback included) now,
     // synchronously on the submitting thread.
@@ -398,46 +382,19 @@ BatchHandle EvalService::submit_batch(const std::vector<Case>& cases,
   const tech::Technology& tech = *tech_;
   const SolveContext context = options_.context;
   for (std::size_t i = 0; i < cases.size(); ++i) {
+    // The batch slot is the case's stable fault-point key, so keyed
+    // solve.* faults hit the same cases at any job count.
     const Case c = cases[i];
-    enqueue(
-        [c, i, &tech, context] {
-          // Same per-participant workspace/context/deadline hand-off as
-          // submit(). The batch slot is the case's stable fault-point
-          // key (unless the caller pinned one), so keyed solve.* faults
-          // hit the same cases at any job count.
-          SolveContext ctx = context;
-          ctx.workspace = &dp::Workspace::local();
-          if (ctx.fault_key == kFaultAutoKey) ctx.fault_key = i;
-          const Deadline deadline(c.deadline_ms);
-          if (deadline.active()) ctx.deadline = &deadline;
-          return run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline, ctx);
-        },
-        batch, i, priority);
+    enqueue([c, i, &tech, context] {
+      return evaluate_case(tech, c, context, i);
+    }, batch, i);
   }
   return BatchHandle(batch);
-}
-
-void EvalService::pause() {
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  state_->paused = true;
-}
-
-void EvalService::resume() {
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->paused = false;
-  }
-  state_->work_cv.notify_all();
 }
 
 std::size_t EvalService::pending_count() const {
   std::lock_guard<std::mutex> lock(state_->mutex);
   return state_->queue.size();
-}
-
-bool EvalService::round_in_flight() const {
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->round_in_flight;
 }
 
 std::size_t EvalService::cancel_pending() {
@@ -455,65 +412,6 @@ ServiceStats EvalService::stats() const {
     out.cache = options_.context.cache->stats();
   }
   return out;
-}
-
-void EvalService::dispatcher_loop() {
-  detail::ServiceState& s = *state_;
-  const int jobs = resolve_jobs(options_.jobs);
-  for (;;) {
-    std::vector<detail::QueueEntry> round;
-    {
-      std::unique_lock<std::mutex> lock(s.mutex);
-      s.work_cv.wait(lock, [&] {
-        if (s.round_in_flight) return false;  // one round at a time
-        if (!s.queue.empty() && (!s.paused || s.stopping)) return true;
-        return s.stopping && s.queue.empty();
-      });
-      if (s.queue.empty()) return;  // stopping, fully drained
-      round.assign(std::make_move_iterator(s.queue.begin()),
-                   std::make_move_iterator(s.queue.end()));
-      s.queue.clear();
-      // High priority first; stable keeps FIFO within each priority.
-      std::stable_sort(round.begin(), round.end(),
-                       [](const detail::QueueEntry& a,
-                          const detail::QueueEntry& b) {
-                         return static_cast<int>(a.priority) >
-                                static_cast<int>(b.priority);
-                       });
-      s.round_in_flight = true;
-    }
-    s.space_cv.notify_all();  // the queue just emptied
-
-    auto tasks =
-        std::make_shared<std::vector<detail::QueueEntry>>(std::move(round));
-    if (jobs <= 1 || tasks->size() == 1) {
-      // Serial rounds run right here and never touch (or create) the
-      // scheduler — the service-side mirror of the jobs=1 bypass rule.
-      for (detail::QueueEntry& entry : *tasks) detail::settle(s, entry);
-      {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.round_in_flight = false;
-      }
-    } else {
-      // Hand the round to pool workers and go back to accepting
-      // submissions; the completion hook reopens dispatch. settle()
-      // never throws, so the region error is always null.
-      const std::shared_ptr<detail::ServiceState> state = state_;
-      Scheduler::global().submit_region(
-          tasks->size(), jobs,
-          [tasks, state](std::size_t i) {
-            detail::settle(*state, (*tasks)[i]);
-          },
-          [state, tasks](std::exception_ptr) {
-            {
-              std::lock_guard<std::mutex> lock(state->mutex);
-              state->round_in_flight = false;
-            }
-            state->work_cv.notify_all();
-          },
-          options_.chunk);
-    }
-  }
 }
 
 }  // namespace rip::eval

@@ -2,27 +2,17 @@
 
 /// @file service.hpp
 /// The asynchronous batch-evaluation service: a submit/future front-end
-/// over the persistent work-stealing scheduler (util/thread_pool.hpp).
-/// Where eval::run_cases blocks the caller for the whole batch, an
-/// EvalService accepts cases one at a time or in batches, returns a
-/// future per case, and evaluates them in the background — the shape an
-/// iterative optimization loop (resubmit, refine, resubmit) or a
-/// network front-end needs. run_cases itself is now a thin blocking
-/// wrapper over this service, so there is exactly one execution path.
+/// with its own worker threads. Where eval::run_cases blocks the caller
+/// for a whole batch, an EvalService accepts cases one at a time or in
+/// batches, returns a future per case, and evaluates them in the
+/// background — the shape an iterative optimization loop (resubmit,
+/// refine, resubmit) or the streaming driver (eval/stream.hpp) needs.
 ///
 /// Scheduling model:
-///   - Pending cases sit in one bounded queue (ServiceOptions::
+///   - Pending cases sit in one bounded FIFO (ServiceOptions::
 ///     max_pending; submit blocks when it is full — backpressure).
-///   - A single dispatcher thread drains the queue in rounds: all
-///     currently queued cases, ordered by priority (high first) and
-///     FIFO within a priority, become one scheduler region. While a
-///     round is in flight new submissions queue up for the next round,
-///     so a high-priority case submitted mid-round runs before every
-///     lower-priority case that is still queued.
-///   - jobs == 1 evaluates the round serially on the dispatcher thread
-///     and never creates the scheduler (the same bypass rule as
-///     parallel_for_indexed); jobs > 1 hands the round to pool workers
-///     via Scheduler::submit_region and the dispatcher keeps accepting.
+///   - `jobs` worker threads each pop the front of the FIFO and evaluate
+///     it, so a queued case starts as soon as any worker is free.
 ///   - Queued (not yet started) cases can be cancelled cooperatively:
 ///     their futures fail with CancelledError. Started cases always run
 ///     to completion.
@@ -32,11 +22,9 @@
 ///
 /// Determinism: a case's result depends only on the Case itself — the
 /// service adds no shared state to the evaluation — so any submission
-/// order, job count, chunk policy, priority mix, or round split yields
-/// results bit-identical to the serial loop, exactly like the
-/// index-addressed-slot discipline of the blocking engine. The RNG
-/// splits that build workloads happen before cases are submitted, so
-/// the seed-2005 golden pins hold through the service.
+/// order or job count yields results bit-identical to the serial loop.
+/// The RNG splits that build workloads happen before cases are
+/// submitted, so the seed-2005 golden pins hold through the service.
 
 #include <chrono>
 #include <cstddef>
@@ -52,14 +40,8 @@
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rip::eval {
-
-/// Scheduling priority of a submission. Priorities order queued cases
-/// between dispatch rounds; within one priority, submission (FIFO)
-/// order is kept.
-enum class Priority { kLow = 0, kNormal = 1, kHigh = 2 };
 
 /// Transient-failure retry policy. An evaluation that throws a
 /// util::TransientError (flaky I/O, an injected 'err' fault) is re-run
@@ -76,19 +58,12 @@ struct RetryPolicy {
 
 /// Knobs of the async service.
 struct ServiceOptions {
-  /// Worker threads per dispatch round: 1 = evaluate serially on the
-  /// dispatcher thread (never creates the scheduler), 0 = one per
-  /// hardware thread.
+  /// Worker threads popping the FIFO: N >= 1 taken literally, 0 = one
+  /// per hardware thread.
   int jobs = 1;
-  /// Chunking/stealing policy for rounds run on the scheduler. Any
-  /// policy yields bit-identical results; it only changes load balance.
-  ChunkPolicy chunk;
   /// Bounded-queue backpressure: submit blocks while this many cases
   /// are already queued (not yet started). 0 = unbounded.
   std::size_t max_pending = 0;
-  /// Construct with dispatch paused (submissions queue up but nothing
-  /// runs until resume()) — for tests and staged startup.
-  bool start_paused = false;
   /// Transient-failure retry policy applied to every evaluation.
   RetryPolicy retry;
   /// Ambient solve state (eval/context.hpp): the shared frontier cache
@@ -162,14 +137,13 @@ class BatchHandle {
   /// wait_all, then collect the results in submission order. If any
   /// case failed, rethrows the exception of the lowest failed index —
   /// the same lowest-failing-index discipline as the blocking engine
-  /// (cancellations, which may be fallout of that failure under
-  /// cancel-on-failure, never mask it). If cases were only cancelled,
-  /// rethrows the lowest one's CancelledError.
+  /// (cancellations never mask a failure). If cases were only
+  /// cancelled, rethrows the lowest one's CancelledError.
   std::vector<CaseResult> results() const;
 
   /// Cooperatively cancel every case of this batch that has not yet
-  /// started; their futures fail with CancelledError. Cases already
-  /// dispatched run to completion. Returns how many were cancelled.
+  /// started; their futures fail with CancelledError. Cases a worker
+  /// already picked up run to completion. Returns how many were cancelled.
   /// Safe to call at any time, including after the service is gone.
   std::size_t cancel();
 
@@ -180,25 +154,25 @@ class BatchHandle {
   std::shared_ptr<detail::BatchState> state_;
 };
 
-/// The asynchronous batch-evaluation service. One instance owns one
-/// dispatcher thread and serves any number of submitters concurrently;
+/// The asynchronous batch-evaluation service. One instance owns its
+/// worker threads and serves any number of submitters concurrently;
 /// all public methods are thread-safe. The Technology (and every
 /// submitted Case's net) must outlive the service.
 ///
 /// Reentrancy rule: evaluation thunks and batch completion callbacks
-/// run on service threads (the dispatcher, or a pool worker of the
-/// in-flight round). They may submit follow-up work, but on a service
-/// with a bounded queue (max_pending > 0) such a submit can block on
-/// backpressure that only the very thread doing the submitting would
-/// relieve — a deadlock the destructor then inherits. A driver loop
-/// that resubmits from callbacks must use an unbounded queue or hand
-/// the follow-up submission to a consumer thread.
+/// run on the service's worker threads. They may submit follow-up
+/// work, but on a service with a bounded queue (max_pending > 0) such
+/// a submit can block on backpressure that only the very thread doing
+/// the submitting would relieve — a deadlock the destructor then
+/// inherits. A driver loop that resubmits from callbacks must use an
+/// unbounded queue or hand the follow-up submission to a consumer
+/// thread.
 class EvalService {
  public:
   explicit EvalService(const tech::Technology& tech,
                        const ServiceOptions& options = {});
   /// Drains: blocks until every accepted case is settled, then joins
-  /// the dispatcher. Every future handed out is ready afterwards.
+  /// the workers. Every future handed out is ready afterwards.
   ~EvalService();
 
   EvalService(const EvalService&) = delete;
@@ -207,16 +181,16 @@ class EvalService {
   /// Submit one case (RIP + DP baseline, eval::run_case). Blocks while
   /// the pending queue is full. The returned future yields the
   /// CaseResult or rethrows the evaluation's exception.
-  std::future<CaseResult> submit(const Case& c,
-                                 Priority priority = Priority::kNormal);
+  std::future<CaseResult> submit(const Case& c);
 
   /// Submit an arbitrary evaluation thunk on the same queue — the
-  /// escape hatch for RIP-only sweeps (rip_cli sweep --async) and for
-  /// tests that need gates or failure injection. The thunk runs exactly
-  /// once on a service thread; its return value (or exception) settles
-  /// the future. Side-effect-only thunks may return CaseResult{}.
-  std::future<CaseResult> submit_fn(std::function<CaseResult()> fn,
-                                    Priority priority = Priority::kNormal);
+  /// escape hatch for drivers that evaluate something other than a
+  /// Case (run_stream resolves each record's target on the worker) and
+  /// for tests that need gates or failure injection. The thunk runs
+  /// exactly once on a service thread; its return value (or exception)
+  /// settles the future. Side-effect-only thunks may return
+  /// CaseResult{}.
+  std::future<CaseResult> submit_fn(std::function<CaseResult()> fn);
 
   /// Submit a batch of cases (one queue entry each, FIFO within the
   /// batch). `on_complete`, if given, runs exactly once after the last
@@ -224,26 +198,14 @@ class EvalService {
   /// before wait_all() returns; it runs on a service thread (or on the
   /// submitting thread for an empty batch). Blocks while the pending
   /// queue is full; earlier cases of the batch may already be running
-  /// while later ones are still being enqueued. With
-  /// `cancel_remaining_on_failure`, a failing case makes the batch's
-  /// remaining not-yet-run cases settle as cancelled instead of being
-  /// evaluated — the early-abort behavior run_cases relies on.
+  /// while later ones are still being enqueued. A failing case settles
+  /// only its own future; the rest of the batch still runs.
   BatchHandle submit_batch(const std::vector<Case>& cases,
-                           Priority priority = Priority::kNormal,
-                           std::function<void()> on_complete = {},
-                           bool cancel_remaining_on_failure = false);
+                           std::function<void()> on_complete = {});
 
-  /// Pause/resume dispatch. While paused, submissions are accepted (and
-  /// backpressure still applies) but no new round starts; a round
-  /// already in flight finishes. Destruction resumes automatically.
-  void pause();
-  void resume();
-
-  /// Cases queued but not yet dispatched (the backpressure quantity).
+  /// Cases queued but not yet picked up by a worker (the backpressure
+  /// quantity).
   std::size_t pending_count() const;
-
-  /// True while a dispatch round is being evaluated.
-  bool round_in_flight() const;
 
   /// Cancel every queued (not yet started) case across all batches;
   /// their futures fail with CancelledError. Returns how many were
@@ -254,18 +216,17 @@ class EvalService {
   /// attached, its hit/miss/eviction/entry/byte counters.
   ServiceStats stats() const;
 
-  const ServiceOptions& options() const { return options_; }
-
  private:
-  void dispatcher_loop();
+  /// Stop accepting, let the workers drain the queue, and join them.
+  void drain_and_join();
   void enqueue(std::function<CaseResult()> solve,
                const std::shared_ptr<detail::BatchState>& batch,
-               std::size_t slot, Priority priority);
+               std::size_t slot);
 
   const tech::Technology* tech_;
   ServiceOptions options_;
   std::shared_ptr<detail::ServiceState> state_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rip::eval

@@ -256,7 +256,7 @@ std::string format_error_row(std::uint64_t index, const std::string& name,
 
 /// A record in flight: its identity plus the future of its result. The
 /// Net itself is owned by the evaluation thunk (shared_ptr), so it dies
-/// as soon as the case has run and the round is retired — the window
+/// as soon as a worker has run the case — the window
 /// never pins more than window_cap nets. A record whose READ already
 /// failed recoverably enters the window as a sentinel (no future, a
 /// fail_class instead) so quarantine rows drain in index order with

@@ -80,8 +80,8 @@ namespace rip::eval {
 
 /// Knobs of the streaming driver.
 struct StreamOptions {
-  /// Worker threads of the underlying EvalService (1 = serial on the
-  /// dispatcher, 0 = all hardware threads).
+  /// Worker threads of the underlying EvalService (0 = all hardware
+  /// threads).
   int jobs = 1;
   /// Bounded-queue backpressure of the service AND the sizing input of
   /// the reorder window (window = max(2 * max_pending, 16); 0 =

@@ -67,13 +67,9 @@ int resolve_jobs(int jobs) {
 /// workers that join it; kept alive by shared_ptr until the last
 /// participant leaves, so late joiners of a finished region are no-ops.
 struct Scheduler::Region {
+  /// Borrowed from the caller's frame, which outlives the region's
+  /// work: the caller blocks until the last chunk has run.
   const std::function<void(std::size_t)>* fn = nullptr;
-  /// Async (submit_region) regions own their task function — the
-  /// submitting caller is long gone by the time workers run it — and
-  /// carry a completion callback fired by the last finisher. Blocking
-  /// regions leave both empty and borrow `fn` from the caller's frame.
-  std::function<void(std::size_t)> owned_fn;
-  std::function<void(std::exception_ptr)> on_complete;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
 
   /// Per-participant work deque. The owner pops from the front
@@ -193,57 +189,13 @@ void Scheduler::run_region(const std::shared_ptr<Region>& region,
       }
     }
     if (r.remaining.fetch_sub(1) == 1) {
-      // Take the exception out of the region before the callback for
-      // the same lifetime reason as the blocking path below: the
-      // exception object must not be co-owned by a region another
-      // participant can release while the callback reads it.
-      std::exception_ptr error;
       {
         std::lock_guard<std::mutex> lock(r.mutex);
         r.finished = true;
-        if (r.on_complete) {
-          error = std::move(r.error);
-          r.error = nullptr;
-        }
       }
       r.done.notify_all();
-      if (r.on_complete) r.on_complete(error);
     }
   }
-}
-
-// Cut the region into chunks and deal them round-robin across
-// per-participant deques: ascending chunks interleave across
-// participants, so contiguous hot spots spread out even before any
-// steal happens. No locks needed — workers have not seen the region.
-// Returns the participant count (min(resolved, chunks), at least 1).
-int Scheduler::prepare_region(Region& region, std::size_t count,
-                              std::size_t resolved,
-                              const ChunkPolicy& policy) {
-  region.chunks = make_chunks(count, std::min(resolved, count), policy);
-  const int fanout = static_cast<int>(std::max<std::size_t>(
-      std::min<std::size_t>(resolved, region.chunks.size()), 1));
-  region.remaining.store(region.chunks.size());
-  region.deques.reserve(static_cast<std::size_t>(fanout));
-  for (int p = 0; p < fanout; ++p) {
-    region.deques.push_back(std::make_unique<Region::WorkDeque>());
-  }
-  for (std::size_t c = 0; c < region.chunks.size(); ++c) {
-    region.deques[c % static_cast<std::size_t>(fanout)]
-        ->chunk_ids.push_back(c);
-  }
-  return fanout;
-}
-
-void Scheduler::enqueue_participants(const std::shared_ptr<Region>& region,
-                                     int first_participant, int fanout) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (int p = first_participant; p < fanout; ++p) {
-      queue_.push_back([region, p] { run_region(region, p); });
-    }
-  }
-  task_ready_.notify_all();
 }
 
 void Scheduler::parallel_for_indexed(
@@ -257,17 +209,37 @@ void Scheduler::parallel_for_indexed(
     return;
   }
 
+  // Cut the region into chunks and deal them round-robin across
+  // per-participant deques: ascending chunks interleave across
+  // participants, so contiguous hot spots spread out even before any
+  // steal happens. No locks needed — workers have not seen the region.
   auto region = std::make_shared<Region>();
   region->fn = &fn;
-  const int fanout = prepare_region(*region, count, resolved, policy);
+  region->chunks = make_chunks(count, std::min(resolved, count), policy);
+  const int fanout = static_cast<int>(
+      std::min<std::size_t>(resolved, region->chunks.size()));
   if (fanout <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
+  region->remaining.store(region->chunks.size());
+  for (int p = 0; p < fanout; ++p) {
+    region->deques.push_back(std::make_unique<Region::WorkDeque>());
+  }
+  for (std::size_t c = 0; c < region->chunks.size(); ++c) {
+    region->deques[c % static_cast<std::size_t>(fanout)]
+        ->chunk_ids.push_back(c);
+  }
 
   ensure_workers(fanout - 1);
   // Participant 0 is the caller; only 1..fanout-1 go to the pool.
-  enqueue_participants(region, 1, fanout);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (int p = 1; p < fanout; ++p) {
+      queue_.push_back([region, p] { run_region(region, p); });
+    }
+  }
+  task_ready_.notify_all();
 
   // The caller is participant 0 and keeps popping/stealing until no
   // chunk is left unclaimed — it can drain the whole region alone if
@@ -284,30 +256,6 @@ void Scheduler::parallel_for_indexed(
   region->error = nullptr;
   lock.unlock();
   if (error) std::rethrow_exception(error);
-}
-
-void Scheduler::submit_region(
-    std::size_t count, int jobs, std::function<void(std::size_t)> fn,
-    std::function<void(std::exception_ptr)> on_complete,
-    const ChunkPolicy& policy) {
-  if (count == 0) {
-    if (on_complete) on_complete(nullptr);
-    return;
-  }
-  const std::size_t resolved =
-      static_cast<std::size_t>(resolve_jobs(jobs));
-
-  auto region = std::make_shared<Region>();
-  region->owned_fn = std::move(fn);
-  region->fn = &region->owned_fn;
-  region->on_complete = std::move(on_complete);
-  const int fanout = prepare_region(*region, count, resolved, policy);
-
-  // Every participant is a pool worker — the caller returns without
-  // touching the region, so a single-participant region still needs
-  // one worker (unlike the blocking path, where the caller is p0).
-  ensure_workers(fanout);
-  enqueue_participants(region, 0, fanout);
 }
 
 void parallel_for_indexed(std::size_t count, int jobs,

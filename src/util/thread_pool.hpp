@@ -1,8 +1,10 @@
 #pragma once
 
 /// @file thread_pool.hpp
-/// The persistent per-process scheduler behind every batch evaluation
-/// path (eval/parallel.hpp, the table runners, the bench binaries).
+/// The persistent per-process scheduler behind every blocking batch
+/// evaluation path (eval::run_cases, the table runners, the bench
+/// binaries). The asynchronous eval::EvalService runs its own FIFO
+/// workers and does not use it.
 /// PR 2's spin-up-per-call pool is retired: a lazily-initialized
 /// process-wide Scheduler keeps its workers alive across calls, cuts
 /// each `parallel_for_indexed` region into chunks (ChunkPolicy), and
@@ -87,32 +89,12 @@ class Scheduler {
                             const std::function<void(std::size_t)>& fn,
                             const ChunkPolicy& policy = {});
 
-  /// Non-blocking region submission — the hook the async evaluation
-  /// service (eval/service.hpp) sits on. The region runs entirely on up
-  /// to `jobs` pool workers; the caller never participates and returns
-  /// as soon as the region is enqueued. When the last chunk has run,
-  /// `on_complete` is invoked exactly once — from whichever participant
-  /// finishes last — with the exception of the region's lowest failing
-  /// index, or nullptr when every index succeeded. The region owns
-  /// moved-in copies of `fn` and `on_complete`, so the caller's state
-  /// may go away as soon as this returns; anything `fn` writes to must
-  /// live until `on_complete` fires. count == 0 invokes on_complete
-  /// (with nullptr) synchronously on the calling thread.
-  void submit_region(std::size_t count, int jobs,
-                     std::function<void(std::size_t)> fn,
-                     std::function<void(std::exception_ptr)> on_complete,
-                     const ChunkPolicy& policy = {});
-
  private:
   Scheduler() = default;
 
   struct Region;
-  static int prepare_region(Region& region, std::size_t count,
-                            std::size_t resolved, const ChunkPolicy& policy);
   static void run_region(const std::shared_ptr<Region>& region,
                          int participant);
-  void enqueue_participants(const std::shared_ptr<Region>& region,
-                            int first_participant, int fanout);
   void ensure_workers(int target);
   void worker_loop();
 

@@ -141,6 +141,11 @@ struct FaultCase {
   int expect_records;            ///< complete records before the throw
 };
 
+// Prints a case as its name. gtest_discover_tests copies the printed
+// parameter into every ctest name; gtest's default byte dump would
+// start with the address of `name`, which moves from build to build.
+void PrintTo(const FaultCase& fault, std::ostream* os) { *os << fault.name; }
+
 class NetlistFaultTest : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(NetlistFaultTest, TypedErrorNeverPartialRecord) {

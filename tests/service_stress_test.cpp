@@ -1,6 +1,6 @@
 // Stress and determinism workloads for the asynchronous evaluation
-// service (eval/service.hpp), run under TSan in CI: 10k mixed-priority
-// submissions from multiple threads, exception propagation to exactly
+// service (eval/service.hpp), run under TSan in CI: 10k submissions,
+// concurrent submitters, exception propagation to exactly
 // the failing case's future, cancellation racing submission, and the
 // headline contract — service results at any job count are
 // bit-identical to the serial loop, including the seed-2005 golden
@@ -37,28 +37,24 @@ CaseResult tagged(double tag) {
   return r;
 }
 
-TEST(ServiceStress, TenThousandMixedPrioritySubmissionsAllSettleCorrectly) {
+TEST(ServiceStress, TenThousandSubmissionsAllSettleCorrectly) {
   constexpr int kSubmissions = 10000;
   ServiceOptions options;
   options.jobs = 8;
   EvalService service(technology(), options);
 
-  const Priority priorities[] = {Priority::kLow, Priority::kNormal,
-                                 Priority::kHigh};
   std::vector<std::future<CaseResult>> futures;
   futures.reserve(kSubmissions);
   std::atomic<int> executed{0};
   for (int i = 0; i < kSubmissions; ++i) {
-    futures.push_back(service.submit_fn(
-        [&executed, i] {
-          executed.fetch_add(1);
-          return tagged(i);
-        },
-        priorities[i % 3]));
+    futures.push_back(service.submit_fn([&executed, i] {
+      executed.fetch_add(1);
+      return tagged(i);
+    }));
   }
   for (int i = 0; i < kSubmissions; ++i) {
     // Each future must carry exactly its own submission's result —
-    // no cross-slot mixups under any priority reordering.
+    // no cross-slot mixups however the workers interleave.
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().tau_t_fs,
               static_cast<double>(i))
         << "submission " << i;
@@ -81,9 +77,8 @@ TEST(ServiceStress, ConcurrentSubmittersShareOneService) {
       futures[static_cast<std::size_t>(t)].reserve(kPerThread);
       for (int i = 0; i < kPerThread; ++i) {
         const double tag = t * kPerThread + i;
-        futures[static_cast<std::size_t>(t)].push_back(service.submit_fn(
-            [tag] { return tagged(tag); },
-            static_cast<Priority>(i % 3)));
+        futures[static_cast<std::size_t>(t)].push_back(
+            service.submit_fn([tag] { return tagged(tag); }));
       }
     });
   }
@@ -176,9 +171,8 @@ TEST(ServiceStress, ManySmallBatchesReuseOneService) {
     std::vector<std::future<CaseResult>> futures;
     futures.reserve(kBatchSize);
     for (int i = 0; i < kBatchSize; ++i) {
-      futures.push_back(service.submit_fn(
-          [b, i] { return tagged(b * kBatchSize + i); },
-          static_cast<Priority>((b + i) % 3)));
+      futures.push_back(
+          service.submit_fn([b, i] { return tagged(b * kBatchSize + i); }));
     }
     for (int i = 0; i < kBatchSize; ++i) {
       ASSERT_EQ(futures[static_cast<std::size_t>(i)].get().tau_t_fs,

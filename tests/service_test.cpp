@@ -1,14 +1,16 @@
 // Lifecycle contract of the asynchronous evaluation service
-// (eval/service.hpp): submit/wait/callback ordering, priority over
-// FIFO between dispatch rounds, cooperative cancellation of queued
-// cases, bounded-queue backpressure, and drain-on-destruction. Timing
-// control comes from pause()/resume() and gate thunks (submit_fn), so
-// every ordering assertion is deterministic, not sleep-and-hope.
+// (eval/service.hpp): submit/wait/callback ordering, FIFO workers,
+// cooperative cancellation of queued cases, bounded-queue
+// backpressure, and drain-on-destruction. Timing control comes from
+// gate thunks (submit_fn) that hold workers until released, so every
+// ordering assertion is deterministic, not sleep-and-hope.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -36,6 +38,44 @@ CaseResult tagged(double tag) {
   r.tau_t_fs = tag;
   return r;
 }
+
+/// Holds service workers: every hold() thunk reports that it started
+/// and then blocks its worker until release(). A test that holds every
+/// worker keeps everything submitted afterwards in the queue. Declare
+/// the gate before the service: the service's destructor finishes
+/// every hold() thunk, which must not outlive the gate.
+class Gate {
+ public:
+  std::function<CaseResult()> hold(double tag) {
+    return [this, tag] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+      return tagged(tag);
+    };
+  }
+
+  /// Block until `workers` hold() thunks have started.
+  void wait_entered(int workers) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return entered_ >= workers; });
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool released_ = false;
+};
 
 TEST(ServiceLifecycle, SubmitReturnsTheCaseResultThroughTheFuture) {
   const auto& tech = technology();
@@ -111,7 +151,7 @@ TEST(ServiceLifecycle, CallbackFiresOnceAfterEveryFutureAndBeforeWaitAll) {
 
   std::atomic<int> callback_runs{0};
   BatchHandle batch = service.submit_batch(
-      cases, Priority::kNormal, [&] { callback_runs.fetch_add(1); });
+      cases, [&] { callback_runs.fetch_add(1); });
   batch.wait_all();
   // wait_all returns only after the callback finished...
   EXPECT_EQ(callback_runs.load(), 1);
@@ -144,7 +184,7 @@ TEST(ServiceLifecycle, CancelAfterCompletionReturnsZeroAndKeepsCallbackOnce) {
 
   std::atomic<int> callback_runs{0};
   BatchHandle batch = service.submit_batch(
-      cases, Priority::kNormal, [&] { callback_runs.fetch_add(1); });
+      cases, [&] { callback_runs.fetch_add(1); });
   batch.wait_all();
   ASSERT_EQ(batch.settled(), batch.size());
 
@@ -183,7 +223,7 @@ TEST(ServiceLifecycle, CancelRacingTheFinalSettleFiresCallbackOnce) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> callback_runs{0};
     BatchHandle batch = service.submit_batch(
-        cases, Priority::kNormal, [&] { callback_runs.fetch_add(1); });
+        cases, [&] { callback_runs.fetch_add(1); });
     std::thread canceller([&] {
       while (batch.settled() < batch.size()) batch.cancel();
       // One more after the final settle: must be a no-op.
@@ -201,22 +241,23 @@ TEST(ServiceLifecycle, CancelRacingTheFinalSettleFiresCallbackOnce) {
 TEST(ServiceLifecycle, EmptyBatchCompletesImmediatelyWithCallback) {
   bool callback_ran = false;
   EvalService service(technology());
-  BatchHandle batch = service.submit_batch(
-      {}, Priority::kNormal, [&] { callback_ran = true; });
+  BatchHandle batch =
+      service.submit_batch({}, [&] { callback_ran = true; });
   EXPECT_TRUE(callback_ran);
   EXPECT_EQ(batch.size(), 0u);
   batch.wait_all();
   EXPECT_TRUE(batch.results().empty());
 }
 
-TEST(ServiceLifecycle, HighPriorityRunsBeforeQueuedLowerPriorities) {
-  // jobs=1 + start_paused: everything queues, then one dispatch round
-  // runs strictly in priority order on the dispatcher thread — the
-  // classic priority-inversion check, fully deterministic.
+TEST(ServiceLifecycle, QueuedCasesStartInSubmissionOrder) {
+  // One worker held by a gate: everything submitted meanwhile queues,
+  // then runs strictly first-in, first-out.
   ServiceOptions options;
   options.jobs = 1;
-  options.start_paused = true;
+  Gate gate;
   EvalService service(technology(), options);
+  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
+  gate.wait_entered(1);
 
   std::mutex mutex;
   std::vector<int> order;
@@ -228,62 +269,42 @@ TEST(ServiceLifecycle, HighPriorityRunsBeforeQueuedLowerPriorities) {
     };
   };
   std::vector<std::future<CaseResult>> futures;
-  futures.push_back(service.submit_fn(record(0), Priority::kLow));
-  futures.push_back(service.submit_fn(record(1), Priority::kNormal));
-  futures.push_back(service.submit_fn(record(2), Priority::kLow));
-  futures.push_back(service.submit_fn(record(3), Priority::kHigh));
-  futures.push_back(service.submit_fn(record(4), Priority::kNormal));
-  futures.push_back(service.submit_fn(record(5), Priority::kHigh));
+  for (int id = 0; id < 6; ++id) {
+    futures.push_back(service.submit_fn(record(id)));
+  }
   EXPECT_EQ(service.pending_count(), 6u);
-  service.resume();
+  gate.release();
+  held.get();
   for (auto& future : futures) future.get();
-  // High first, then normal, then low — FIFO within each class.
-  EXPECT_EQ(order, (std::vector<int>{3, 5, 1, 4, 0, 2}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(ServiceLifecycle, MidFlightSubmissionsRunInTheNextRoundByPriority) {
-  // A gate case holds round 1 open; everything submitted meanwhile
-  // lands in round 2 in priority order, even though the low-priority
-  // case was submitted first.
+TEST(ServiceLifecycle, QueuedCaseStartsWhenAnyWorkerIsFree) {
+  // A gate case holds one of two workers. A case submitted after it
+  // started must run on the other worker, not wait behind it.
   ServiceOptions options;
-  options.jobs = 1;
+  options.jobs = 2;
+  Gate gate;
   EvalService service(technology(), options);
+  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
+  gate.wait_entered(1);
 
-  std::promise<void> gate_entered;
-  std::promise<void> gate_release;
-  std::shared_future<void> release = gate_release.get_future().share();
-  std::future<CaseResult> gate = service.submit_fn([&] {
-    gate_entered.set_value();
-    release.wait();
-    return tagged(-1);
-  });
-  gate_entered.get_future().wait();  // round 1 is now in flight
-
-  std::mutex mutex;
-  std::vector<int> order;
-  auto record = [&](int id) {
-    return [&, id] {
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(id);
-      return tagged(id);
-    };
-  };
-  auto low = service.submit_fn(record(0), Priority::kLow);
-  auto high = service.submit_fn(record(1), Priority::kHigh);
-  EXPECT_EQ(service.pending_count(), 2u);
-  gate_release.set_value();
-  gate.get();
-  low.get();
-  high.get();
-  EXPECT_EQ(order, (std::vector<int>{1, 0}))
-      << "the high-priority case must overtake the queued low one";
+  std::future<CaseResult> next = service.submit_fn([] { return tagged(1); });
+  const std::future_status status = next.wait_for(std::chrono::seconds(10));
+  gate.release();  // before any assertion: the destructor drains `held`
+  ASSERT_EQ(status, std::future_status::ready)
+      << "the queued case waited for the held worker";
+  EXPECT_EQ(next.get().tau_t_fs, 1.0);
+  EXPECT_EQ(held.get().tau_t_fs, -1.0);
 }
 
 TEST(ServiceLifecycle, CancelFailsQueuedFuturesAndSparesOtherBatches) {
   ServiceOptions options;
   options.jobs = 1;
-  options.start_paused = true;
+  Gate gate;  // holds the only worker, so both batches stay queued
   EvalService service(technology(), options);
+  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
+  gate.wait_entered(1);
 
   const auto workload = make_paper_workload(technology(), 1, 2005);
   const auto baseline =
@@ -293,8 +314,8 @@ TEST(ServiceLifecycle, CancelFailsQueuedFuturesAndSparesOtherBatches) {
               core::RipOptions{}, baseline});
 
   bool doomed_callback = false;
-  BatchHandle doomed = service.submit_batch(cases, Priority::kNormal,
-                                            [&] { doomed_callback = true; });
+  BatchHandle doomed =
+      service.submit_batch(cases, [&] { doomed_callback = true; });
   BatchHandle kept = service.submit_batch(cases);
   EXPECT_EQ(service.pending_count(), 4u);
 
@@ -312,7 +333,8 @@ TEST(ServiceLifecycle, CancelFailsQueuedFuturesAndSparesOtherBatches) {
   }
   EXPECT_THROW(doomed.results(), CancelledError);
 
-  service.resume();
+  gate.release();
+  held.get();
   const auto results = kept.results();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(kept.completed(), 2u) << "the other batch must be untouched";
@@ -321,27 +343,17 @@ TEST(ServiceLifecycle, CancelFailsQueuedFuturesAndSparesOtherBatches) {
 TEST(ServiceLifecycle, CancelPendingSparesTheStartedCase) {
   ServiceOptions options;
   options.jobs = 1;
+  Gate gate;
   EvalService service(technology(), options);
-
-  std::promise<void> gate_entered;
-  std::promise<void> gate_release;
-  std::shared_future<void> release = gate_release.get_future().share();
-  std::atomic<bool> gate_finished{false};
-  std::future<CaseResult> gate = service.submit_fn([&] {
-    gate_entered.set_value();
-    release.wait();
-    gate_finished = true;
-    return tagged(-1);
-  });
-  gate_entered.get_future().wait();  // the gate case has started
+  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
+  gate.wait_entered(1);  // the gate case has started
 
   auto queued = service.submit_fn([] { return tagged(0); });
   EXPECT_EQ(service.cancel_pending(), 1u)
       << "only the queued case is cancellable";
-  gate_release.set_value();
+  gate.release();
   // The started case runs to completion — cancellation is cooperative.
-  EXPECT_EQ(gate.get().tau_t_fs, -1.0);
-  EXPECT_TRUE(gate_finished.load());
+  EXPECT_EQ(held.get().tau_t_fs, -1.0);
   EXPECT_THROW(queued.get(), CancelledError);
 }
 
@@ -349,8 +361,10 @@ TEST(ServiceLifecycle, BackpressureBlocksSubmitUntilTheQueueDrains) {
   ServiceOptions options;
   options.jobs = 1;
   options.max_pending = 2;
-  options.start_paused = true;
+  Gate gate;  // holds the only worker; the queue starts empty
   EvalService service(technology(), options);
+  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
+  gate.wait_entered(1);
 
   std::atomic<int> submitted{0};
   std::thread submitter([&] {
@@ -367,20 +381,28 @@ TEST(ServiceLifecycle, BackpressureBlocksSubmitUntilTheQueueDrains) {
   EXPECT_EQ(submitted.load(), 2)
       << "submit #3 must block while the queue is full";
   EXPECT_EQ(service.pending_count(), 2u);
-  // ...and resume() lets rounds drain the queue, unblocking the rest.
-  service.resume();
+  // ...and a free worker drains the queue, unblocking the rest.
+  gate.release();
   submitter.join();
   EXPECT_EQ(submitted.load(), 5);
+  held.get();
 }
 
 TEST(ServiceLifecycle, DestructionDrainsEveryPendingCase) {
   std::vector<std::future<CaseResult>> futures;
   std::atomic<int> executed{0};
+  Gate gate;
+  std::thread releaser;
   {
     ServiceOptions options;
     options.jobs = 2;
-    options.start_paused = true;  // nothing may even start before ~
     EvalService service(technology(), options);
+    // Hold both workers so every case is still queued when the scope
+    // ends; the gate opens only once the destructor is (most likely)
+    // already draining.
+    std::future<CaseResult> held[] = {service.submit_fn(gate.hold(-1)),
+                                      service.submit_fn(gate.hold(-2))};
+    gate.wait_entered(2);
     for (int i = 0; i < 8; ++i) {
       futures.push_back(service.submit_fn([&, i] {
         executed.fetch_add(1);
@@ -388,7 +410,12 @@ TEST(ServiceLifecycle, DestructionDrainsEveryPendingCase) {
       }));
     }
     EXPECT_EQ(service.pending_count(), 8u);
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate.release();
+    });
   }
+  releaser.join();
   // The destructor ran every accepted case; all futures are ready.
   EXPECT_EQ(executed.load(), 8);
   for (int i = 0; i < 8; ++i) {
@@ -419,7 +446,7 @@ TEST(ServiceLifecycle, ExceptionSettlesExactlyItsOwnFuture) {
   }
 }
 
-TEST(ServiceLifecycle, FailureCancelsTheRestOfTheBatchWhenRequested) {
+TEST(ServiceLifecycle, FailingBatchCaseSparesItsNeighbours) {
   const auto& tech = technology();
   const auto workload = make_paper_workload(tech, 1, 2005);
   const auto baseline =
@@ -428,36 +455,26 @@ TEST(ServiceLifecycle, FailureCancelsTheRestOfTheBatchWhenRequested) {
                   core::RipOptions{}, baseline};
   // rip_insert rejects a non-positive target, so this case throws.
   const Case bad{&workload[0].net, -1.0, core::RipOptions{}, baseline};
+  const std::vector<Case> cases{good, bad, good, good};
 
   ServiceOptions options;
-  options.jobs = 1;  // strict submission order -> deterministic abort
+  options.jobs = 2;
   EvalService service(tech, options);
-  const std::vector<Case> cases{good, bad, good, good};
-  BatchHandle batch = service.submit_batch(
-      cases, Priority::kNormal, {}, /*cancel_remaining_on_failure=*/true);
+  BatchHandle batch = service.submit_batch(cases);
   batch.wait_all();
-  EXPECT_EQ(batch.completed(), 1u) << "only the case before the failure ran";
+  EXPECT_EQ(batch.completed(), 3u);
   EXPECT_EQ(batch.failed(), 1u);
-  EXPECT_EQ(batch.cancelled(), 2u)
-      << "cases after the failure must be skipped, not evaluated";
-  // results() reports the real failure, not the fallout cancellations.
+  EXPECT_EQ(batch.cancelled(), 0u);
+  EXPECT_THROW(batch.future(1).get(), Error);
   EXPECT_THROW(batch.results(), Error);
-  try {
-    batch.results();
-  } catch (const CancelledError&) {
-    FAIL() << "the failure must outrank its fallout cancellations";
-  } catch (const Error&) {
+
+  // The blocking engine rethrows the same failure at any job count.
+  for (const int jobs : {1, 4}) {
+    BatchOptions batch_options;
+    batch_options.jobs = jobs;
+    EXPECT_THROW(run_cases(tech, cases, batch_options), Error)
+        << "jobs " << jobs;
   }
-
-  // run_cases inherits the early abort and the real exception.
-  EXPECT_THROW(run_cases(tech, cases, BatchOptions{}), Error);
-
-  // Without the flag, neighbours still run to completion.
-  BatchHandle tolerant = service.submit_batch(cases);
-  tolerant.wait_all();
-  EXPECT_EQ(tolerant.completed(), 3u);
-  EXPECT_EQ(tolerant.failed(), 1u);
-  EXPECT_EQ(tolerant.cancelled(), 0u);
 }
 
 TEST(ServiceLifecycle, RejectsInvalidSubmissions) {

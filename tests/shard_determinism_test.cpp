@@ -59,16 +59,6 @@ TEST(ShardAssignment, RejectsOutOfRangeShards) {
   EXPECT_THROW(case_shard(3, 0), Error);
 }
 
-TEST(MergeShards, RejectsInconsistentShardSizes) {
-  // 7 cases over 2 shards must split 4/3; a 4/4 pair is not a valid
-  // round-robin split of any total (8 would need sizes 4/4 — so build
-  // an impossible 5/3).
-  std::vector<std::vector<CaseResult>> shards(2);
-  shards[0].resize(5);
-  shards[1].resize(3);
-  EXPECT_THROW(merge_shards(shards), Error);
-}
-
 /// Round-robin split of `total` tagged results into CaseShards, with
 /// each result carrying its global index in tau_t_fs so the merge's
 /// interleave is checkable.
@@ -100,9 +90,8 @@ TEST(MergeCaseShards, MergesAnyArrivalOrderByMetadata) {
 }
 
 TEST(MergeCaseShards, DetectsSwappedEqualSizeShards) {
-  // Two equal-size shards in each other's slots: the positional
-  // overload cannot notice this, the metadata-checked one must reject
-  // the duplicate index it produces.
+  // Two equal-size shards claiming the same slot: sizes alone cannot
+  // tell them apart, so the merge must reject the duplicate index.
   auto shards = tagged_shards(8, 2);
   shards[0].shard_index = 1;
   shards[1].shard_index = 1;
@@ -154,20 +143,6 @@ TEST(MergeCaseShards, RejectsEveryInconsistentCombination) {
   }
 }
 
-TEST(MergeCaseShards, AgreesWithThePositionalOverload) {
-  const auto shards = tagged_shards(10, 4);
-  std::vector<std::vector<CaseResult>> positional;
-  positional.reserve(shards.size());
-  for (const auto& s : shards) positional.push_back(s.results);
-  const auto by_meta = merge_shards(std::span<const CaseShard>(shards));
-  const auto by_pos =
-      merge_shards(std::span<const std::vector<CaseResult>>(positional));
-  ASSERT_EQ(by_meta.size(), by_pos.size());
-  for (std::size_t k = 0; k < by_meta.size(); ++k) {
-    EXPECT_EQ(by_meta[k].tau_t_fs, by_pos[k].tau_t_fs);
-  }
-}
-
 TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
   const auto& tech = technology();
   const auto workload = make_paper_workload(tech, 2, 2005);
@@ -190,19 +165,19 @@ TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
   ASSERT_EQ(serial.size(), cases.size());
 
   for (const auto& [shard_count, jobs] : kShardJobCombos) {
-    std::vector<std::vector<CaseResult>> pieces;
+    std::vector<CaseShard> pieces;
     std::size_t solved = 0;
     for (int s = 0; s < shard_count; ++s) {
       BatchOptions options;
       options.jobs = jobs;
       options.shard_index = s;
       options.shard_count = shard_count;
-      pieces.push_back(run_cases(tech, cases, options));
-      solved += pieces.back().size();
+      pieces.push_back({s, shard_count, run_cases(tech, cases, options)});
+      solved += pieces.back().results.size();
     }
     EXPECT_EQ(solved, cases.size())
         << "shards " << shard_count << " jobs " << jobs;
-    const auto merged = merge_shards(pieces);
+    const auto merged = merge_shards(std::span<const CaseShard>(pieces));
     ASSERT_EQ(merged.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       // Bit-identical, not just close.

@@ -11,13 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <exception>
-#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -251,130 +247,6 @@ TEST(Scheduler, MoreJobsThanWorkStillCompletes) {
   std::vector<int> out(3, 0);
   parallel_for_indexed(out.size(), 8, [&](std::size_t i) { out[i] = 1; });
   EXPECT_EQ(out, (std::vector<int>{1, 1, 1}));
-}
-
-// ------------------------------------------- submit_region (async hook)
-
-namespace {
-
-/// Submit a region and block until its completion callback fires —
-/// the pattern the async evaluation service uses.
-std::exception_ptr submit_and_wait(std::size_t count, int jobs,
-                                   std::function<void(std::size_t)> fn,
-                                   const ChunkPolicy& policy = {}) {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  Scheduler::global().submit_region(
-      count, jobs, std::move(fn),
-      [&](std::exception_ptr e) {
-        // Notify under the lock: the waiter owns mutex/cv on its stack
-        // and may destroy them as soon as it can observe done == true.
-        std::lock_guard<std::mutex> lock(mutex);
-        done = true;
-        error = e;
-        cv.notify_all();
-      },
-      policy);
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  return error;
-}
-
-}  // namespace
-
-TEST(SchedulerSubmitRegion, EveryIndexRunsOnceAndCompletionFires) {
-  constexpr std::size_t kCount = 300;
-  std::vector<std::atomic<int>> hits(kCount);
-  const auto error = submit_and_wait(kCount, 4, [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  EXPECT_EQ(error, nullptr);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(SchedulerSubmitRegion, CallerNeverParticipates) {
-  const std::thread::id caller = std::this_thread::get_id();
-  std::mutex mutex;
-  std::set<std::thread::id> runners;
-  // jobs=1 async still runs on a pool worker — the caller must be free
-  // to keep submitting, which is the whole point of the hook.
-  for (const int jobs : {1, 4}) {
-    const auto error = submit_and_wait(64, jobs, [&](std::size_t) {
-      std::lock_guard<std::mutex> lock(mutex);
-      runners.insert(std::this_thread::get_id());
-    });
-    EXPECT_EQ(error, nullptr) << "jobs=" << jobs;
-  }
-  EXPECT_EQ(runners.count(caller), 0u)
-      << "async regions must run entirely on pool workers";
-}
-
-TEST(SchedulerSubmitRegion, ZeroCountCompletesImmediately) {
-  bool ran = false;
-  bool completed = false;
-  Scheduler::global().submit_region(
-      0, 4, [&](std::size_t) { ran = true; },
-      [&](std::exception_ptr e) {
-        completed = true;
-        EXPECT_EQ(e, nullptr);
-      });
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(completed) << "count=0 completes synchronously";
-}
-
-TEST(SchedulerSubmitRegion, WorkerExceptionReachesTheCallback) {
-  std::atomic<int> executed{0};
-  const auto error = submit_and_wait(128, 4, [&](std::size_t i) {
-    if (i == 17) throw Error("async boom at 17");
-    executed.fetch_add(1);
-  });
-  ASSERT_NE(error, nullptr);
-  try {
-    std::rethrow_exception(error);
-    FAIL() << "expected the region's exception";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("async boom at 17"),
-              std::string::npos)
-        << "got: " << e.what();
-  }
-  EXPECT_LT(executed.load(), 127) << "failure must cancel remaining work";
-}
-
-TEST(SchedulerSubmitRegion, ManyRegionsInFlightAllComplete) {
-  constexpr int kRegions = 50;
-  constexpr std::size_t kCount = 40;
-  std::vector<std::vector<int>> outs(
-      kRegions, std::vector<int>(kCount, 0));
-  std::mutex mutex;
-  std::condition_variable cv;
-  int done = 0;
-  for (int r = 0; r < kRegions; ++r) {
-    Scheduler::global().submit_region(
-        kCount, 2,
-        [&outs, r](std::size_t i) {
-          outs[static_cast<std::size_t>(r)][i] = static_cast<int>(i) + r;
-        },
-        [&](std::exception_ptr e) {
-          EXPECT_EQ(e, nullptr);
-          // Notify under the lock — see submit_and_wait.
-          std::lock_guard<std::mutex> lock(mutex);
-          ++done;
-          cv.notify_all();
-        });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done == kRegions; });
-  for (int r = 0; r < kRegions; ++r) {
-    for (std::size_t i = 0; i < kCount; ++i) {
-      ASSERT_EQ(outs[static_cast<std::size_t>(r)][i],
-                static_cast<int>(i) + r)
-          << "region " << r << " index " << i;
-    }
-  }
 }
 
 }  // namespace
