@@ -218,7 +218,7 @@ int main(int argc, char** argv) try {
     eval::SolveCache check_cache({static_cast<std::size_t>(capacity),
                                   static_cast<std::size_t>(shards)});
     std::vector<char> ok(cases.size(), 1);
-    parallel_for_indexed(cases.size(), check_jobs, {}, [&](std::size_t i) {
+    parallel_for_indexed(cases.size(), check_jobs, [&](std::size_t i) {
       dp::ChainDpOptions o = options;
       o.timing_target_fs = cases[i].tau_t_fs;
       const auto r = dp::run_chain_dp_cached(

@@ -106,7 +106,7 @@ struct TreeCaseRef {
 /// on) and returns its DpStats.
 template <class Solve>
 void measure_config(ConfigReport& report, std::size_t case_count, int repeats,
-                    int jobs, const rip::ChunkPolicy& policy, Solve&& solve,
+                    int jobs, Solve&& solve,
                     bool& steady_state_clean, bool& alloc_parity_clean) {
   using rip::WallTimer;
   using rip::parallel_for_indexed;
@@ -114,7 +114,7 @@ void measure_config(ConfigReport& report, std::size_t case_count, int repeats,
 
   // Warm-up pass: grow every arena of every participating workspace to
   // the configuration's peak shape. Not timed, not alloc-counted.
-  parallel_for_indexed(case_count, jobs, policy,
+  parallel_for_indexed(case_count, jobs,
                        [&](std::size_t i) { solve(i, false); });
 
   std::size_t labels_created = 0;
@@ -153,7 +153,7 @@ void measure_config(ConfigReport& report, std::size_t case_count, int repeats,
     std::vector<rip::dp::DpStats> stats(case_count);
     WallTimer timer;
     for (int rep = 0; rep < repeats; ++rep) {
-      parallel_for_indexed(case_count, jobs, policy, [&](std::size_t i) {
+      parallel_for_indexed(case_count, jobs, [&](std::size_t i) {
         stats[i] = solve(i, false);
       });
     }
@@ -175,7 +175,7 @@ void measure_config(ConfigReport& report, std::size_t case_count, int repeats,
   // pass. Runs regardless of --jobs (it is its own fixed-width pass).
   {
     std::vector<long long> parity_allocs(case_count, 0);
-    parallel_for_indexed(case_count, 8, policy, [&](std::size_t i) {
+    parallel_for_indexed(case_count, 8, [&](std::size_t i) {
       solve(i, false);  // warm this worker's workspace
       const rip::bench::ThreadAllocSample sample;
       solve(i, false);
@@ -230,8 +230,7 @@ int main(int argc, char** argv) try {
   if (args.has("help")) {
     return bench::usage(
         "bench_dp [--nets N] [--targets N] [--repeats N] [--jobs N] "
-        "[--shard I/N] [--grain G] [--mode static|dynamic|guided] "
-        "[--json PATH]");
+        "[--shard I/N] [--json PATH]");
   }
   const tech::Technology tech = tech::make_tech180();
 
@@ -240,7 +239,6 @@ int main(int argc, char** argv) try {
   const int repeats = static_cast<int>(count_option(args, "repeats", 3, 1));
   const int jobs = bench::jobs(args);
   const ShardSpec shard = bench::shard(args);
-  const ChunkPolicy policy = bench::chunk_policy(args);
   const std::string json_path = args.get_or("json", "");
 
   std::cout << "=== DP kernel bench (" << nets << " nets x " << targets
@@ -290,7 +288,7 @@ int main(int argc, char** argv) try {
     ConfigReport report;
     report.config = cfg;
     measure_config(
-        report, cases.size(), repeats, jobs, policy,
+        report, cases.size(), repeats, jobs,
         [&](std::size_t i, bool full) {
           dp::ChainDpOptions options;
           options.mode = dp::Mode::kMinPower;
@@ -333,7 +331,7 @@ int main(int argc, char** argv) try {
       trees.push_back(dp::random_buffer_tree(tree_config, rng));
 
     std::vector<double> min_delay_fs(trees.size());
-    parallel_for_indexed(trees.size(), jobs, policy, [&](std::size_t i) {
+    parallel_for_indexed(trees.size(), jobs, [&](std::size_t i) {
       dp::ChainDpOptions delay_mode;
       delay_mode.mode = dp::Mode::kMinDelay;
       delay_mode.reconstruct_solutions = false;
@@ -359,7 +357,7 @@ int main(int argc, char** argv) try {
     report.config = KernelConfig{cfg.name, cfg.min_width_u, cfg.granularity_u,
                                  cfg.library_size, 0.0};
     measure_config(
-        report, cases.size(), repeats, jobs, policy,
+        report, cases.size(), repeats, jobs,
         [&](std::size_t i, bool full) {
           dp::ChainDpOptions options;
           options.mode = dp::Mode::kMinPower;

@@ -9,8 +9,6 @@
 ///   RIP_BENCH_JOBS     / --jobs N     worker threads (1 = serial,
 ///                                     0 = all hardware threads)
 ///                / --shard I/N        solve shard I of an N-way split
-///                / --grain G          scheduler chunk size (0 = auto)
-///                / --mode M           chunking mode: static|dynamic|guided
 
 #include <atomic>
 #include <cstdint>
@@ -202,20 +200,6 @@ inline int jobs(const CliArgs& args, int fallback = 1) {
 
 /// The `--shard I/N` split of a sweep (default: unsharded).
 inline ShardSpec shard(const CliArgs& args) { return shard_option(args); }
-
-/// Scheduler chunking knobs: `--grain G` (0 = auto) and `--mode M`
-/// (static | dynamic | guided, default dynamic). Any policy yields
-/// bit-identical results; it only shifts load balance.
-inline ChunkPolicy chunk_policy(const CliArgs& args) {
-  ChunkPolicy policy;
-  policy.grain = count_option(args, "grain", 0);
-  const std::string mode = args.get_or("mode", "dynamic");
-  if (mode == "static") policy.mode = ChunkPolicy::Mode::kStatic;
-  else if (mode == "dynamic") policy.mode = ChunkPolicy::Mode::kDynamic;
-  else if (mode == "guided") policy.mode = ChunkPolicy::Mode::kGuided;
-  else throw Error("--mode must be static, dynamic, or guided");
-  return policy;
-}
 
 /// Every bench declares `--help` as a boolean flag; main() answers it
 /// with `return bench::usage("bench_x [--opt V] ...")`, which prints

@@ -6,28 +6,22 @@
 //                --max-jobs): wall clock, speedup, efficiency;
 //   run_table1   the full Table 1 runner (workload generation + RIP +
 //                three baseline granularities + reduction), same ladder;
-//   scheduler    micro-benches of the persistent scheduler itself:
-//                per-batch overhead on a many-small-batches workload
-//                vs a PR 2-style spin-up-per-call pool (reimplemented
-//                here as the reference), and the ChunkPolicy modes on
-//                an uneven one-giant-among-tiny workload;
+//   scheduler    the persistent scheduler's per-batch overhead on a
+//                many-small-batches workload;
 //   sharding     the batch split into two eval::CaseShards, run
 //                independently, merged with eval::merge_shards, and
 //                compared to the unsharded results.
 //
-// Every multi-job, every-chunk-mode, and merged-shard run is checked
-// against the jobs=1 results — the engine's contract is bit-identical
-// output at any job count and any split, so any mismatch aborts with
-// exit code 1.
+// Every multi-job and merged-shard run is checked against the jobs=1
+// results — the engine's contract is bit-identical output at any job
+// count and any split, so any mismatch aborts with exit code 1.
 //
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS size the workload
 // and RIP_BENCH_JOBS caps the ladder; --nets / --targets / --max-jobs
 // override. Speedup tops out at the machine's core count (a
 // single-core container reports ~1x).
 
-#include <atomic>
 #include <cstddef>
-#include <functional>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -88,38 +82,13 @@ bool same_results(const eval::Table1Result& a, const eval::Table1Result& b) {
   return same_row(a.average, b.average);
 }
 
-// The PR 2 engine, verbatim in behavior: a fresh pool of threads per
-// parallel_for call, dynamic index claiming through one shared atomic.
-// Kept here as the overhead reference the persistent scheduler is
-// measured against.
-void spin_up_parallel_for(std::size_t count, int jobs,
-                          const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  const auto threads = static_cast<std::size_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= count) break;
-        fn(i);
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
   const CliArgs args = CliArgs::parse(argc, argv, {"help"});
   if (args.has("help")) {
     return bench::usage(
-        "bench_parallel [--nets N] [--targets N] [--max-jobs N] "
-        "[--grain G] [--mode static|dynamic|guided]");
+        "bench_parallel [--nets N] [--targets N] [--max-jobs N]");
   }
   const tech::Technology tech = tech::make_tech180();
   const int nets = bench::net_count(args, 8);
@@ -196,11 +165,9 @@ int main(int argc, char** argv) try {
   }
   runner.print(std::cout);
 
-  // --------------------------- scheduler: per-batch submission overhead
-  // Many small batches is exactly where PR 2's spin-up-per-call pool
-  // hurt: every parallel_for paid thread creation + join. The
-  // persistent scheduler only enqueues join tasks on long-lived
-  // workers, so its per-batch overhead must come out lower.
+  // --------------------------- scheduler: per-batch overhead
+  // Many small batches: each region only enqueues join tasks on the
+  // long-lived workers, so this is the scheduler's own cost per call.
   {
     const int jobs = std::min(max_jobs, 4);
     constexpr std::size_t kBatches = 200;
@@ -209,87 +176,16 @@ int main(int argc, char** argv) try {
     auto tiny = [&](std::size_t i) {
       sink[i] += static_cast<double>(i) * 1e-9;
     };
-
-    // Warm both paths once so thread-stack allocation and the
-    // scheduler's lazy worker start are not billed to either side.
-    spin_up_parallel_for(kBatchSize, jobs, tiny);
+    // Warm once so the lazy worker start is not billed to the batches.
     parallel_for_indexed(kBatchSize, jobs, tiny);
-
     WallTimer timer;
-    for (std::size_t b = 0; b < kBatches; ++b) {
-      spin_up_parallel_for(kBatchSize, jobs, tiny);
-    }
-    const double spin_us = timer.seconds() / kBatches * 1e6;
-
-    timer.reset();
     for (std::size_t b = 0; b < kBatches; ++b) {
       parallel_for_indexed(kBatchSize, jobs, tiny);
     }
-    const double persistent_us = timer.seconds() / kBatches * 1e6;
-
-    std::cout << "\n--- scheduler: per-batch overhead (" << kBatches
-              << " batches x " << kBatchSize << " tiny tasks, jobs "
-              << jobs << ") ---\n";
-    Table overhead({"engine", "us/batch"});
-    overhead.add_row({"spin-up pool (PR 2)", fmt_f(spin_us, 1)});
-    overhead.add_row({"persistent scheduler", fmt_f(persistent_us, 1)});
-    overhead.print(std::cout);
-    if (persistent_us < spin_us) {
-      std::cout << "persistent scheduler overhead is "
-                << fmt_f(spin_us / persistent_us, 1)
-                << "x lower per batch\n";
-    } else {
-      std::cout << "WARNING: persistent scheduler not faster on this "
-                   "run (loaded machine?)\n";
-    }
-  }
-
-  // --------------------------- scheduler: chunk modes on uneven work
-  // One giant case among many tiny ones — the shape of the paper's
-  // sweep (fine-grained hybrid RIP cases are 10-100x coarse chains).
-  // Work stealing keeps every mode correct; timings show the balance.
-  {
-    const int jobs = std::min(max_jobs, 4);
-    constexpr std::size_t kCount = 256;
-    std::vector<double> reference_out(kCount, 0.0);
-    auto uneven = [](std::size_t i, std::vector<double>& out) {
-      // Index 0 costs ~kCount times a normal index.
-      const std::size_t spins = (i == 0 ? 40000u * kCount : 40000u);
-      double acc = 0;
-      for (std::size_t s = 0; s < spins; ++s) {
-        acc += static_cast<double>(s % 7) * 1e-9;
-      }
-      out[i] = acc + static_cast<double>(i);
-    };
-    for (std::size_t i = 0; i < kCount; ++i) uneven(i, reference_out);
-
-    std::cout << "\n--- scheduler: ChunkPolicy modes (1 giant + "
-              << kCount - 1 << " tiny tasks, jobs " << jobs << ") ---\n";
-    Table modes({"mode", "grain", "wall_s"});
-    const ChunkPolicy base = bench::chunk_policy(args);
-    const std::pair<const char*, ChunkPolicy::Mode> named_modes[] = {
-        {"static", ChunkPolicy::Mode::kStatic},
-        {"dynamic", ChunkPolicy::Mode::kDynamic},
-        {"guided", ChunkPolicy::Mode::kGuided}};
-    for (const auto& [name, mode] : named_modes) {
-      ChunkPolicy policy = base;
-      policy.mode = mode;
-      std::vector<double> out(kCount, 0.0);
-      WallTimer timer;
-      parallel_for_indexed(kCount, jobs, policy,
-                           [&](std::size_t i) { uneven(i, out); });
-      const double wall = timer.seconds();
-      if (out != reference_out) {
-        std::cerr << "FAIL: chunk mode " << name
-                  << " diverged from the serial results\n";
-        return 1;
-      }
-      modes.add_row({name,
-                     policy.grain == 0 ? std::string("auto")
-                                       : std::to_string(policy.grain),
-                     fmt_f(wall, 3)});
-    }
-    modes.print(std::cout);
+    std::cout << "\n--- scheduler: parallel_for_indexed "
+              << fmt_f(timer.seconds() / kBatches * 1e6, 1)
+              << " us/batch (" << kBatches << " batches x " << kBatchSize
+              << " tiny tasks, jobs " << jobs << ") ---\n";
   }
 
   // --------------------------- sharding: split, run, merge, compare
@@ -321,8 +217,8 @@ int main(int argc, char** argv) try {
   }
 
   bench::warn_unused(args);
-  std::cout << "\nAll multi-job, chunk-mode, and merged-shard runs "
-               "bit-identical to jobs=1.\n";
+  std::cout << "\nAll multi-job and merged-shard runs bit-identical to "
+               "jobs=1.\n";
   std::cout << "Reading: speedup should track min(jobs, cores); the "
                "workload is embarrassingly parallel, so efficiency well "
                "below 100% at jobs <= cores points at engine overhead.\n";

@@ -25,8 +25,8 @@
 ///
 /// Memory model: every case's DP solves run on the evaluating thread's
 /// own dp::Workspace::local(), so a long sweep performs zero
-/// steady-state allocations in the DP kernel regardless of how cases
-/// are stolen across workers. Workspace state never leaks into results
+/// steady-state allocations in the DP kernel regardless of which worker
+/// claims which case. Workspace state never leaks into results
 /// — any (jobs, shard) combination stays bit-identical to the serial
 /// loop.
 

@@ -29,8 +29,7 @@ namespace rip::eval {
 
 namespace {
 
-constexpr const char* kCheckpointMagicV1 = "ripckpt 1";
-constexpr const char* kCheckpointMagicV2 = "ripckpt 2";
+constexpr const char* kCheckpointMagic = "ripckpt 2";
 
 /// The resume cut: everything a killed run needs to continue
 /// byte-identically. All quantities refer to a processed-record
@@ -55,7 +54,7 @@ std::uint64_t parse_u64(const std::string& s, const std::string& context) {
 
 /// Render the checkpoint body (everything the trailing CRC line covers).
 std::string checkpoint_payload(const Checkpoint& ck) {
-  std::string payload = kCheckpointMagicV2;
+  std::string payload = kCheckpointMagic;
   payload += '\n';
   payload += "input_bytes " + std::to_string(ck.input_bytes) + "\n";
   payload += "input_offset " + std::to_string(ck.input_offset) + "\n";
@@ -72,7 +71,7 @@ std::string crc32_hex(std::uint32_t crc) {
   return std::string(buf);
 }
 
-/// Parse and verify a checkpoint file (v2 with CRC, or legacy v1).
+/// Parse and verify a checkpoint file: `ripckpt 2` with a CRC trailer.
 /// Throws rip::Error on anything unreadable, malformed, or
 /// CRC-corrupt — the caller decides whether that is fatal or a
 /// degradation to the `.prev` checkpoint.
@@ -85,25 +84,20 @@ Checkpoint read_checkpoint(const std::string& path) {
 
   const std::size_t eol = content.find('\n');
   RIP_REQUIRE(eol != std::string::npos, path + ": truncated checkpoint file");
-  const std::string magic = trim(content.substr(0, eol));
-  const bool v2 = magic == kCheckpointMagicV2;
-  RIP_REQUIRE(v2 || magic == kCheckpointMagicV1,
-              path + ": not a ripckpt checkpoint file");
+  RIP_REQUIRE(trim(content.substr(0, eol)) == kCheckpointMagic,
+              path + ": not a ripckpt 2 checkpoint file");
 
-  std::string body = content;
-  if (v2) {
-    // The last line must be `crc32 <hex>` and it must verify over every
-    // preceding byte — a torn temp file or a bit flip fails here.
-    const std::size_t crc_pos = content.rfind("crc32 ");
-    RIP_REQUIRE(crc_pos != std::string::npos && crc_pos > 0 &&
-                    content[crc_pos - 1] == '\n',
-                path + ": checkpoint is missing its crc32 trailer");
-    const std::string stored = trim(content.substr(crc_pos + 6));
-    const std::string computed = crc32_hex(crc32(content.data(), crc_pos));
-    RIP_REQUIRE(stored == computed, path + ": checkpoint CRC mismatch (stored " +
-                                        stored + ", computed " + computed + ")");
-    body = content.substr(0, crc_pos);
-  }
+  // The last line must be `crc32 <hex>` and it must verify over every
+  // preceding byte — a torn temp file or a bit flip fails here.
+  const std::size_t crc_pos = content.rfind("crc32 ");
+  RIP_REQUIRE(crc_pos != std::string::npos && crc_pos > 0 &&
+                  content[crc_pos - 1] == '\n',
+              path + ": checkpoint is missing its crc32 trailer");
+  const std::string stored = trim(content.substr(crc_pos + 6));
+  const std::string computed = crc32_hex(crc32(content.data(), crc_pos));
+  RIP_REQUIRE(stored == computed, path + ": checkpoint CRC mismatch (stored " +
+                                      stored + ", computed " + computed + ")");
+  const std::string body = content.substr(0, crc_pos);
 
   Checkpoint ck;
   bool have_input_bytes = false, have_offset = false, have_index = false,
@@ -357,8 +351,7 @@ StreamResult run_stream(const tech::Technology& tech,
 
   // The quarantine sidecar follows the output's resume discipline:
   // truncate back to the checkpointed byte count, or start fresh when
-  // the checkpoint predates the sidecar (a v1 checkpoint) or the file
-  // is gone.
+  // the checkpoint covers no sidecar rows or the file is gone.
   std::ofstream err_out;
   if (quarantine) {
     bool err_fresh = true;

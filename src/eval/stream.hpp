@@ -38,7 +38,6 @@
 /// verifies. Resume validates the CRC and degrades: a corrupt or torn
 /// checkpoint falls back to `.prev`; if neither verifies, the run
 /// restarts cleanly with a warning rather than trusting torn state.
-/// v1 checkpoints (no CRC, no sidecar fields) are still readable.
 ///
 /// A checkpoint cut is always a processed-record boundary: records <
 /// next_index are fully accounted (a CSV row, or a quarantine row),

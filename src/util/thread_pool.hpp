@@ -5,15 +5,14 @@
 /// evaluation path (eval::run_cases, the table runners, the bench
 /// binaries). The asynchronous eval::EvalService runs its own FIFO
 /// workers and does not use it.
-/// PR 2's spin-up-per-call pool is retired: a lazily-initialized
-/// process-wide Scheduler keeps its workers alive across calls, cuts
-/// each `parallel_for_indexed` region into chunks (ChunkPolicy), and
-/// balances uneven per-index costs by work stealing between
-/// per-participant deques. Design rules, unchanged since PR 2:
+/// A lazily-initialized process-wide Scheduler keeps its workers alive
+/// across calls. Each `parallel_for_indexed` region is one shared claim
+/// counter: every participant takes the next unclaimed index until none
+/// is left, so uneven per-index costs balance themselves. Design rules:
 ///
 ///   - workers communicate only through index-addressed result slots,
 ///     so a parallel run is bit-identical to the serial loop no matter
-///     how chunks are scheduled or stolen across threads;
+///     which thread claims which index;
 ///   - exceptions propagate: the exception of the lowest failing index
 ///     (among those that ran) is rethrown on the calling thread and
 ///     indices not yet claimed are skipped;
@@ -35,36 +34,18 @@ namespace rip {
 /// 0 or negative means "one per hardware thread" (at least 1).
 int resolve_jobs(int jobs);
 
-/// How a parallel_for region is cut into contiguous index chunks.
-/// Chunking is computed serially up front, so the chunk list — and
-/// therefore which indices exist — is identical at any job count; only
-/// which thread runs a chunk varies, which the index-addressed-slot
-/// rule makes invisible.
-struct ChunkPolicy {
-  enum class Mode {
-    kStatic,   ///< fixed chunks assigned round-robin; grain 0 = count/P
-    kDynamic,  ///< fixed `grain`-sized chunks, stolen freely (default)
-    kGuided,   ///< decreasing chunk sizes: remaining/(2P), floor `grain`
-  };
-  Mode mode = Mode::kDynamic;
-  /// Indices per chunk; 0 picks an automatic grain (dynamic:
-  /// count/(8P), static: count/P, guided: 1), always at least 1.
-  std::size_t grain = 0;
-};
-
 /// Persistent per-process scheduler. Workers are started lazily on the
 /// first parallel region that needs them and are reused by every later
 /// call (no per-call thread spin-up); the pool only ever grows, up to
 /// the largest `jobs` requested (capped), and is joined at process
-/// exit. Each region gets per-participant deques: a participant pops
-/// its own deque from the front and steals from the back of others'
-/// (Chase-Lev-style owner/thief ends), so one giant case among many
-/// tiny ones no longer serializes a worker's whole static slice.
+/// exit. A region's participants claim indices one at a time from a
+/// shared atomic counter, so one giant case among many tiny ones holds
+/// up only the participant running it.
 ///
-/// The calling thread always participates as a worker of its own
-/// region and drains whatever the pool does not take — nested
-/// `parallel_for_indexed` calls from inside a worker therefore cannot
-/// deadlock even when every pool worker is busy.
+/// The calling thread always participates in its own region and keeps
+/// claiming until no index is left — nested `parallel_for_indexed`
+/// calls from inside a worker therefore cannot deadlock even when every
+/// pool worker is busy.
 class Scheduler {
  public:
   /// The process-wide instance, created on first use.
@@ -86,15 +67,13 @@ class Scheduler {
   /// was cancelled by a failure. On failure the exception of the lowest
   /// failing index (among those that ran) is rethrown here.
   void parallel_for_indexed(std::size_t count, int jobs,
-                            const std::function<void(std::size_t)>& fn,
-                            const ChunkPolicy& policy = {});
+                            const std::function<void(std::size_t)>& fn);
 
  private:
   Scheduler() = default;
 
   struct Region;
-  static void run_region(const std::shared_ptr<Region>& region,
-                         int participant);
+  static void run_region(Region& region);
   void ensure_workers(int target);
   void worker_loop();
 
@@ -110,11 +89,6 @@ class Scheduler {
 /// reference path the golden tests pin — without ever creating the
 /// scheduler; otherwise the call goes through Scheduler::global().
 void parallel_for_indexed(std::size_t count, int jobs,
-                          const std::function<void(std::size_t)>& fn);
-
-/// Same, with an explicit chunking/stealing policy.
-void parallel_for_indexed(std::size_t count, int jobs,
-                          const ChunkPolicy& policy,
                           const std::function<void(std::size_t)>& fn);
 
 }  // namespace rip

@@ -16,10 +16,10 @@
 //     spike past the deadline — at jobs 1 AND 8 — survives with its
 //     main CSV byte-identical to the unfaulted golden run minus the
 //     quarantined rows, and the sidecar carrying exactly those rows.
-//   - Checkpoint integrity: a corrupt or torn `ripckpt 2` file degrades
-//     to `.prev`, both unusable degrades to a clean restart, and legacy
-//     v1 checkpoints still resume — every path ending byte-identical to
-//     the golden run.
+//   - Checkpoint integrity: a corrupt or torn `ripckpt 2` file, or one
+//     in the retired version-1 layout, degrades to `.prev`, and both
+//     unusable degrades to a clean restart — every path ending
+//     byte-identical to the golden run.
 //   - SolveCache hardening: byte-budget eviction, TTL expiry, and
 //     injected insert faults degrading to an un-stored (but still
 //     usable) frontier.
@@ -598,14 +598,17 @@ TEST(CheckpointIntegrity, DegradesToPrevThenToCleanRestart) {
   EXPECT_EQ(result.rows_total, static_cast<std::uint64_t>(kNetCount));
   EXPECT_EQ(slurp(csv), golden);
 
-  // A legacy v1 checkpoint (no CRC, no sidecar fields) still resumes.
+  // A checkpoint in the retired version-1 layout (version digit 1, no
+  // CRC, no sidecar fields) is unusable like a corrupt one: resume
+  // degrades to .prev.
   restore();
   {
     std::istringstream lines(ckpt_bytes);
     std::string line, v1;
     while (std::getline(lines, line)) {
       if (line == "ripckpt 2") {
-        v1 += "ripckpt 1\n";
+        line.back() = '1';
+        v1 += line + "\n";
       } else if (line.rfind("errors_bytes", 0) == 0 ||
                  line.rfind("quarantined", 0) == 0 ||
                  line.rfind("crc32", 0) == 0) {
@@ -618,7 +621,7 @@ TEST(CheckpointIntegrity, DegradesToPrevThenToCleanRestart) {
   }
   result = resume();
   EXPECT_TRUE(result.finished);
-  EXPECT_EQ(result.resumed_from, 8u);
+  EXPECT_EQ(result.resumed_from, 4u);
   EXPECT_EQ(slurp(csv), golden);
 
   std::filesystem::remove(input);

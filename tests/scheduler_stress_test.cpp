@@ -1,9 +1,10 @@
-// Adversarial workloads for the persistent work-stealing scheduler:
-// one giant case among hundreds of tiny ones (the shape of the paper's
-// sweep, where fine-grained hybrid RIP cases are 10-100x slower than
-// coarse chains), exceptions thrown while other chunks are being
-// stolen, nested parallel_for_indexed calls from inside workers, and a
-// 10k-task soak. Every scenario is run at jobs 1/2/8 and asserts
+// Adversarial workloads for the persistent scheduler, whose
+// participants claim indices from one shared counter: one giant case
+// among hundreds of tiny ones (the shape of the paper's sweep, where
+// fine-grained hybrid RIP cases are 10-100x slower than coarse
+// chains), exceptions thrown while other participants are mid-claim,
+// nested parallel_for_indexed calls from inside workers, and a 10k-task
+// soak. Every scenario is run at jobs 1/2/8 and asserts
 // completion (no lost tasks — every index exactly once), bit-identical
 // results, and lowest-index exception propagation.
 
@@ -24,7 +25,7 @@ namespace {
 
 const std::vector<int> kJobLadder = {1, 2, 8};
 
-/// Burn a little deterministic CPU so chunks overlap in time.
+/// Burn a little deterministic CPU so indices overlap in time.
 double spin_work(std::size_t iterations) {
   double acc = 0;
   for (std::size_t s = 0; s < iterations; ++s) {
@@ -58,16 +59,13 @@ TEST(SchedulerStress, OneGiantAmongHundredsOfTinyTasks) {
 }
 
 TEST(SchedulerStress, GiantFirstIndexDoesNotSerializeTheRest) {
-  // The giant landing on chunk 0 (the caller's first pop) is the worst
-  // case for static partitioning — stealing must redistribute the
-  // caller's remaining slice. Correctness assertion only; timing is
-  // covered by bench_parallel.
+  // The giant lands on index 0, the first one claimed; the other
+  // participants must keep claiming the rest while it runs.
+  // Correctness assertion only.
   constexpr std::size_t kCount = 300;
   for (const int jobs : kJobLadder) {
     std::vector<std::atomic<int>> hits(kCount);
-    ChunkPolicy policy;
-    policy.mode = ChunkPolicy::Mode::kStatic;
-    parallel_for_indexed(kCount, jobs, policy, [&](std::size_t i) {
+    parallel_for_indexed(kCount, jobs, [&](std::size_t i) {
       spin_work(i == 0 ? 300000u : 300u);
       hits[i].fetch_add(1);
     });
@@ -84,15 +82,13 @@ TEST(SchedulerStress, ExceptionMidStealPropagatesLowestRunIndex) {
   for (const int jobs : kJobLadder) {
     std::atomic<std::size_t> lowest_attempted{
         std::numeric_limits<std::size_t>::max()};
-    ChunkPolicy policy;
-    policy.grain = 1;  // maximal stealing traffic
     try {
-      parallel_for_indexed(kCount, jobs, policy, [&](std::size_t i) {
+      parallel_for_indexed(kCount, jobs, [&](std::size_t i) {
         std::size_t seen = lowest_attempted.load();
         while (i < seen &&
                !lowest_attempted.compare_exchange_weak(seen, i)) {
         }
-        spin_work(2000);  // let other chunks be mid-steal when we throw
+        spin_work(2000);  // let other indices be mid-run when we throw
         throw std::runtime_error("boom " + std::to_string(i));
       });
       FAIL() << "expected an exception at jobs=" << jobs;
@@ -165,27 +161,17 @@ TEST(SchedulerStress, NestedExceptionPropagatesThroughBothLevels) {
 TEST(SchedulerStress, TenThousandTaskSoak) {
   constexpr std::size_t kCount = 10000;
   for (const int jobs : kJobLadder) {
-    for (const auto mode :
-         {ChunkPolicy::Mode::kStatic, ChunkPolicy::Mode::kDynamic,
-          ChunkPolicy::Mode::kGuided}) {
-      ChunkPolicy policy;
-      policy.mode = mode;
-      std::vector<std::atomic<int>> hits(kCount);
-      std::atomic<long long> sum{0};
-      parallel_for_indexed(kCount, jobs, policy, [&](std::size_t i) {
-        hits[i].fetch_add(1);
-        sum.fetch_add(static_cast<long long>(i));
-      });
-      const auto lost =
-          std::count_if(hits.begin(), hits.end(),
-                        [](const std::atomic<int>& h) {
-                          return h.load() != 1;
-                        });
-      ASSERT_EQ(lost, 0) << "jobs=" << jobs << " mode "
-                         << static_cast<int>(mode);
-      EXPECT_EQ(sum.load(),
-                static_cast<long long>(kCount) * (kCount - 1) / 2);
-    }
+    std::vector<std::atomic<int>> hits(kCount);
+    std::atomic<long long> sum{0};
+    parallel_for_indexed(kCount, jobs, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      sum.fetch_add(static_cast<long long>(i));
+    });
+    const auto lost =
+        std::count_if(hits.begin(), hits.end(),
+                      [](const std::atomic<int>& h) { return h.load() != 1; });
+    ASSERT_EQ(lost, 0) << "jobs=" << jobs;
+    EXPECT_EQ(sum.load(), static_cast<long long>(kCount) * (kCount - 1) / 2);
   }
 }
 

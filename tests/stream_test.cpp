@@ -126,6 +126,18 @@ struct RoundTripCase {
   net::NetlistFormat format;
 };
 
+/// The case's instantiation name, e.g. "paper_jobs1_text".
+std::string case_name(const RoundTripCase& c) {
+  return std::string(c.backend[0] ? c.backend : "paper") + "_jobs" +
+         std::to_string(c.jobs) +
+         (c.format == net::NetlistFormat::kText ? "_text" : "_binary");
+}
+
+// Prints a case as its name. gtest_discover_tests copies the printed
+// parameter into every ctest name; gtest's default byte dump would
+// start with the address of `backend`, which moves from build to build.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << case_name(c); }
+
 class StreamRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(StreamRoundTripTest, MatchesInMemorySolvesBitIdentically) {
@@ -167,13 +179,7 @@ INSTANTIATE_TEST_SUITE_P(
         RoundTripCase{"activity", 8, net::NetlistFormat::kText},
         RoundTripCase{"lowswing", 1, net::NetlistFormat::kBinary},
         RoundTripCase{"lowswing", 8, net::NetlistFormat::kText}),
-    [](const auto& info) {
-      return std::string(info.param.backend[0] ? info.param.backend
-                                               : "paper") +
-             "_jobs" + std::to_string(info.param.jobs) +
-             (info.param.format == net::NetlistFormat::kText ? "_text"
-                                                             : "_binary");
-    });
+    [](const auto& info) { return case_name(info.param); });
 
 // --------------------------------------- checkpoint/resume determinism
 
@@ -184,6 +190,9 @@ struct ResumeVariant {
   bool cache;
   std::size_t cache_shards;
 };
+
+// Prints a variant as its name, for the same reason as RoundTripCase.
+void PrintTo(const ResumeVariant& v, std::ostream* os) { *os << v.name; }
 
 class StreamResumeTest : public ::testing::TestWithParam<ResumeVariant> {};
 

@@ -1,6 +1,6 @@
 // util::Scheduler and parallel_for_indexed: the contracts the batch
-// evaluation engine relies on — every index runs exactly once under
-// any ChunkPolicy, jobs=1 is the serial loop on the calling thread and
+// evaluation engine relies on — every index runs exactly once at any
+// count, jobs=1 is the serial loop on the calling thread and
 // never creates the scheduler, the persistent singleton is reused
 // across calls (no per-call thread spin-up), and exceptions propagate
 // to the caller. Each gtest case runs in its own process (ctest
@@ -61,13 +61,16 @@ TEST(ParallelForIndexed, JobsOneNeverCreatesTheScheduler) {
 }
 
 TEST(ParallelForIndexed, EveryIndexRunsExactlyOnce) {
-  constexpr std::size_t kCount = 500;
-  std::vector<std::atomic<int>> hits(kCount);
-  parallel_for_indexed(kCount, 8, [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  // Counts below, at and well above the participant count, most of
+  // them not divisible by it.
+  for (const std::size_t count : {1u, 2u, 7u, 64u, 257u, 500u}) {
+    std::vector<std::atomic<int>> hits(count);
+    parallel_for_indexed(count, 8, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "count " << count << " index " << i;
+    }
   }
 }
 
@@ -83,50 +86,6 @@ TEST(ParallelForIndexed, ResultsMatchSerialAtAnyJobCount) {
       parallel[i] = static_cast<double>(i) * 1.5 + 1.0;
     });
     EXPECT_EQ(parallel, serial) << "jobs=" << jobs;
-  }
-}
-
-TEST(ParallelForIndexed, EveryChunkPolicyCoversEveryIndexExactlyOnce) {
-  // Counts chosen to not divide evenly by typical grains/participants.
-  for (const std::size_t count : {1u, 2u, 7u, 64u, 257u}) {
-    for (const auto mode :
-         {ChunkPolicy::Mode::kStatic, ChunkPolicy::Mode::kDynamic,
-          ChunkPolicy::Mode::kGuided}) {
-      for (const std::size_t grain : {0u, 1u, 3u, 100u}) {
-        ChunkPolicy policy;
-        policy.mode = mode;
-        policy.grain = grain;
-        std::vector<std::atomic<int>> hits(count);
-        parallel_for_indexed(count, 8, policy, [&](std::size_t i) {
-          hits[i].fetch_add(1);
-        });
-        for (std::size_t i = 0; i < count; ++i) {
-          ASSERT_EQ(hits[i].load(), 1)
-              << "count " << count << " mode " << static_cast<int>(mode)
-              << " grain " << grain << " index " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelForIndexed, ChunkPoliciesAreBitIdenticalToSerial) {
-  constexpr std::size_t kCount = 300;
-  std::vector<double> serial(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    serial[i] = static_cast<double>(i) * 0.3 + 7.0;
-  }
-  for (const auto mode :
-       {ChunkPolicy::Mode::kStatic, ChunkPolicy::Mode::kDynamic,
-        ChunkPolicy::Mode::kGuided}) {
-    ChunkPolicy policy;
-    policy.mode = mode;
-    policy.grain = 5;
-    std::vector<double> out(kCount);
-    parallel_for_indexed(kCount, 8, policy, [&](std::size_t i) {
-      out[i] = static_cast<double>(i) * 0.3 + 7.0;
-    });
-    EXPECT_EQ(out, serial) << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -215,18 +174,16 @@ TEST(Scheduler, PoolGrowsToTheLargestJobCount) {
 }
 
 TEST(Scheduler, MultipleThreadsExecuteChunksOfOneRegion) {
-  // Whichever thread runs the first chunk holds it until a second
-  // thread has run one — the 63 remaining single-index chunks are
-  // poppable/stealable by every other participant, so a second thread
-  // must arrive (caller and pool workers are all in the region). A
-  // generous 5 s limit keeps a genuine failure from hanging.
+  // Whichever thread claims the first index holds it until a second
+  // thread has run one — the 63 remaining indices are claimable by
+  // every other participant, so a second thread must arrive (caller
+  // and pool workers are all in the region). A generous 5 s limit
+  // keeps a genuine failure from hanging.
   constexpr std::size_t kCount = 64;
   std::mutex mutex;
   std::set<std::thread::id> distinct;
   std::atomic<bool> first_claimed{false};
-  ChunkPolicy policy;
-  policy.grain = 1;
-  parallel_for_indexed(kCount, 4, policy, [&](std::size_t) {
+  parallel_for_indexed(kCount, 4, [&](std::size_t) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       distinct.insert(std::this_thread::get_id());
@@ -240,7 +197,7 @@ TEST(Scheduler, MultipleThreadsExecuteChunksOfOneRegion) {
     }
   });
   EXPECT_GE(distinct.size(), 2u)
-      << "work stealing never moved a chunk to a second thread";
+      << "no second thread ever claimed an index";
 }
 
 TEST(Scheduler, MoreJobsThanWorkStillCompletes) {
