@@ -7,7 +7,11 @@
 //     pitch) — the axes the pseudo-polynomial DP cost grows along;
 //   - tree configs: random routing trees (the Section 7 extension)
 //     solved in kMinPower mode across (sink count, candidates per edge,
-//     library) — the axes the junction merges grow along.
+//     library) — the axes the junction merges grow along;
+//   - rip-final: RIP's stage 3, the bounded chain DP
+//     (dp::run_chain_dp_bounded), on the chain configs' nets x targets.
+//     Each case's inputs come from core::fine_problem over a rip_insert
+//     run outside the measured region, with stage 1's cost as incumbent.
 //
 // Per configuration the bench reports mean us/solve, labels/second,
 // prune ratio, arena peaks, and (at --jobs 1) the per-solve heap
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "bench_env.hpp"
+#include "core/rip.hpp"
 #include "dp/chain_dp.hpp"
 #include "dp/library.hpp"
 #include "dp/tree_dp.hpp"
@@ -296,6 +301,54 @@ int main(int argc, char** argv) try {
           options.timing_target_fs = cases[i].tau_t_fs;
           return dp::run_chain_dp(*cases[i].net, tech.device(), library,
                                   *cases[i].candidates, options).stats;
+        },
+        steady_state_clean, alloc_parity_clean);
+    reports.push_back(report);
+    print_report(report);
+  }
+
+  // ---- RIP's stage 3: the bounded kernel under the same gates, on the
+  // cases whose RIP run reaches stage 3 (prepared serially, untimed).
+  {
+    const core::RipOptions rip_options;
+    struct FinalCase {
+      const net::Net* net;
+      double tau_t_fs, incumbent_cost;
+      core::FineProblem problem;
+    };
+    std::vector<FinalCase> finals;
+    for (const std::size_t k : eval::shard_case_indices(
+             workload.size() * static_cast<std::size_t>(targets), shard.index,
+             shard.count)) {
+      const auto& wn = workload[k / static_cast<std::size_t>(targets)];
+      const double tau = eval::timing_targets_fs(
+          wn.tau_min_fs, targets)[k % static_cast<std::size_t>(targets)];
+      const core::RipResult rip =
+          core::rip_insert(wn.net, tech.device(), tau, rip_options);
+      if (rip.coarse.status != dp::Status::kOptimal ||
+          rip.coarse.solution.empty() || !rip.refined.width_solve_ok) {
+        continue;
+      }
+      finals.push_back({&wn.net, tau, rip.coarse.objective_cost,
+                        core::fine_problem(wn.net, rip.refined, rip_options)});
+    }
+    ConfigReport report;
+    report.config = {"rip-final", rip_options.fine_min_width_u,
+                     rip_options.fine_granularity_u, 0,
+                     rip_options.window_pitch_um};
+    measure_config(
+        report, finals.size(), repeats, jobs,
+        [&](std::size_t i, bool full) {
+          const FinalCase& c = finals[i];
+          dp::ChainDpOptions options;
+          options.reconstruct_solutions = full;
+          options.timing_target_fs = c.tau_t_fs;
+          options.allowed_buffers = &c.problem.allowed;
+          return dp::run_chain_dp_bounded(
+                     *c.net, tech.device(), c.problem.library,
+                     c.problem.candidates_um, options, c.incumbent_cost,
+                     dp::Workspace::local())
+              .stats;
         },
         steady_state_clean, alloc_parity_clean);
     reports.push_back(report);

@@ -72,6 +72,11 @@ namespace {
 
 using namespace rip;
 
+/// A user-input check: failure is a plain usage error, not a precondition.
+void require_input(bool ok, const std::string& message) {
+  if (!ok) throw Error(message);
+}
+
 int usage(int rc = 2) {
   std::cout <<
       "usage: rip_cli <command> [options]\n"
@@ -137,11 +142,11 @@ net::Net load_net(const CliArgs& args) {
 /// off (the default); results are bit-identical either way.
 std::unique_ptr<eval::SolveCache> make_cache(const CliArgs& args) {
   if (!args.has("cache")) {
-    RIP_REQUIRE(!args.has("cache-capacity"),
-                "--cache-capacity requires --cache");
-    RIP_REQUIRE(!args.has("cache-bytes"), "--cache-bytes requires --cache");
-    RIP_REQUIRE(!args.has("cache-ttl-ms"),
-                "--cache-ttl-ms requires --cache");
+    require_input(!args.has("cache-capacity"),
+                  "--cache-capacity requires --cache");
+    require_input(!args.has("cache-bytes"), "--cache-bytes requires --cache");
+    require_input(!args.has("cache-ttl-ms"),
+                  "--cache-ttl-ms requires --cache");
     return nullptr;
   }
   eval::SolveCacheOptions options;
@@ -161,9 +166,9 @@ std::unique_ptr<tech::ObjectiveBackend> backend_option(
     const CliArgs& args, const tech::Technology& tech) {
   const auto name = args.get("backend");
   if (!name) return nullptr;
-  RIP_REQUIRE(name->find('|') == std::string::npos,
-              "--backend takes a single name here; the 'a|b|c' "
-              "multi-backend form is compare-only");
+  require_input(name->find('|') == std::string::npos,
+                "--backend takes a single name here; the 'a|b|c' "
+                "multi-backend form is compare-only");
   return tech::make_backend(*name, tech);
 }
 
@@ -185,7 +190,7 @@ double resolve_target_fs(const CliArgs& args, const net::Net& n,
     return units::ns_to_fs(parse_double(*ns, "--target-ns"));
   }
   const double factor = args.get_double_or("target-x", 0.0);
-  RIP_REQUIRE(factor > 0, "need --target-ns or --target-x");
+  require_input(factor > 0, "need --target-ns or --target-x");
   const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
   return factor * md.tau_min_fs;
 }
@@ -214,7 +219,7 @@ int cmd_gen(const CliArgs& args) {
     // without it records carry no target and `stream` resolves its
     // --target-x default per net at evaluation time.
     const double target_x = args.get_double_or("store-target-x", 0.0);
-    RIP_REQUIRE(target_x >= 0, "--store-target-x must be > 0 when given");
+    require_input(target_x >= 0, "--store-target-x must be > 0 when given");
     net::NetlistWriter writer(
         *netlist, format_option(args, net::NetlistFormat::kText));
     for (int i = 0; i < count; ++i) {
@@ -240,14 +245,14 @@ int cmd_gen(const CliArgs& args) {
     const net::Net n = net::random_net(tech, config, rng, name);
     if (const auto out = args.get("out"); out && count == 1) {
       std::ofstream file(*out);
-      RIP_REQUIRE(file.good(), "cannot write " + *out);
+      require_input(file.good(), "cannot write " + *out);
       net::write_net(file, n);
       std::cout << "wrote " << *out << " (" << n.total_length_um() / 1000.0
                 << " mm, " << n.segments().size() << " segments)\n";
     } else if (const auto out2 = args.get("out"); out2) {
       const std::string path = *out2 + "." + std::to_string(i + 1);
       std::ofstream file(path);
-      RIP_REQUIRE(file.good(), "cannot write " + path);
+      require_input(file.good(), "cannot write " + path);
       net::write_net(file, n);
       std::cout << "wrote " << path << "\n";
     } else {
@@ -317,13 +322,13 @@ int cmd_solve(const CliArgs& args) {
   }
   if (const auto sol = args.get("sol")) {
     std::ofstream out(*sol);
-    RIP_REQUIRE(out.good(), "cannot write " + *sol);
+    require_input(out.good(), "cannot write " + *sol);
     net::write_solution(out, r.solution, n.name());
     std::cout << "solution written to " << *sol << "\n";
   }
   if (const auto spice = args.get("spice")) {
     std::ofstream out(*spice);
-    RIP_REQUIRE(out.good(), "cannot write " + *spice);
+    require_input(out.good(), "cannot write " + *spice);
     sim::SpiceOptions spice_opts;
     spice_opts.vdd_v = tech.power().vdd_v;
     sim::write_spice_deck(out, n, r.solution, tech.device(), spice_opts);
@@ -408,7 +413,7 @@ int cmd_sweep(const CliArgs& args) {
   }
   if (const auto csv = args.get("csv")) {
     std::ofstream out(*csv);
-    RIP_REQUIRE(out.good(), "cannot write " + *csv);
+    require_input(out.good(), "cannot write " + *csv);
     table.print_csv(out);
     std::cout << "sweep written to " << *csv << "\n";
   } else {
@@ -504,7 +509,7 @@ int cmd_compare(const CliArgs& args) {
   }
   if (const auto csv = args.get("csv")) {
     std::ofstream out(*csv);
-    RIP_REQUIRE(out.good(), "cannot write " + *csv);
+    require_input(out.good(), "cannot write " + *csv);
     table.print_csv(out);
     std::cout << "comparison written to " << *csv << "\n";
   } else {
@@ -519,45 +524,46 @@ int cmd_compare(const CliArgs& args) {
 // appear exactly once across the inputs.
 int cmd_merge(const CliArgs& args) {
   const auto inputs = split_on(args.require("in"), ',');
-  RIP_REQUIRE(!inputs.empty() && !inputs.front().empty(),
-              "--in needs a comma-separated list of shard CSVs");
+  require_input(!inputs.empty() && !inputs.front().empty(),
+                "--in needs a comma-separated list of shard CSVs");
   std::string header;
   std::vector<std::pair<std::size_t, std::string>> rows;
   for (const auto& path : inputs) {
     std::ifstream file(path);
-    RIP_REQUIRE(file.good(), "cannot read " + path);
+    require_input(file.good(), "cannot read " + path);
     std::string line;
     bool first = true;
     while (std::getline(file, line)) {
       if (trim(line).empty()) continue;
       if (first) {
         first = false;
-        RIP_REQUIRE(starts_with(line, "idx,"),
-                    path + " is not a sharded sweep CSV (no idx column)");
+        require_input(starts_with(line, "idx,"),
+                      path + " is not a sharded sweep CSV (no idx column)");
         if (header.empty()) header = line;
-        RIP_REQUIRE(line == header, path + " has a different header");
+        require_input(line == header, path + " has a different header");
         continue;
       }
       const auto comma = line.find(',');
-      RIP_REQUIRE(comma != std::string::npos, path + ": malformed row");
+      require_input(comma != std::string::npos, path + ": malformed row");
       const int idx = parse_int(line.substr(0, comma), path + " idx");
-      RIP_REQUIRE(idx >= 0, path + ": negative idx");
+      require_input(idx >= 0, path + ": negative idx");
       rows.emplace_back(static_cast<std::size_t>(idx), line);
     }
-    RIP_REQUIRE(!first, path + " is empty");
+    require_input(!first, path + " is empty");
   }
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    RIP_REQUIRE(rows[i].first == i,
-                rows[i].first < i
-                    ? "duplicate idx " + std::to_string(rows[i].first)
-                    : "missing idx " + std::to_string(i) +
-                          " (is a shard absent?)");
+    if (rows[i].first != i) {
+      throw Error(rows[i].first < i
+                      ? "duplicate idx " + std::to_string(rows[i].first)
+                      : "missing idx " + std::to_string(i) +
+                            " (is a shard absent?)");
+    }
   }
   const std::string out_path = args.require("out");
   std::ofstream out(out_path);
-  RIP_REQUIRE(out.good(), "cannot write " + out_path);
+  require_input(out.good(), "cannot write " + out_path);
   out << header << "\n";
   for (const auto& [idx, line] : rows) out << line << "\n";
   std::cout << "merged " << rows.size() << " rows from " << inputs.size()
@@ -609,14 +615,14 @@ int cmd_stream(const CliArgs& args) {
       static_cast<std::size_t>(count_option(args, "max-pending", 64, 1));
   options.checkpoint_every = count_option(args, "every", 0, 1);
   if (const auto ckpt = args.get("checkpoint")) options.checkpoint_path = *ckpt;
-  RIP_REQUIRE(options.checkpoint_path.empty() || options.checkpoint_every > 0,
-              "--checkpoint requires --every N");
+  require_input(options.checkpoint_path.empty() || options.checkpoint_every > 0,
+                "--checkpoint requires --every N");
   options.resume = args.has("resume");
   options.stop_after = count_option(args, "stop-after", 0, 1);
   options.default_target_x = args.get_double_or("target-x", 1.5);
   if (const auto errors = args.get("errors")) options.errors_path = *errors;
   options.deadline_ms = args.get_double_or("deadline-ms", 0.0);
-  RIP_REQUIRE(options.deadline_ms >= 0, "--deadline-ms must be >= 0");
+  require_input(options.deadline_ms >= 0, "--deadline-ms must be >= 0");
   options.retry.max_attempts =
       static_cast<int>(count_option(args, "retry", 1, 1));
   options.retry.base = std::chrono::milliseconds(
@@ -691,7 +697,7 @@ int main(int argc, char** argv) {
       rip::FaultInjector::configure(*faults,
                                     count_option(args, "fault-seed", 0));
     } else {
-      RIP_REQUIRE(!args.has("fault-seed"), "--fault-seed requires --faults");
+      require_input(!args.has("fault-seed"), "--fault-seed requires --faults");
     }
     int rc;
     if (args.command() == "gen") rc = cmd_gen(args);

@@ -6,11 +6,71 @@
 #include "dp/library.hpp"
 #include "dp/workspace.hpp"
 #include "net/candidates.hpp"
-#include "rc/buffered_chain.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace rip::core {
+
+namespace {
+
+/// Report `answer`, a feasible DP result of stage 1 or 3, as RIP's.
+void adopt(RipResult& result, const dp::ChainDpResult& answer,
+           bool from_stage1) {
+  result.status = dp::Status::kOptimal;
+  result.solution = answer.solution;
+  result.delay_fs = answer.delay_fs;
+  result.total_width_u = answer.total_width_u;
+  result.objective_cost = answer.objective_cost;
+  result.used_fallback = from_stage1;
+}
+
+}  // namespace
+
+FineProblem fine_problem(const net::Net& net,
+                         const analytical::RefineResult& refined,
+                         const RipOptions& options) {
+  FineProblem p{dp::RepeaterLibrary::from_rounding(
+                    refined.widths_u, options.fine_granularity_u,
+                    options.fine_min_width_u, options.fine_max_width_u),
+                net::window_candidates(net, refined.positions_um,
+                                       options.window_half,
+                                       options.window_pitch_um),
+                {}};
+  const double window_span =
+      options.window_half * options.window_pitch_um + 1e-6;
+  p.allowed.resize(p.candidates_um.size());
+  const auto& lib_widths = p.library.widths_u();
+  auto library_index = [&](double w) {
+    const auto it =
+        std::lower_bound(lib_widths.begin(), lib_widths.end(), w - 1e-9);
+    RIP_ASSERT(it != lib_widths.end() && std::abs(*it - w) < 1e-6,
+               "bracketed width missing from the stage-3 library");
+    return static_cast<std::int16_t>(it - lib_widths.begin());
+  };
+  for (std::size_t ri = 0; ri < refined.positions_um.size(); ++ri) {
+    const double w = refined.widths_u[ri];
+    const double lo = std::clamp(
+        std::floor(w / options.fine_granularity_u) * options.fine_granularity_u,
+        options.fine_min_width_u, options.fine_max_width_u);
+    const double hi = std::clamp(
+        std::ceil(w / options.fine_granularity_u) * options.fine_granularity_u,
+        options.fine_min_width_u, options.fine_max_width_u);
+    const std::int16_t lo_idx = library_index(lo);
+    const std::int16_t hi_idx = library_index(hi);
+    const double center = refined.positions_um[ri];
+    for (std::size_t ci = 0; ci < p.candidates_um.size(); ++ci) {
+      if (std::abs(p.candidates_um[ci] - center) <= window_span) {
+        p.allowed[ci].push_back(lo_idx);
+        if (hi_idx != lo_idx) p.allowed[ci].push_back(hi_idx);
+      }
+    }
+  }
+  for (auto& a : p.allowed) {
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+  }
+  return p;
+}
 
 RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
                      double tau_t_fs, const RipOptions& options) {
@@ -56,12 +116,7 @@ RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
   // A coarse solution with no repeaters cannot be refined (REFINE keeps
   // the repeater count); it is already the trivial minimum-power answer.
   if (result.coarse.solution.empty()) {
-    result.status = dp::Status::kOptimal;
-    result.solution = result.coarse.solution;
-    result.delay_fs = result.coarse.delay_fs;
-    result.total_width_u = 0;
-    result.objective_cost = result.coarse.objective_cost;
-    result.used_fallback = true;
+    adopt(result, result.coarse, /*from_stage1=*/true);
     result.runtime_s = total_timer.seconds();
     return result;
   }
@@ -81,89 +136,30 @@ RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
   if (!result.refined.width_solve_ok) {
     // Analytical relaxation infeasible at this placement: fall back to
     // the coarse DP answer (still feasible by construction).
-    result.status = dp::Status::kOptimal;
-    result.solution = result.coarse.solution;
-    result.delay_fs = result.coarse.delay_fs;
-    result.total_width_u = result.coarse.total_width_u;
-    result.objective_cost = result.coarse.objective_cost;
-    result.used_fallback = true;
+    adopt(result, result.coarse, /*from_stage1=*/true);
     result.runtime_s = total_timer.seconds();
     return result;
   }
 
   // ---- Stage 3: fine DP over the refined library and locations
-  //      (Fig. 6, lines 3-4). ----
+  //      (Fig. 6, lines 3-4), bounded by stage 1's cost: only a stage-3
+  //      answer that costs no more is kept below. ----
   stage_timer.reset();
-  const dp::RepeaterLibrary fine_library = dp::RepeaterLibrary::from_rounding(
-      result.refined.widths_u, options.fine_granularity_u,
-      options.fine_min_width_u, options.fine_max_width_u);
-  const auto fine_candidates = net::window_candidates(
-      net, result.refined.positions_um, options.window_half,
-      options.window_pitch_um);
-
-  // Each candidate only offers the bracketed widths of the REFINE
-  // repeater(s) whose window covers it. This keeps the final DP's width
-  // lattice as concise as the analytical solution itself (see
-  // ChainDpOptions::allowed_buffers).
-  const double window_span =
-      options.window_half * options.window_pitch_um + 1e-6;
-  std::vector<std::vector<std::int16_t>> allowed(fine_candidates.size());
-  const auto& lib_widths = fine_library.widths_u();
-  auto library_index = [&](double w) {
-    const auto it =
-        std::lower_bound(lib_widths.begin(), lib_widths.end(), w - 1e-9);
-    RIP_ASSERT(it != lib_widths.end() && std::abs(*it - w) < 1e-6,
-               "bracketed width missing from the stage-3 library");
-    return static_cast<std::int16_t>(it - lib_widths.begin());
-  };
-  for (std::size_t ri = 0; ri < result.refined.positions_um.size(); ++ri) {
-    const double w = result.refined.widths_u[ri];
-    const double lo = std::clamp(
-        std::floor(w / options.fine_granularity_u) * options.fine_granularity_u,
-        options.fine_min_width_u, options.fine_max_width_u);
-    const double hi = std::clamp(
-        std::ceil(w / options.fine_granularity_u) * options.fine_granularity_u,
-        options.fine_min_width_u, options.fine_max_width_u);
-    const std::int16_t lo_idx = library_index(lo);
-    const std::int16_t hi_idx = library_index(hi);
-    const double center = result.refined.positions_um[ri];
-    for (std::size_t ci = 0; ci < fine_candidates.size(); ++ci) {
-      if (std::abs(fine_candidates[ci] - center) <= window_span) {
-        allowed[ci].push_back(lo_idx);
-        if (hi_idx != lo_idx) allowed[ci].push_back(hi_idx);
-      }
-    }
-  }
-  for (auto& a : allowed) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-  }
-
+  const FineProblem fine = fine_problem(net, result.refined, options);
   dp::ChainDpOptions final_options = dp_options;
-  final_options.allowed_buffers = &allowed;
-  result.final_dp = dp::run_chain_dp(net, device, fine_library,
-                                     fine_candidates, final_options,
-                                     workspace);
+  final_options.allowed_buffers = &fine.allowed;
+  result.final_dp = dp::run_chain_dp_bounded(
+      net, device, fine.library, fine.candidates_um, final_options,
+      result.coarse.objective_cost, workspace);
   result.final_s = stage_timer.seconds();
 
   // Best feasible of {stage 3, stage 1}: RIP never loses to its own
   // coarse stage and stays feasible whenever stage 1 was. Arbitrated on
   // the objective cost (== total width on the identity objective).
-  const bool final_ok = result.final_dp.status == dp::Status::kOptimal;
-  if (final_ok &&
-      result.final_dp.objective_cost <= result.coarse.objective_cost) {
-    result.solution = result.final_dp.solution;
-    result.delay_fs = result.final_dp.delay_fs;
-    result.total_width_u = result.final_dp.total_width_u;
-    result.objective_cost = result.final_dp.objective_cost;
-  } else {
-    result.solution = result.coarse.solution;
-    result.delay_fs = result.coarse.delay_fs;
-    result.total_width_u = result.coarse.total_width_u;
-    result.objective_cost = result.coarse.objective_cost;
-    result.used_fallback = true;
-  }
-  result.status = dp::Status::kOptimal;
+  const bool final_wins =
+      result.final_dp.status == dp::Status::kOptimal &&
+      result.final_dp.objective_cost <= result.coarse.objective_cost;
+  adopt(result, final_wins ? result.final_dp : result.coarse, !final_wins);
   result.runtime_s = total_timer.seconds();
   return result;
 }

@@ -10,11 +10,15 @@
 ///   2. REFINE: continuous width solve + repeater movement.
 ///   3. Build a concise library B (REFINE widths rounded to 10u) and a
 ///      small location set S (each REFINE location ±10 positions at
-///      50 um) and re-run the DP restricted to B and S.
+///      50 um) and re-run the DP restricted to B and S, as an exact
+///      branch-and-bound against stage 1's cost (run_chain_dp_bounded).
 ///
 /// Guarantee: the returned solution is the best feasible of stage 3 and
 /// stage 1, so RIP is feasible whenever the coarse DP is, and never worse
 /// than it.
+
+#include <cstdint>
+#include <vector>
 
 #include "analytical/refine.hpp"
 #include "dp/chain_dp.hpp"
@@ -64,7 +68,10 @@ struct RipResult {
   // Per-stage diagnostics.
   dp::ChainDpResult coarse;            ///< stage 1
   analytical::RefineResult refined;    ///< stage 2 (last repeat)
-  dp::ChainDpResult final_dp;          ///< stage 3
+  /// Stage 3, as swept by the branch-and-bound: min_delay_* and stats
+  /// describe the bounded sweep, and status is also kInfeasible when no
+  /// labeling meets the target at a cost <= stage 1's.
+  dp::ChainDpResult final_dp;
   bool used_fallback = false;          ///< final answer came from stage 1
 
   double runtime_s = 0;        ///< total wall clock
@@ -72,6 +79,20 @@ struct RipResult {
   double refine_s = 0;         ///< stage 2 wall clock
   double final_s = 0;          ///< stage 3 wall clock
 };
+
+/// Stage 3's DP inputs (Fig. 6, lines 3-4) from a REFINE result: library
+/// B (REFINE widths rounded to the fine grid), location set S (each REFINE
+/// location ±window_half positions), and allowed lists that offer each
+/// window only its own REFINE repeater's bracketed widths (for
+/// ChainDpOptions::allowed_buffers).
+struct FineProblem {
+  dp::RepeaterLibrary library;
+  std::vector<double> candidates_um;
+  std::vector<std::vector<std::int16_t>> allowed;
+};
+FineProblem fine_problem(const net::Net& net,
+                         const analytical::RefineResult& refined,
+                         const RipOptions& options);
 
 /// Run Algorithm RIP on a net with timing target `tau_t_fs`. The first
 /// overload runs its DP stages on this thread's dp::Workspace::local();

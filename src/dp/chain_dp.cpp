@@ -1,7 +1,6 @@
 #include "dp/chain_dp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -60,9 +59,6 @@ FrontierView view_of(const ChainFrontierSolve& solve) {
                       solve.a_pos.data(),   solve.a_buffer.data()};
 }
 
-/// Reconstruct the repeater list from a winning label's parent chain
-/// through the reconstruction arena. `count` is the label's repeater
-/// count, so the output vector is reserved exactly once.
 /// Physical total width of a label, re-summed from its arena chain. Only
 /// the non-identity objectives use this: on the identity path the label's
 /// accumulated value IS the total width, bit-for-bit (re-summing would
@@ -78,6 +74,9 @@ double arena_total_width(const FrontierView& v, std::int32_t node,
   return w;
 }
 
+/// Reconstruct the repeater list from a winning label's parent chain
+/// through the reconstruction arena. `count` is the label's repeater
+/// count, so the output vector is reserved exactly once.
 net::RepeaterSolution reconstruct(const FrontierView& v, std::int32_t node,
                                   std::int16_t count,
                                   const RepeaterLibrary& library,
@@ -121,53 +120,21 @@ void validate_inputs(const net::Net& net, const RepeaterLibrary& library,
   }
 }
 
-/// Double-buffered sweep state: which SoA frontier is live and where the
-/// sweep currently stands on the chain.
-struct SweepCursor {
-  ChainFrontier* front;
-  ChainFrontier* back;
-  double downstream_pos;
-};
-
-/// Fill the per-solve library terms, reset the chain arenas, and seed the
-/// receiver label. q is *target-relative*: it starts at 0 in both modes
-/// and every later update subtracts terms that depend only on C, never on
-/// q itself — so the swept frontier is independent of the timing target,
-/// which enters only at selection time. That target-independence is what
-/// lets one solved frontier answer every target (ChainSolveCache).
-SweepCursor seed_sweep(const net::Net& net, const tech::RepeaterDevice& device,
-                       const RepeaterLibrary& library,
-                       const tech::ChainCost& cost, Workspace& ws,
-                       DpStats& stats) {
-  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
-  library.fill_cost_terms(cost, ws.lib_cost);
-  const std::size_t lib_n = library.size();
-  ws.all_buffers.resize(lib_n);
-  for (std::size_t b = 0; b < lib_n; ++b)
-    ws.all_buffers[b] = static_cast<std::int16_t>(b);
-
-  SweepCursor cur{&ws.chain_front, &ws.chain_back, net.total_length_um()};
-  cur.front->clear();
-  cur.back->clear();
-  ws.a_parent.clear();
-  ws.a_pos.clear();
-  ws.a_buffer.clear();
-
-  // Seed at the receiver: C = C_o * w_r; q = 0 (target-relative) minus
-  // any backend receiver penalty (kernel::seed_q_fs); p = 0. The seed
-  // has no arena entry (node -1 terminates reconstruction).
-  cur.front->push(device.co_ff * net.receiver_width_u(),
-                  kernel::seed_q_fs(cost), 0.0, 0, -1);
-  ++stats.labels_created;
-  return cur;
-}
-
-/// Sweep candidate indices [stop, start) from the last (closest to the
-/// receiver) down to `stop`. Shared verbatim by the full solve, the
-/// prefix capture, and the resume path — identical arithmetic in all
-/// three is what makes resume bit-identical to a full solve.
+/// The whole sweep on `ws`, receiver to driver; fills `stats`' sweep
+/// counters and returns the finished frontier, whose q_fs[i] is label
+/// i's target-relative final slack (driver gate applied; the realized
+/// delay is -q_fs[i]) and whose cap_ff is dead.
 ///
-/// Invariant entering each step: the frontier is sorted by
+/// q is *target-relative*: the seed starts at 0 in both modes and every
+/// later update subtracts terms that depend only on C, never on q itself
+/// — so the swept frontier is independent of the timing target, which
+/// enters only at selection time. That target-independence is what lets
+/// one solved frontier answer every target (ChainSolveCache). Only
+/// `bounds` (kernel::LabelBounds; nullptr = none, never when caching)
+/// depend on the target: they drop labels from the pass-through frontier
+/// after each wire run and from each buffer group before its sort.
+///
+/// Invariant entering each candidate step: the frontier is sorted by
 /// (C asc, q desc, w asc). Wire propagation preserves it: C order
 /// survives adding one constant (IEEE addition is monotone) and labels
 /// at equal C receive the exact same q shift. (If two distinct C
@@ -175,21 +142,49 @@ SweepCursor seed_sweep(const net::Net& net, const tech::RepeaterDevice& device,
 /// the staircase sweep below only needs C to be non-decreasing, so the
 /// survivor set stays correct; at worst a dominated FP-twin lives one
 /// extra round.) The merge below emits the next frontier in the same
-/// order.
-void sweep_range(const net::Net& net, const tech::RepeaterDevice& device,
-                 const std::vector<double>& candidates_um,
-                 const ChainDpOptions& options, const tech::ChainCost& cost,
-                 Workspace& ws, SweepCursor& cur, std::size_t start,
-                 std::size_t stop, DpStats& stats) {
+/// order, and the in-place bound filter keeps it.
+const ChainFrontier& sweep_chain(const net::Net& net,
+                                 const tech::RepeaterDevice& device,
+                                 const RepeaterLibrary& library,
+                                 const std::vector<double>& candidates_um,
+                                 const ChainDpOptions& options,
+                                 const tech::ChainCost& cost,
+                                 const kernel::LabelBounds* bounds,
+                                 Workspace& ws, DpStats& stats) {
+  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
+  library.fill_cost_terms(cost, ws.lib_cost);
+  const std::size_t lib_n = library.size();
+  ws.all_buffers.resize(lib_n);
+  for (std::size_t b = 0; b < lib_n; ++b)
+    ws.all_buffers[b] = static_cast<std::int16_t>(b);
+
+  ChainFrontier* front = &ws.chain_front;
+  ChainFrontier* back = &ws.chain_back;
+  front->clear();
+  back->clear();
+  ws.a_parent.clear();
+  ws.a_pos.clear();
+  ws.a_buffer.clear();
+
+  // Seed at the receiver: C = C_o * w_r; q = 0 (target-relative) minus
+  // any backend receiver penalty (kernel::seed_q_fs); p = 0. The seed
+  // has no arena entry (node -1 terminates reconstruction).
+  front->push(device.co_ff * net.receiver_width_u(), kernel::seed_q_fs(cost),
+              0.0, 0, -1);
+  stats.labels_created = 1;
+  stats.positions = candidates_um.size();
+
   const bool power_mode = (options.mode == Mode::kMinPower);
   const double intrinsic_fs = device.rs_ohm * device.cp_ff;
-  ChainFrontier* front = cur.front;
-  ChainFrontier* back = cur.back;
-  for (std::size_t ci = start; ci-- > stop;) {
+  double downstream_pos = net.total_length_um();
+  for (std::size_t ci = candidates_um.size(); ci-- > 0;) {
     const double pos = candidates_um[ci];
-    net.pieces_between(pos, cur.downstream_pos, ws.pieces);
+    net.pieces_between(pos, downstream_pos, ws.pieces);
     propagate_frontier(*front, interval_affine(ws.pieces));
-    cur.downstream_pos = pos;
+    downstream_pos = pos;
+    if (bounds != nullptr) {
+      stats.labels_pruned += kernel::retain_admitted(*front, *bounds);
+    }
 
     // Library indices that may be inserted at this candidate. A backend
     // that forbids repeaters empties every candidate's list.
@@ -203,7 +198,7 @@ void sweep_range(const net::Net& net, const tech::RepeaterDevice& device,
     // Labels accumulate the objective cost table (== widths on the
     // identity objective, same bits).
     expand_candidate(ws, *front, allowed, ws.lib_cost, intrinsic_fs,
-                     power_mode);
+                     power_mode, bounds);
     const std::size_t fn = front->size();
     const std::size_t gn = ws.expanded.size();
     stats.labels_created += allowed.size() * fn;
@@ -271,26 +266,19 @@ void sweep_range(const net::Net& net, const tech::RepeaterDevice& device,
     stats.labels_peak = std::max(stats.labels_peak, back->size());
     std::swap(front, back);
   }
-  cur.front = front;
-  cur.back = back;
-}
 
-/// Final wire run up to the driver, then the driver gate applied *in
-/// place*: afterwards front->q_fs[i] holds the label's target-relative
-/// final slack (q_rel; feasibility at a target is q_rel + target >= -tol
-/// and the realized delay is -q_rel). cap_ff is dead past this point.
-void finish_at_driver(const net::Net& net, const tech::RepeaterDevice& device,
-                      Workspace& ws, SweepCursor& cur) {
-  net.pieces_between(0.0, cur.downstream_pos, ws.pieces);
-  propagate_frontier(*cur.front, interval_affine(ws.pieces));
-  const double intrinsic_fs = device.rs_ohm * device.cp_ff;
+  // Final wire run up to the driver, then the driver gate in place.
+  net.pieces_between(0.0, downstream_pos, ws.pieces);
+  propagate_frontier(*front, interval_affine(ws.pieces));
   const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
-  double* q = cur.front->q_fs.data();
-  const double* cap = cur.front->cap_ff.data();
-  const std::size_t n = cur.front->size();
+  double* q = front->q_fs.data();
+  const double* cap = front->cap_ff.data();
+  const std::size_t n = front->size();
   for (std::size_t i = 0; i < n; ++i) {
     q[i] = q[i] - (intrinsic_fs + driver_rs_over_w * cap[i]);
   }
+  stats.arena_peak = ws.a_parent.size();
+  return *front;
 }
 
 /// Answer one target from a finished frontier: feasibility scan,
@@ -314,13 +302,19 @@ ChainDpResult select_result(const FrontierView& v,
   int best_count = 0;
   double best_q = -std::numeric_limits<double>::infinity();
   double best_delay_q = -std::numeric_limits<double>::infinity();
+  if (v.size == 0) {
+    // Only bounds can empty the frontier: infeasible, no solutions.
+    RIP_ASSERT(power_mode, "DP lost all labels");
+    return result;
+  }
   for (std::size_t i = 0; i < v.size; ++i) {
     const double q_final = v.q_fs[i];  // target-relative, driver applied
     if (q_final > best_delay_q) {
       best_delay_q = q_final;
       best_delay = static_cast<std::int32_t>(i);
     }
-    if (power_mode && q_final + target >= -options.slack_tolerance_fs) {
+    if (power_mode &&
+        kernel::meets_target(q_final, target, options.slack_tolerance_fs)) {
       // Selection order: total width, then repeater count, then slack.
       const bool better =
           v.width_u[i] < best_width ||
@@ -388,52 +382,26 @@ void bump_ws_stats(Workspace& ws, const DpStats& stats) {
       std::max(ws.stats_.peak_arena_labels, stats.arena_peak);
 }
 
-/// Fingerprint of everything a suffix checkpoint's labels depend on: the
-/// device, library, mode, receiver width, the suffix candidate positions
-/// (and their allowed lists), and the net geometry downstream of the
-/// checkpoint. chain_dp_resume recomputes this against the new query and
-/// refuses a mismatch, so a stale prefix fails loudly.
-std::uint64_t prefix_consistency_key(const net::Net& net,
-                                     const tech::RepeaterDevice& device,
-                                     const RepeaterLibrary& library,
-                                     const std::vector<double>& candidates_um,
-                                     const ChainDpOptions& options,
-                                     std::size_t suffix_candidates) {
-  Hash64 h;
-  h << device.rs_ohm << device.co_ff << device.cp_ff;
-  h << net.receiver_width_u();
-  h << std::span<const double>(library.widths_u());
-  h << static_cast<int>(options.mode);
-  const std::size_t n = candidates_um.size();
-  const std::size_t first = n - suffix_candidates;
-  h << suffix_candidates;
-  for (std::size_t ci = first; ci < n; ++ci) h << candidates_um[ci];
-  // Geometry downstream of the checkpoint (candidate spacing, wire RC,
-  // and — via pieces — any forbidden-zone splits in that range).
-  const double from =
-      suffix_candidates == 0 ? net.total_length_um() : candidates_um[first];
-  std::vector<net::WirePiece> pieces;
-  net.pieces_between(from, net.total_length_um(), pieces);
-  h << pieces.size();
-  for (const auto& p : pieces) {
-    h << p.length_um << p.r_ohm_per_um << p.c_ff_per_um;
-  }
-  h << (options.allowed_buffers != nullptr);
-  if (options.allowed_buffers != nullptr) {
-    for (std::size_t ci = first; ci < n; ++ci) {
-      h << std::span<const std::int16_t>((*options.allowed_buffers)[ci]);
-    }
-  }
-  // Backend identity + derived coefficients: a checkpoint taken under
-  // one objective must refuse to resume under another.
-  h << (options.backend != nullptr);
-  if (options.backend != nullptr) {
-    const tech::ChainCost cost = resolve_cost(net, options);
-    h << options.backend->fingerprint() << cost.width_weight
-      << cost.per_repeater << cost.receiver_penalty_fs
-      << cost.allow_repeaters;
-  }
-  return h.value();
+/// One cold solve on `ws`: the sweep (bounded iff `bounds`), selection.
+ChainDpResult solve_and_select(const net::Net& net,
+                               const tech::RepeaterDevice& device,
+                               const RepeaterLibrary& library,
+                               const std::vector<double>& candidates_um,
+                               const ChainDpOptions& options,
+                               const kernel::LabelBounds* bounds,
+                               Workspace& ws) {
+  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
+  const tech::ChainCost cost = resolve_cost(net, options);
+
+  DpStats stats;
+  stats.workspace_reuses = ws.stats_.solves();
+  const ChainFrontier& front = sweep_chain(
+      net, device, library, candidates_um, options, cost, bounds, ws, stats);
+  ChainDpResult result =
+      select_result(view_of(front, ws), library, candidates_um, options,
+                    identity_cost_table(cost), stats);
+  bump_ws_stats(ws, stats);
+  return result;
 }
 
 }  // namespace
@@ -510,24 +478,22 @@ ChainDpResult run_chain_dp(const net::Net& net,
                            const RepeaterLibrary& library,
                            const std::vector<double>& candidates_um,
                            const ChainDpOptions& options, Workspace& ws) {
-  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
-  const tech::ChainCost cost = resolve_cost(net, options);
+  return solve_and_select(net, device, library, candidates_um, options,
+                          nullptr, ws);
+}
 
-  DpStats stats;
-  stats.positions = candidates_um.size();
-  stats.workspace_reuses = ws.stats_.solves();
-
-  SweepCursor cur = seed_sweep(net, device, library, cost, ws, stats);
-  sweep_range(net, device, candidates_um, options, cost, ws, cur,
-              candidates_um.size(), 0, stats);
-  finish_at_driver(net, device, ws, cur);
-  stats.arena_peak = ws.a_parent.size();
-
-  ChainDpResult result =
-      select_result(view_of(*cur.front, ws), library, candidates_um, options,
-                    identity_cost_table(cost), stats);
-  bump_ws_stats(ws, stats);
-  return result;
+ChainDpResult run_chain_dp_bounded(const net::Net& net,
+                                   const tech::RepeaterDevice& device,
+                                   const RepeaterLibrary& library,
+                                   const std::vector<double>& candidates_um,
+                                   const ChainDpOptions& options,
+                                   double incumbent_cost, Workspace& ws) {
+  RIP_REQUIRE(options.mode == Mode::kMinPower,
+              "the bounded chain DP is kMinPower only");
+  const kernel::LabelBounds bounds{options.timing_target_fs,
+                                   options.slack_tolerance_fs, incumbent_cost};
+  return solve_and_select(net, device, library, candidates_um, options,
+                          &bounds, ws);
 }
 
 ChainFrontierSolve solve_chain_frontier(
@@ -537,24 +503,19 @@ ChainFrontierSolve solve_chain_frontier(
   validate_inputs(net, library, candidates_um, options, /*need_target=*/false);
   const tech::ChainCost cost = resolve_cost(net, options);
 
+  // workspace_reuses stays 0: a detached frontier reports no workspace
+  // warmth, so a miss-then-insert and a later hit describe the solve
+  // identically.
   DpStats stats;
-  stats.positions = candidates_um.size();
-  // Canonicalized: a detached frontier reports no workspace warmth, so a
-  // miss-then-insert and a later hit describe the solve identically.
-  stats.workspace_reuses = 0;
-
-  SweepCursor cur = seed_sweep(net, device, library, cost, ws, stats);
-  sweep_range(net, device, candidates_um, options, cost, ws, cur,
-              candidates_um.size(), 0, stats);
-  finish_at_driver(net, device, ws, cur);
-  stats.arena_peak = ws.a_parent.size();
+  const ChainFrontier& front = sweep_chain(
+      net, device, library, candidates_um, options, cost, nullptr, ws, stats);
 
   ChainFrontierSolve out;
   out.identity_cost = identity_cost_table(cost);
-  out.q_fs = cur.front->q_fs;
-  out.width_u = cur.front->width_u;
-  out.count = cur.front->count;
-  out.node = cur.front->node;
+  out.q_fs = front.q_fs;
+  out.width_u = front.width_u;
+  out.count = front.count;
+  out.node = front.node;
   out.a_parent = ws.a_parent;
   out.a_pos = ws.a_pos;
   out.a_buffer = ws.a_buffer;
@@ -595,97 +556,6 @@ ChainDpResult run_chain_dp_cached(const net::Net& net,
   // Hit or miss, always select from the stored entry's arrays: every
   // caller of this key answers from the same bits.
   return select_from_frontier(*entry, library, candidates_um, options);
-}
-
-ChainPrefix chain_dp_prefix(const net::Net& net,
-                            const tech::RepeaterDevice& device,
-                            const RepeaterLibrary& library,
-                            const std::vector<double>& candidates_um,
-                            const ChainDpOptions& options,
-                            std::size_t suffix_candidates, Workspace& ws) {
-  validate_inputs(net, library, candidates_um, options, /*need_target=*/false);
-  RIP_REQUIRE(suffix_candidates <= candidates_um.size(),
-              "chain_dp_prefix suffix exceeds the candidate count");
-  const tech::ChainCost cost = resolve_cost(net, options);
-
-  DpStats stats;
-  stats.positions = candidates_um.size();
-
-  SweepCursor cur = seed_sweep(net, device, library, cost, ws, stats);
-  sweep_range(net, device, candidates_um, options, cost, ws, cur,
-              candidates_um.size(), candidates_um.size() - suffix_candidates,
-              stats);
-
-  ChainPrefix out;
-  out.total_candidates = candidates_um.size();
-  out.suffix_candidates = suffix_candidates;
-  out.downstream_pos_um = cur.downstream_pos;
-  out.frontier = *cur.front;
-  out.a_parent = ws.a_parent;
-  out.a_pos = ws.a_pos;
-  out.a_buffer = ws.a_buffer;
-  out.stats = stats;
-  out.suffix_key = prefix_consistency_key(net, device, library, candidates_um,
-                                          options, suffix_candidates);
-  // Not a complete solve: workspace cumulative stats are left untouched.
-  return out;
-}
-
-ChainDpResult chain_dp_resume(const ChainPrefix& prefix, const net::Net& net,
-                              const tech::RepeaterDevice& device,
-                              const RepeaterLibrary& library,
-                              const std::vector<double>& candidates_um,
-                              const ChainDpOptions& options, Workspace& ws) {
-  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
-  const std::size_t n = candidates_um.size();
-  RIP_REQUIRE(prefix.suffix_candidates <= n,
-              "chain_dp_resume candidate list is shorter than the prefix's "
-              "suffix");
-  RIP_REQUIRE(
-      prefix.suffix_key == prefix_consistency_key(net, device, library,
-                                                  candidates_um, options,
-                                                  prefix.suffix_candidates),
-      "chain_dp_resume prefix does not match the query (suffix candidates, "
-      "downstream geometry, library, device, mode, or backend differ)");
-  const tech::ChainCost cost = resolve_cost(net, options);
-
-  DpStats stats = prefix.stats;
-  stats.positions = n;
-  stats.workspace_reuses = ws.stats_.solves();
-
-  // Load the checkpoint into the workspace arenas (capacity is reused).
-  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
-  library.fill_cost_terms(cost, ws.lib_cost);
-  const std::size_t lib_n = library.size();
-  ws.all_buffers.resize(lib_n);
-  for (std::size_t b = 0; b < lib_n; ++b)
-    ws.all_buffers[b] = static_cast<std::int16_t>(b);
-  ws.chain_front = prefix.frontier;
-  ws.chain_back.clear();
-  ws.a_parent = prefix.a_parent;
-  ws.a_pos = prefix.a_pos;
-  ws.a_buffer = prefix.a_buffer;
-  // Arena entries index the *old* candidate list; if the resume list has
-  // a different prefix length, shift the suffix's candidate indices.
-  const auto delta = static_cast<std::ptrdiff_t>(n) -
-                     static_cast<std::ptrdiff_t>(prefix.total_candidates);
-  if (delta != 0) {
-    for (auto& p : ws.a_pos) p = static_cast<std::int32_t>(p + delta);
-  }
-
-  SweepCursor cur{&ws.chain_front, &ws.chain_back,
-                  prefix.suffix_candidates == 0 ? net.total_length_um()
-                                                : prefix.downstream_pos_um};
-  sweep_range(net, device, candidates_um, options, cost, ws, cur,
-              n - prefix.suffix_candidates, 0, stats);
-  finish_at_driver(net, device, ws, cur);
-  stats.arena_peak = ws.a_parent.size();
-
-  ChainDpResult result =
-      select_result(view_of(*cur.front, ws), library, candidates_um, options,
-                    identity_cost_table(cost), stats);
-  bump_ws_stats(ws, stats);
-  return result;
 }
 
 }  // namespace rip::dp

@@ -94,7 +94,7 @@ struct DpStats {
   std::size_t labels_created = 0;   ///< labels materialized over the sweep
   std::size_t labels_peak = 0;      ///< largest pruned set at any position
   std::size_t positions = 0;        ///< candidate count
-  std::size_t labels_pruned = 0;    ///< labels removed by dominance pruning
+  std::size_t labels_pruned = 0;    ///< removed by dominance or bounds
   std::size_t arena_peak = 0;       ///< reconstruction-arena entries kept
   /// Solves this workspace had already served before this one (the
   /// arena-reuse observability counter; 0 = cold workspace).
@@ -148,6 +148,22 @@ ChainDpResult run_chain_dp(const net::Net& net,
                            const RepeaterLibrary& library,
                            const std::vector<double>& candidates_um,
                            const ChainDpOptions& options, Workspace& ws);
+
+/// RIP's stage 3 as an exact branch-and-bound: run_chain_dp (kMinPower
+/// only, uncached) minus every label that can no longer meet the target
+/// or already costs more than `incumbent_cost` (kernel::LabelBounds).
+/// If the unbounded optimum meets the target at a cost <= incumbent_cost,
+/// status, solution, delay, width and cost are bit-identical to it;
+/// otherwise the status is kInfeasible (with an empty min_delay_solution
+/// when the bounds removed every label). min_delay_* and stats describe
+/// the bounded sweep; dropped labels count as pruned. Allocation-free in
+/// steady state.
+ChainDpResult run_chain_dp_bounded(const net::Net& net,
+                                   const tech::RepeaterDevice& device,
+                                   const RepeaterLibrary& library,
+                                   const std::vector<double>& candidates_um,
+                                   const ChainDpOptions& options,
+                                   double incumbent_cost, Workspace& ws);
 
 // ---------------------------------------------------------------------------
 // Target-independent frontier solves (the solve-cache substrate)
@@ -254,54 +270,5 @@ ChainDpResult run_chain_dp_cached(const net::Net& net,
                                   const std::vector<double>& candidates_um,
                                   const ChainDpOptions& options, Workspace& ws,
                                   ChainSolveCache* cache);
-
-// ---------------------------------------------------------------------------
-// Incremental suffix re-solve
-// ---------------------------------------------------------------------------
-//
-// The sweep runs receiver -> driver, so a checkpoint taken after the last
-// k candidates answers any edit that only changes the net *upstream* of
-// those candidates (moved/added/removed candidate positions, a different
-// driver width, rerouted upstream segments): reload the checkpoint and
-// sweep only the remaining prefix. `suffix_key` fingerprints everything
-// the checkpointed labels depend on — the suffix candidates, downstream
-// geometry, receiver width, device, library, mode — and chain_dp_resume
-// refuses a prefix whose fingerprint does not match the new query, so a
-// stale checkpoint fails loudly instead of returning a wrong frontier.
-
-/// Mid-sweep checkpoint after processing the last `suffix_candidates`
-/// candidate positions (receiver side). Detached from any workspace.
-struct ChainPrefix {
-  std::size_t total_candidates = 0;   ///< candidate count when captured
-  std::size_t suffix_candidates = 0;  ///< trailing candidates baked in
-  double downstream_pos_um = 0;       ///< sweep position of the checkpoint
-  ChainFrontier frontier;             ///< pre-driver label set
-  std::vector<std::int32_t> a_parent;
-  std::vector<std::int32_t> a_pos;
-  std::vector<std::int16_t> a_buffer;
-  DpStats stats;                      ///< sweep stats accumulated so far
-  std::uint64_t suffix_key = 0;       ///< consistency fingerprint
-};
-
-/// Sweep only the last `suffix_candidates` positions and capture the
-/// checkpoint. `suffix_candidates` may be 0 (checkpoint = seed label) up
-/// to candidates_um.size() (everything but the driver leg baked in).
-ChainPrefix chain_dp_prefix(const net::Net& net,
-                            const tech::RepeaterDevice& device,
-                            const RepeaterLibrary& library,
-                            const std::vector<double>& candidates_um,
-                            const ChainDpOptions& options,
-                            std::size_t suffix_candidates, Workspace& ws);
-
-/// Resume from `prefix` against a (possibly edited) query whose trailing
-/// `prefix.suffix_candidates` candidates and downstream geometry are
-/// unchanged: sweeps only the remaining prefix candidates and finishes at
-/// the driver. Bit-identical to a full run_chain_dp on the same inputs.
-/// Throws rip::Error if the prefix's fingerprint does not match.
-ChainDpResult chain_dp_resume(const ChainPrefix& prefix, const net::Net& net,
-                              const tech::RepeaterDevice& device,
-                              const RepeaterLibrary& library,
-                              const std::vector<double>& candidates_um,
-                              const ChainDpOptions& options, Workspace& ws);
 
 }  // namespace rip::dp

@@ -63,6 +63,52 @@ inline double seed_q_fs(const tech::ChainCost& cost) {
   return cost.receiver_penalty_fs == 0.0 ? 0.0 : -cost.receiver_penalty_fs;
 }
 
+/// Feasibility of a target-relative slack, shared by final selection and
+/// the stage-3 slack bound so the bound never drops an acceptable label.
+inline bool meets_target(double q_rel_fs, double target_fs, double tol_fs) {
+  return q_rel_fs + target_fs >= -tol_fs;
+}
+
+/// The two exact branch-and-bound cuts of RIP's stage 3
+/// (dp::run_chain_dp_bounded): a label is admitted while it can still
+/// meet the target and its cost does not exceed the incumbent (stage 1's
+/// cost, which a kept stage-3 answer must not exceed). Both are exact:
+///  - all terms are nonnegative (wire R, C and K, load times driving
+///    resistance, intrinsic delay, cost coefficients): the Technology, Net
+///    and RepeaterLibrary constructors and checked_chain_cost reject
+///    negative or NaN inputs. Toward the driver q only falls, cost grows;
+///  - IEEE rounding is monotone, so a rejected label has no admitted
+///    descendant, and whatever dominates an admitted label is admitted;
+///  - ties are ordered by label content (expand_candidate), so the
+///    bounded sweep keeps exactly the unbounded sweep's admitted labels
+///    and selects the same answer whenever that answer is admitted.
+struct LabelBounds {
+  double target_fs;
+  double slack_tolerance_fs;
+  double max_cost;
+  bool admits(double q_rel_fs, double cost) const {
+    return meets_target(q_rel_fs, target_fs, slack_tolerance_fs) &&
+           cost <= max_cost;
+  }
+};
+
+/// Drop in place, in order, every label the bounds reject; return how many.
+inline std::size_t retain_admitted(ChainFrontier& front,
+                                   const LabelBounds& bounds) {
+  const std::size_t n = front.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!bounds.admits(front.q_fs[i], front.width_u[i])) continue;
+    front.cap_ff[kept] = front.cap_ff[i];
+    front.q_fs[kept] = front.q_fs[i];
+    front.width_u[kept] = front.width_u[i];
+    front.count[kept] = front.count[i];
+    front.node[kept++] = front.node[i];
+  }
+  front.truncate(kept);
+  return n - kept;
+}
+
 /// Affine coefficients of wire propagation across one candidate interval.
 /// Carrying a label upstream over the interval's pieces applies, piece by
 /// piece, q -= r*(C + c/2); C += c. Composed over the whole interval that
@@ -125,10 +171,16 @@ inline void propagate_frontier(ChainFrontier& front, const WireAffine& wire) {
 /// the strictly-falling-width prefix sweep. In delay mode (no width
 /// dimension) the staircase collapses to the single max-q label, found
 /// by a linear scan — no sort at all.
+///
+/// The group sort is a total order (ties in (q, w) fall back to the
+/// frontier index), so which of two equal labels survives never depends
+/// on the rest of the group; as one boolean expression it sorts faster
+/// than an if-chain. `bounds` (power mode; nullptr = none) cut pre-sort.
 inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
                              const std::vector<std::int16_t>& allowed,
                              const std::vector<double>& cost_u,
-                             double intrinsic_fs, bool use_width) {
+                             double intrinsic_fs, bool use_width,
+                             const LabelBounds* bounds = nullptr) {
   const std::size_t fn = front.size();
   ws.expanded.clear();
   // Lower-bound reserve only: the retained workspace capacity converges
@@ -165,14 +217,18 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
     ws.group.clear();
     ws.group.reserve(fn);
     for (std::size_t i = 0; i < fn; ++i) {
+      const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
+      const double up_w = w[i] + wb;
+      if (bounds != nullptr && !bounds->admits(up_q, up_w)) continue;
       ws.group.push_back(
-          GroupEntry{q[i] - (intrinsic_fs + rs_over_w * cap[i]), w[i] + wb,
-                     static_cast<std::int32_t>(i)});
+          GroupEntry{up_q, up_w, static_cast<std::int32_t>(i)});
     }
     std::sort(ws.group.begin(), ws.group.end(),
               [](const GroupEntry& a, const GroupEntry& c) {
-                if (a.q_fs != c.q_fs) return a.q_fs > c.q_fs;
-                return a.width_u < c.width_u;
+                return a.q_fs > c.q_fs ||
+                       (a.q_fs == c.q_fs &&
+                        (a.width_u < c.width_u ||
+                         (a.width_u == c.width_u && a.origin < c.origin)));
               });
     // Sweeping q descending, a label survives the group staircase iff
     // its width strictly undercuts everything seen.

@@ -62,6 +62,14 @@ struct ChainFrontier {
     count.reserve(n);
     node.reserve(n);
   }
+  /// Keep the first n labels (n <= size(); capacity is kept).
+  void truncate(std::size_t n) {
+    cap_ff.resize(n);
+    q_fs.resize(n);
+    width_u.resize(n);
+    count.resize(n);
+    node.resize(n);
+  }
   void push(double cap, double q, double width, std::int16_t cnt,
             std::int32_t nd) {
     cap_ff.push_back(cap);

@@ -69,7 +69,7 @@ int CliArgs::get_int_or(const std::string& name, int fallback) const {
 
 std::string CliArgs::require(const std::string& name) const {
   const auto v = get(name);
-  RIP_REQUIRE(v.has_value(), "missing required option --" + name);
+  if (!v) throw Error("missing required option --" + name);
   return *v;
 }
 
@@ -87,7 +87,7 @@ std::vector<std::string> CliArgs::unused() const {
 
 int parallel_jobs(const CliArgs& args, int fallback) {
   const int jobs = args.get_int_or("jobs", fallback);
-  RIP_REQUIRE(jobs >= 0, "--jobs must be >= 0 (0 = all hardware threads)");
+  if (jobs < 0) throw Error("--jobs must be >= 0 (0 = all hardware threads)");
   return resolve_jobs(jobs);
 }
 

@@ -58,30 +58,30 @@ bool starts_with(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+// Trailing characters ("5x") are malformed input like any other, so they
+// get the same plain message as a value stod/stoi cannot start on.
 double parse_double(const std::string& s, const std::string& context) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(s, &pos);
-    RIP_REQUIRE(pos == s.size(), "trailing characters in number: " + context);
-    return v;
+    if (pos == s.size()) return v;
   } catch (const std::invalid_argument&) {
-    throw Error("expected a number, got '" + s + "' (" + context + ")");
   } catch (const std::out_of_range&) {
     throw Error("number out of range: '" + s + "' (" + context + ")");
   }
+  throw Error("expected a number, got '" + s + "' (" + context + ")");
 }
 
 int parse_int(const std::string& s, const std::string& context) {
   try {
     std::size_t pos = 0;
     const int v = std::stoi(s, &pos);
-    RIP_REQUIRE(pos == s.size(), "trailing characters in integer: " + context);
-    return v;
+    if (pos == s.size()) return v;
   } catch (const std::invalid_argument&) {
-    throw Error("expected an integer, got '" + s + "' (" + context + ")");
   } catch (const std::out_of_range&) {
     throw Error("integer out of range: '" + s + "' (" + context + ")");
   }
+  throw Error("expected an integer, got '" + s + "' (" + context + ")");
 }
 
 }  // namespace rip

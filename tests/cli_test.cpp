@@ -8,6 +8,7 @@
 #include "net/solution_io.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace rip {
 namespace {
@@ -81,6 +82,32 @@ TEST(CliArgs, ErrorsOnMalformedInput) {
   const auto args = parse({"solve", "--points", "abc"});
   EXPECT_THROW(args.get_int_or("points", 1), Error);
   EXPECT_THROW(args.require("net"), Error);
+}
+
+// Malformed numbers, a missing required option and a negative --jobs
+// are user errors: each throws exactly this plain message, never a
+// "precondition failed ... file:line" report.
+TEST(CliArgs, UsageErrorsArePlainMessages) {
+  const auto expect_message = [](const auto& call, const std::string& want) {
+    try {
+      call();
+      FAIL() << "expected rip::Error: " << want;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  };
+  const auto args =
+      parse({"gen", "--nets", "5x", "--target-x", "1.5x", "--jobs", "-1"});
+  expect_message([&] { args.get_int_or("nets", 1); },
+                 "expected an integer, got '5x' (--nets)");
+  expect_message([&] { args.get_double_or("target-x", 1.0); },
+                 "expected a number, got '1.5x' (--target-x)");
+  expect_message([&] { args.require("net"); },
+                 "missing required option --net");
+  expect_message([&] { parallel_jobs(args); },
+                 "--jobs must be >= 0 (0 = all hardware threads)");
+  expect_message([] { parse_int("12 ", "count"); },
+                 "expected an integer, got '12 ' (count)");
 }
 
 TEST(CliArgs, TracksUnusedOptions) {

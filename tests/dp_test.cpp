@@ -2,12 +2,15 @@
 // DP engine (feasibility, correctness of the incremental Elmore
 // bookkeeping, zone handling, tau_min).
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "dp/brute_force.hpp"
 #include "dp/chain_dp.hpp"
+#include "dp/kernel_ops.hpp"
 #include "dp/library.hpp"
 #include "dp/min_delay.hpp"
 #include "dp/pareto.hpp"
@@ -402,6 +405,84 @@ TEST(ChainDp, EmptyMaskEverywhereMeansUnbuffered) {
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_TRUE(r.solution.empty());
 }
+// The kernel's group sort is a total order: when two frontier labels
+// expand to the same (q, w) under one buffer, the lower frontier index
+// survives, however many unrelated labels share the group (an unstable
+// sort of a large group would otherwise pick either).
+TEST(ChainDp, EqualExpansionsKeepTheLowerOrigin) {
+  Workspace ws;
+  ws.lib_load_ff = {3.0};
+  ws.lib_rs_over_w = {1.0};
+  const std::vector<double> cost{4.0};
+  const std::vector<std::int16_t> allowed{0};
+  std::mt19937 rng(17);
+  for (int unrelated = 0; unrelated <= 300; unrelated += 10) {
+    // Unrelated labels expand either faster and wider, or slower and
+    // narrower, than the tied pair (q 90, w 9): none dominates the pair
+    // or ties it.
+    struct Entry {
+      double cap, q, w;
+      bool tied;
+    };
+    std::vector<Entry> entries;
+    for (int k = 0; k < unrelated; ++k) {
+      const double d = 1.0 + k;
+      entries.push_back(k % 2 == 0 ? Entry{d, 100.0 + 2 * d, 5.0 + d, false}
+                                   : Entry{d, 90.0, 5.0 - d / 1e3, false});
+    }
+    std::shuffle(entries.begin(), entries.end(), rng);
+    // Two labels that expand to exactly (90, 9): q - 1.0 * cap, w + 4.
+    const auto first = static_cast<std::size_t>(
+        std::uniform_int_distribution<int>(0, unrelated)(rng));
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(first),
+                   Entry{10.0, 100.0, 5.0, true});
+    const auto second = static_cast<std::size_t>(
+        std::uniform_int_distribution<int>(static_cast<int>(first) + 1,
+                                           unrelated + 1)(rng));
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(second),
+                   Entry{20.0, 110.0, 5.0, true});
+    ChainFrontier front;
+    for (const Entry& e : entries) front.push(e.cap, e.q, e.w, 0, -1);
+
+    kernel::expand_candidate(ws, front, allowed, cost, 0.0, true);
+    int tied = 0;
+    for (const ExpandLabel& g : ws.expanded) {
+      if (g.q_fs == 90.0 && g.width_u == 9.0) {
+        ++tied;
+        EXPECT_EQ(g.origin, static_cast<std::int32_t>(first))
+            << unrelated << " unrelated labels";
+      }
+    }
+    EXPECT_EQ(tied, 1) << unrelated << " unrelated labels";
+  }
+}
+
+// Incumbent 0 on a net that needs repeaters: every repeater label costs
+// more and the unbuffered label misses the target, so the bounds empty
+// the frontier. That is an infeasible answer, not a lost-labels assert.
+TEST(ChainDp, BoundedSolveThatDropsEveryLabelIsInfeasible) {
+  const auto device = test::simple_device();
+  const auto n = net::NetBuilder("needs_repeaters")
+                     .driver(10)
+                     .receiver(5)
+                     .segment(8000, 0.1, 0.2)
+                     .build();
+  const auto lib = RepeaterLibrary::uniform(5.0, 5.0, 8);
+  const auto cands = net::uniform_candidates(n, 250.0);
+  const auto opts = power_options(0.45 * rc::elmore_delay_fs(n, {}, device));
+  const auto unbounded = run_chain_dp(n, device, lib, cands, opts);
+  ASSERT_EQ(unbounded.status, Status::kOptimal);
+  ASSERT_FALSE(unbounded.solution.empty());
+
+  Workspace ws;
+  const auto r = run_chain_dp_bounded(n, device, lib, cands, opts, 0.0, ws);
+  EXPECT_EQ(r.status, Status::kInfeasible);
+  EXPECT_TRUE(r.solution.empty());
+  EXPECT_TRUE(r.min_delay_solution.empty());
+  // Every label created was dropped: the frontier ended empty.
+  EXPECT_EQ(r.stats.labels_pruned, r.stats.labels_created);
+}
+
 // ------------------------------------------------------------- min delay
 
 TEST(MinDelay, BufferedBeatsUnbufferedOnLongNets) {

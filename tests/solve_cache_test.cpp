@@ -1,9 +1,8 @@
 // Tests for the sharded Pareto-frontier solve cache (eval/solve_cache)
 // and the target-relative DP substrate under it (dp/chain_dp frontier
-// solves and the incremental suffix resume): LRU/eviction mechanics,
-// the bit-identity property of cached answers versus cold solves under
-// every (target, job count, eviction pressure) combination, checkpoint
-// resume against upstream edits, and the counters EvalService exposes.
+// solves): LRU/eviction mechanics, the bit-identity property of cached
+// answers versus cold solves under every (target, job count, eviction
+// pressure) combination, and the counters EvalService exposes.
 
 #include <gtest/gtest.h>
 
@@ -425,112 +424,6 @@ TEST(ServiceStats, CountersAreVisibleThroughEvalService) {
   EXPECT_EQ(s.cases_evaluated, 0u);
   EXPECT_FALSE(s.cache_attached);
   EXPECT_EQ(s.cache.lookups(), 0u);
-}
-
-TEST(ChainResume, ResumeAfterUpstreamEditMatchesTheFullSolve) {
-  const tech::Technology tech = tech::make_tech180();
-  const net::Net n = test::single_segment_net();
-  const dp::RepeaterLibrary library =
-      dp::RepeaterLibrary::uniform(10.0, 40.0, 5);
-
-  // Original candidate grid, checkpointed after the receiver-side 4.
-  const std::vector<double> candidates = {100, 200, 300, 400, 500,
-                                          600, 700, 800, 900};
-  dp::ChainDpOptions options;
-  options.mode = dp::Mode::kMinPower;
-  options.timing_target_fs = 1e9;  // selection knob; prefix ignores it
-
-  dp::Workspace ws;
-  const auto prefix = dp::chain_dp_prefix(n, tech.device(), library,
-                                          candidates, options, 4, ws);
-  EXPECT_EQ(prefix.total_candidates, candidates.size());
-  EXPECT_EQ(prefix.suffix_candidates, 4u);
-
-  // Upstream edit: a different (and longer) prefix grid; the trailing 4
-  // candidates and all geometry downstream of 600 um are unchanged.
-  const std::vector<double> edited = {50,  150, 250, 350, 450, 550,
-                                      600, 700, 800, 900};
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
-  for (const double f : {1.1, 1.5, 2.0}) {
-    dp::ChainDpOptions o = options;
-    o.timing_target_fs = f * md.tau_min_fs;
-    dp::Workspace resume_ws;
-    const auto resumed = dp::chain_dp_resume(prefix, n, tech.device(),
-                                             library, edited, o, resume_ws);
-    dp::Workspace full_ws;
-    const auto full =
-        dp::run_chain_dp(n, tech.device(), library, edited, o, full_ws);
-    SCOPED_TRACE("target factor " + std::to_string(f));
-    expect_same_result(resumed, full);
-  }
-}
-
-TEST(ChainResume, SuffixZeroCheckpointAnswersADifferentNet) {
-  // A suffix-0 checkpoint bakes in nothing but the seed label, so it
-  // may resume against any net with the same receiver width, device,
-  // library, and mode.
-  const tech::Technology tech = tech::make_tech180();
-  const net::Net a = test::single_segment_net();
-  const net::Net b = test::two_segment_net_with_zone();
-  const dp::RepeaterLibrary library =
-      dp::RepeaterLibrary::uniform(10.0, 40.0, 5);
-  const auto a_candidates = net::uniform_candidates(a, 200.0);
-  const auto b_candidates = net::uniform_candidates(b, 200.0);
-
-  dp::ChainDpOptions options;
-  options.mode = dp::Mode::kMinPower;
-  options.timing_target_fs =
-      2.0 * dp::min_delay(b, tech.device(), {10.0, 400.0, 10.0, 200.0})
-                .tau_min_fs;
-
-  dp::Workspace ws;
-  const auto prefix = dp::chain_dp_prefix(a, tech.device(), library,
-                                          a_candidates, options, 0, ws);
-  const auto resumed = dp::chain_dp_resume(prefix, b, tech.device(), library,
-                                           b_candidates, options, ws);
-  const auto full =
-      dp::run_chain_dp(b, tech.device(), library, b_candidates, options, ws);
-  expect_same_result(resumed, full);
-}
-
-TEST(ChainResume, StaleOrMismatchedPrefixIsRejected) {
-  const tech::Technology tech = tech::make_tech180();
-  const net::Net n = test::single_segment_net();
-  const dp::RepeaterLibrary library =
-      dp::RepeaterLibrary::uniform(10.0, 40.0, 5);
-  const std::vector<double> candidates = {100, 200, 300, 400, 500,
-                                          600, 700, 800, 900};
-  dp::ChainDpOptions options;
-  options.mode = dp::Mode::kMinPower;
-  options.timing_target_fs = 1e9;
-
-  dp::Workspace ws;
-  const auto prefix = dp::chain_dp_prefix(n, tech.device(), library,
-                                          candidates, options, 4, ws);
-
-  // A moved suffix candidate changes the fingerprint.
-  std::vector<double> moved = candidates;
-  moved[7] = 810;
-  EXPECT_THROW(dp::chain_dp_resume(prefix, n, tech.device(), library, moved,
-                                   options, ws),
-               Error);
-  // A different library does too.
-  const dp::RepeaterLibrary other =
-      dp::RepeaterLibrary::uniform(10.0, 40.0, 6);
-  EXPECT_THROW(dp::chain_dp_resume(prefix, n, tech.device(), other,
-                                   candidates, options, ws),
-               Error);
-  // A different mode does too.
-  dp::ChainDpOptions delay_mode = options;
-  delay_mode.mode = dp::Mode::kMinDelay;
-  EXPECT_THROW(dp::chain_dp_resume(prefix, n, tech.device(), library,
-                                   candidates, delay_mode, ws),
-               Error);
-  // Fewer candidates than the checkpoint's suffix cannot resume.
-  const std::vector<double> short_list = {600, 700, 800};
-  EXPECT_THROW(dp::chain_dp_resume(prefix, n, tech.device(), library,
-                                   short_list, options, ws),
-               Error);
 }
 
 }  // namespace
