@@ -16,7 +16,7 @@
 // Per configuration the bench reports mean us/solve, labels/second,
 // prune ratio, arena peaks, and (at --jobs 1) the per-solve heap
 // allocation count after warm-up, measured by the counting operator new
-// in bench_env.hpp. Steady-state solves on a reused workspace must
+// below. Steady-state solves on a reused workspace must
 // allocate nothing: the bench exits non-zero if any warmed-up kernel
 // solve allocates (this is the regression gate for the zero-allocation
 // SoA kernels, chain and tree alike). A second parity pass reruns the
@@ -31,8 +31,12 @@
 // solves only shard I of each configuration's round-robin case split.
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -50,6 +54,142 @@
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
+
+// ---------------------------------------------------- allocation counting
+//
+// This bench replaces the global operator new/delete with a counting
+// malloc shim, so the zero-steady-state-allocation gate is *measured*,
+// not eyeballed. The hook lives here, in the one binary that reads it —
+// the library and the other benches run on the normal allocator.
+// Replacement allocation functions must be defined once per program
+// and must not be inline.
+
+namespace rip::bench {
+namespace alloc_detail {
+// Process-wide totals. Relaxed fetch_add keeps every increment exact
+// (atomic RMW can never tear or drop a count — relaxed only frees the
+// *ordering* against other memory, which nothing here relies on) at a
+// fraction of the seq_cst cost on the malloc hot path.
+std::atomic<std::uint64_t> count{0};
+std::atomic<std::uint64_t> bytes{0};
+// Per-thread counters, bumped alongside the globals. These are what
+// make per-solve sampling exact under --jobs > 1: a global sample taken
+// around one worker's solve would also count every allocation its
+// neighbours performed in that window, but a thread can read its own
+// counter free of any cross-thread traffic.
+thread_local std::uint64_t thread_count = 0;
+thread_local std::uint64_t thread_bytes = 0;
+
+void* counted_alloc(std::size_t size) noexcept {
+  count.fetch_add(1, std::memory_order_relaxed);
+  bytes.fetch_add(size, std::memory_order_relaxed);
+  ++thread_count;
+  thread_bytes += size;
+  return std::malloc(size != 0 ? size : 1);
+}
+
+void* counted_aligned_alloc(std::size_t size,
+                                   std::size_t align) noexcept {
+  count.fetch_add(1, std::memory_order_relaxed);
+  bytes.fetch_add(size, std::memory_order_relaxed);
+  ++thread_count;
+  thread_bytes += size;
+  // aligned_alloc requires the size to be a multiple of the alignment.
+  const std::size_t rounded = (size + align - 1) / align * align;
+  return std::aligned_alloc(align, rounded != 0 ? rounded : align);
+}
+}  // namespace alloc_detail
+
+/// Heap allocations (any thread) since process start.
+std::uint64_t alloc_count() {
+  return alloc_detail::count.load(std::memory_order_relaxed);
+}
+
+/// Bytes requested from the heap since process start.
+std::uint64_t alloc_bytes() {
+  return alloc_detail::bytes.load(std::memory_order_relaxed);
+}
+
+/// Heap allocations performed by the *calling thread* since it started.
+std::uint64_t thread_alloc_count() {
+  return alloc_detail::thread_count;
+}
+
+/// Scoped sample: allocations between construction and delta().
+/// Process-wide — only meaningful when nothing else is allocating
+/// concurrently (jobs=1). Use ThreadAllocSample inside parallel workers.
+class AllocSample {
+ public:
+  AllocSample() : start_(alloc_count()) {}
+  std::uint64_t delta() const { return alloc_count() - start_; }
+
+ private:
+  std::uint64_t start_;
+};
+
+/// Scoped sample of the calling thread's own allocations. Exact at any
+/// job count: construct and read delta() on the same thread that runs
+/// the measured code.
+class ThreadAllocSample {
+ public:
+  ThreadAllocSample() : start_(thread_alloc_count()) {}
+  std::uint64_t delta() const { return thread_alloc_count() - start_; }
+
+ private:
+  std::uint64_t start_;
+};
+
+}  // namespace rip::bench
+
+void* operator new(std::size_t size) {
+  if (void* p = rip::bench::alloc_detail::counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return rip::bench::alloc_detail::counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return rip::bench::alloc_detail::counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = rip::bench::alloc_detail::counted_aligned_alloc(
+          size, static_cast<std::size_t>(align)))
+    return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return rip::bench::alloc_detail::counted_aligned_alloc(
+      size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return rip::bench::alloc_detail::counted_aligned_alloc(
+      size, static_cast<std::size_t>(align));
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

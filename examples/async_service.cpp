@@ -1,16 +1,16 @@
-// async_service — tour of the asynchronous batch-evaluation service
-// (eval/service.hpp): submit cases, get futures, watch progress
-// counters, get a completion callback, and cancel queued work. This is the submit/await shape an iterative
-// optimization driver or a network front-end builds on, instead of
-// blocking in eval::run_cases for a whole batch.
+// async_service — tour of the asynchronous evaluation service
+// (eval/service.hpp): submit evaluation thunks, get futures, feel the
+// bounded queue's backpressure, and cancel queued work. This is the
+// submit/await shape an iterative optimization driver or a network
+// front-end builds on, instead of blocking in eval::run_cases for a
+// whole batch.
 
-#include <atomic>
-#include <chrono>
+#include <future>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "core/baseline.hpp"
+#include "eval/parallel.hpp"
 #include "eval/service.hpp"
 #include "eval/workload.hpp"
 #include "tech/technology.hpp"
@@ -36,55 +36,59 @@ int main() {
   // One service, all hardware threads, a bounded pending queue.
   eval::ServiceOptions options;
   options.jobs = 0;
-  options.max_pending = 64;
+  options.max_pending = 4;
   eval::EvalService service(tech, options);
 
+  // A Case becomes a thunk that calls evaluate_case — the per-case body
+  // eval::run_cases uses, so the service returns the same bits. Case i
+  // keys the solve.* fault points, like run_cases does.
+  const auto submit = [&](std::size_t i) {
+    return service.submit_fn([&tech, c = cases[i], i] {
+      return eval::evaluate_case(tech, c, eval::SolveContext{}, i);
+    });
+  };
+
   // --- one case, one future -------------------------------------------
-  std::future<eval::CaseResult> one = service.submit(cases.front());
-  const eval::CaseResult first = one.get();
+  const eval::CaseResult first = submit(0).get();
   std::cout << "single case: target "
             << fmt_f(units::fs_to_ns(first.tau_t_fs), 3) << " ns -> RIP "
             << fmt_f(first.rip_width_u, 0) << " u vs DP "
             << fmt_f(first.dp_width_u, 0) << " u ("
             << fmt_f(first.improvement_pct, 2) << "% better)\n";
 
-  // --- a batch with a completion callback and progress counters -------
-  std::atomic<bool> batch_done{false};
-  eval::BatchHandle batch =
-      service.submit_batch(cases, [&] { batch_done = true; });
-  while (batch.settled() < batch.size()) {
-    std::cout << "progress: " << batch.settled() << "/" << batch.size()
-              << " settled\n";
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  batch.wait_all();  // also waits for the callback
-  std::cout << "batch of " << batch.size() << ": " << batch.completed()
-            << " completed, callback fired: " << std::boolalpha
-            << batch_done.load() << "\n";
+  // --- every case, with backpressure ----------------------------------
+  // submit_fn blocks while max_pending thunks are queued, so this loop
+  // never holds more than 4 unstarted cases, however many it submits.
+  std::vector<std::future<eval::CaseResult>> futures;
+  for (std::size_t i = 0; i < cases.size(); ++i) futures.push_back(submit(i));
   double mean_impr = 0;
-  for (const eval::CaseResult& r : batch.results()) {
-    mean_impr += r.improvement_pct;
-  }
-  std::cout << "mean improvement: "
-            << fmt_f(mean_impr / static_cast<double>(batch.size()), 2)
+  for (auto& future : futures) mean_impr += future.get().improvement_pct;
+  std::cout << cases.size() << " cases through a queue of "
+            << options.max_pending << ": mean improvement "
+            << fmt_f(mean_impr / static_cast<double>(cases.size()), 2)
             << "%\n";
 
   // --- cooperative cancellation --------------------------------------
-  // Cancel a batch right after submitting it: cases no worker has
-  // picked up yet settle as cancelled (their futures throw
-  // CancelledError); cases already running finish normally.
-  eval::BatchHandle doomed = service.submit_batch(cases);
-  const std::size_t cancelled = doomed.cancel();
-  doomed.wait_all();
-  std::cout << "cancelled " << cancelled << " of " << doomed.size()
-            << " cases; " << doomed.completed()
+  // Cancel right after submitting: thunks no worker has picked up yet
+  // settle as cancelled (their futures throw CancelledError); thunks
+  // already running finish normally.
+  futures.clear();
+  for (std::size_t i = 0; i < options.max_pending; ++i) {
+    futures.push_back(submit(i));
+  }
+  const std::size_t cancelled = service.cancel_pending();
+  std::cout << "cancelled " << cancelled << " of " << futures.size()
+            << " cases; " << futures.size() - cancelled
             << " had already started and ran\n";
-  try {
-    doomed.results();
-  } catch (const eval::CancelledError&) {
-    std::cout << "a cancelled case's future throws CancelledError\n";
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (const eval::CancelledError&) {
+      std::cout << "a cancelled case's future throws CancelledError\n";
+      break;
+    }
   }
 
-  // The destructor drains: every accepted case settles before exit.
+  // The destructor drains: every accepted thunk settles before exit.
   return 0;
 }

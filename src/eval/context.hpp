@@ -2,11 +2,12 @@
 
 /// @file context.hpp
 /// eval::SolveContext — the one bundle of ambient solve state threaded
-/// through the evaluation layer. run_case, run_cases (BatchOptions),
-/// EvalService (ServiceOptions) and rip_cli all accept the same struct,
-/// so adding a new piece of ambient state (as the objective backend was)
-/// means one new field here instead of another trailing default on
-/// every signature in the stack.
+/// through the evaluation layer. run_case, evaluate_case, run_cases
+/// (BatchOptions), run_stream (StreamOptions) and rip_cli all accept the
+/// same struct, so adding a new piece of ambient state (as the objective
+/// backend was) means one new field here instead of another trailing
+/// default on every signature in the stack. EvalService carries none: a
+/// thunk submitted to it evaluates under whatever context it captured.
 ///
 /// Every field is nullable and nullptr means "the default":
 ///   workspace == nullptr  -> the calling thread's dp::Workspace::local()
@@ -14,9 +15,10 @@
 ///   backend   == nullptr  -> the paper's minimum-total-width objective,
 ///                            bit-identical to before backends existed
 ///
-/// The batch engines (run_cases, EvalService) evaluate on several
+/// The batch engines (run_cases, run_stream) evaluate on several
 /// worker threads, each on its own thread-local workspace — they
-/// reject a non-null `workspace`, which would be a data race. Pass a workspace only to the single-threaded run_case.
+/// reject a non-null `workspace`, which would be a data race. Pass a
+/// workspace only to the single-threaded run_case.
 
 #include <cstdint>
 

@@ -28,6 +28,7 @@ std::vector<std::size_t> shard_case_indices(std::size_t case_count,
 
 CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
                          SolveContext context, std::uint64_t fault_key) {
+  RIP_REQUIRE(c.net != nullptr, "case without a net");
   // context.workspace stays nullptr, so run_case solves on this
   // thread's own workspace; the deadline lives on this stack frame.
   if (context.fault_key == kFaultAutoKey) context.fault_key = fault_key;
@@ -56,47 +57,6 @@ std::vector<CaseResult> run_cases(const tech::Technology& tech,
     results[j] = evaluate_case(tech, cases[mine[j]], options.context, j);
   });
   return results;
-}
-
-std::vector<CaseResult> merge_shards(std::span<const CaseShard> shards) {
-  RIP_REQUIRE(!shards.empty(), "merge_shards needs at least one shard");
-  const int shard_count = shards.front().shard_count;
-  RIP_REQUIRE(shard_count >= 1, "merge_shards shard_count must be >= 1");
-  RIP_REQUIRE(static_cast<std::size_t>(shard_count) == shards.size(),
-              "merge_shards got " + std::to_string(shards.size()) +
-                  " shards of a shard_count=" + std::to_string(shard_count) +
-                  " split");
-  std::vector<bool> seen(static_cast<std::size_t>(shard_count), false);
-  std::size_t total = 0;
-  for (const CaseShard& shard : shards) {
-    RIP_REQUIRE(shard.shard_count == shard_count,
-                "merge_shards shards disagree on shard_count (" +
-                    std::to_string(shard.shard_count) + " vs " +
-                    std::to_string(shard_count) + ")");
-    RIP_REQUIRE(shard.shard_index >= 0 && shard.shard_index < shard_count,
-                "merge_shards shard_index " +
-                    std::to_string(shard.shard_index) +
-                    " out of range [0, " + std::to_string(shard_count) + ")");
-    const auto idx = static_cast<std::size_t>(shard.shard_index);
-    RIP_REQUIRE(!seen[idx], "merge_shards got shard " +
-                                std::to_string(shard.shard_index) + " twice");
-    seen[idx] = true;
-    total += shard.results.size();
-  }
-  // All indices present follows from: count shards, unique, in range.
-  std::vector<CaseResult> merged(total);
-  for (const CaseShard& shard : shards) {
-    const auto indices =
-        shard_case_indices(total, shard.shard_index, shard_count);
-    RIP_REQUIRE(shard.results.size() == indices.size(),
-                "shard " + std::to_string(shard.shard_index) +
-                    " result count does not match the round-robin "
-                    "assignment");
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      merged[indices[j]] = shard.results[j];
-    }
-  }
-  return merged;
 }
 
 }  // namespace rip::eval

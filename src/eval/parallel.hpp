@@ -11,17 +11,20 @@
 /// On top of the in-process fan-out (`jobs`), a batch can be split
 /// across processes or machines: `shard_index`/`shard_count` select a
 /// deterministic round-robin subset of the cases (case i belongs to
-/// shard i % shard_count), each shard runs independently, and
-/// merge_shards() reassembles the full result vector bit-identical to
-/// an unsharded run. rip_cli (`sweep`/`compare` `--shard I/N`) and the
-/// bench binaries sit on top of this via `--jobs`/`--shard`;
-/// eval::run_table1/run_table2/run_fig7 apply the same assignment to
-/// groups of cases (eval/sharded_sweep.hpp).
+/// shard i % shard_count) and each shard runs independently. Scattering
+/// each shard's results back through shard_case_indices() rebuilds the
+/// unsharded result vector bit for bit. rip_cli (`sweep`/`compare`
+/// `--shard I/N`, reassembled by `rip_cli merge` on the CSV `idx`
+/// column) and the bench binaries sit on top of this via
+/// `--jobs`/`--shard`; eval::run_table1/run_table2/run_fig7 apply the
+/// same assignment to groups of cases and reassemble them with
+/// reassemble_sweep_shards (eval/sharded_sweep.hpp).
 ///
 /// run_cases is one parallel_for_indexed over the shard's cases — the
-/// path the table runners take too. The asynchronous front-end,
-/// eval::EvalService (eval/service.hpp), evaluates each Case with the
-/// same evaluate_case, so both produce the same bits.
+/// path the table runners take too. A Case submitted to the
+/// asynchronous eval::EvalService (eval/service.hpp) is a submit_fn
+/// thunk that calls the same evaluate_case, so both produce the same
+/// bits.
 ///
 /// Memory model: every case's DP solves run on the evaluating thread's
 /// own dp::Workspace::local(), so a long sweep performs zero
@@ -92,8 +95,9 @@ std::vector<std::size_t> shard_case_indices(std::size_t case_count,
 /// Evaluate one Case with eval::run_case on the calling thread's
 /// dp::Workspace::local(), under the case's own deadline (a fresh
 /// budget per call, so a retry starts over) and with `fault_key` as its
-/// solve.* fault-point key unless `context` already pins one. The one
-/// per-case body of run_cases and EvalService::submit/submit_batch.
+/// solve.* fault-point key unless `context` already pins one; a case
+/// without a net throws rip::Error. The one per-case body of run_cases
+/// and of every EvalService thunk that evaluates a Case.
 CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
                          SolveContext context, std::uint64_t fault_key);
 
@@ -109,21 +113,5 @@ CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
 std::vector<CaseResult> run_cases(const tech::Technology& tech,
                                   std::span<const Case> cases,
                                   const BatchOptions& options = {});
-
-/// A shard's results together with the split metadata it was produced
-/// under — what a sharded driver ships between processes so the merge
-/// can *verify* the reassembly instead of trusting argument order.
-struct CaseShard {
-  int shard_index = 0;
-  int shard_count = 1;
-  std::vector<CaseResult> results;
-};
-
-/// Reassemble per-shard run_cases outputs into the full batch result,
-/// bit-identical to an unsharded run. Shards may arrive in any order.
-/// Throws rip::Error if any shard disagrees on shard_count, an index is
-/// duplicated, out of range, or missing, or a shard's result count does
-/// not match its round-robin slice.
-std::vector<CaseResult> merge_shards(std::span<const CaseShard> shards);
 
 }  // namespace rip::eval

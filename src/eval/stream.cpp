@@ -380,7 +380,6 @@ StreamResult run_stream(const tech::Technology& tech,
   service_options.jobs = options.jobs;
   service_options.max_pending = options.max_pending;
   service_options.retry = options.retry;
-  service_options.context = options.context;
   EvalService service(tech, service_options);
 
   // The reorder window: big enough to keep the service fed past the

@@ -15,8 +15,9 @@
 /// StreamOptions::max_pending) throttles submission, and the reorder
 /// window (sized from max_pending) bounds retained results. A
 /// million-net file therefore streams at the same peak RSS as a
-/// ten-thousand-net file (bench/bench_stream.cpp measures exactly
-/// that ratio and fails if it drifts).
+/// ten-thousand-net file (the bench_stream.peak_rss_is_flat ctest runs
+/// bench/bench_stream.cpp, which measures that ratio from 10^4 to 10^5
+/// records and fails if it drifts).
 ///
 /// Checkpoint/resume protocol: every `checkpoint_every` processed
 /// records the driver flushes the output (and the quarantine sidecar)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -18,7 +20,9 @@
 #include "eval/parallel.hpp"
 #include "eval/service.hpp"
 #include "eval/solve_cache.hpp"
+#include "eval/stream.hpp"
 #include "eval/workload.hpp"
+#include "net/netlist_io.hpp"
 #include "tech/objective.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -211,12 +215,21 @@ TEST(BackendEquivalence, RunCasesBackendCachedAsyncAllBitIdentical) {
     }
   }
 
-  // Async service with the backend in its context: same bits again.
+  // Async service with the backend in its thunks' context: same bits
+  // again.
   ServiceOptions service_options;
   service_options.jobs = 8;
-  service_options.context.backend = &backend;
+  SolveContext service_context;
+  service_context.backend = &backend;
   EvalService service(tech, service_options);
-  const auto async = service.submit_batch(cases).results();
+  std::vector<std::future<CaseResult>> futures;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    futures.push_back(service.submit_fn([&, i] {
+      return evaluate_case(tech, cases[i], service_context, i);
+    }));
+  }
+  std::vector<CaseResult> async;
+  for (auto& future : futures) async.push_back(future.get());
   ASSERT_EQ(async.size(), reference.size());
   for (std::size_t i = 0; i < async.size(); ++i) {
     SCOPED_TRACE("async case " + std::to_string(i));
@@ -236,14 +249,19 @@ TEST(SolveContextPlumbing, ContextCacheReachesBothBatchEngines) {
   const auto via_batch = run_cases(tech, cases, options);
   EXPECT_GT(batch_cache.stats().hits, 0u);
 
-  // ServiceOptions::context.cache likewise, visible through stats().
+  // A service thunk's context.cache likewise.
   SolveCache service_cache({64, 4});
-  ServiceOptions service_options;
-  service_options.context.cache = &service_cache;
-  EvalService service(tech, service_options);
-  EXPECT_TRUE(service.stats().cache_attached);
-  service.submit_batch(cases).wait_all();
-  EXPECT_GT(service.stats().cache.hits, 0u);
+  SolveContext service_context;
+  service_context.cache = &service_cache;
+  {
+    EvalService service(tech);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      service.submit_fn([&, i] {
+        return evaluate_case(tech, cases[i], service_context, i);
+      });
+    }
+  }  // the destructor drains every thunk
+  EXPECT_GT(service_cache.stats().hits, 0u);
 
   // Cached answers match the context-overload run_case exactly.
   SolveContext context;
@@ -263,9 +281,20 @@ TEST(SolveContextPlumbing, BatchEnginesRejectAnExplicitWorkspace) {
   options.context.workspace = &ws;
   EXPECT_THROW(run_cases(tech, cases, options), Error);
 
-  ServiceOptions service_options;
-  service_options.context.workspace = &ws;
-  EXPECT_THROW(EvalService(tech, service_options), Error);
+  // run_stream evaluates on service threads: it rejects one too, given
+  // an input it could otherwise stream.
+  const std::string input =
+      ::testing::TempDir() + "backend_equivalence_test_plumbing.rnl";
+  {
+    net::NetlistWriter writer(input, net::NetlistFormat::kText);
+    writer.add(*cases[0].net, cases[0].tau_t_fs);
+    writer.close();
+  }
+  StreamOptions stream_options;
+  stream_options.context.workspace = &ws;
+  EXPECT_THROW(run_stream(tech, input, input + ".csv", stream_options),
+               Error);
+  std::remove(input.c_str());
 
   // run_case itself accepts one — that is the single-threaded contract.
   SolveContext context;

@@ -212,8 +212,13 @@ TEST(ServiceStress, ResultsAreBitIdenticalToSerialGoldensAtAnyJobCount) {
     ServiceOptions options;
     options.jobs = jobs;
     EvalService service(tech, options);
-    BatchHandle batch = service.submit_batch(cases);
-    const auto results = batch.results();
+    std::vector<std::future<CaseResult>> futures;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      futures.push_back(service.submit_fn(
+          [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+    }
+    std::vector<CaseResult> results;
+    for (auto& future : futures) results.push_back(future.get());
     ASSERT_EQ(results.size(), serial.size()) << "jobs " << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       // Bit-identical, not just close.

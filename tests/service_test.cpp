@@ -1,9 +1,10 @@
 // Lifecycle contract of the asynchronous evaluation service
-// (eval/service.hpp): submit/wait/callback ordering, FIFO workers,
-// cooperative cancellation of queued cases, bounded-queue
-// backpressure, and drain-on-destruction. Timing control comes from
-// gate thunks (submit_fn) that hold workers until released, so every
-// ordering assertion is deterministic, not sleep-and-hope.
+// (eval/service.hpp): a Case submitted as an evaluate_case thunk comes
+// back bit-identical to the direct call, FIFO workers, cooperative
+// cancellation of queued thunks, bounded-queue backpressure, failure
+// isolation, and drain-on-destruction. Timing control comes from gate
+// thunks that hold workers until released, so every ordering
+// assertion is deterministic, not sleep-and-hope.
 
 #include <gtest/gtest.h>
 
@@ -88,7 +89,8 @@ TEST(ServiceLifecycle, SubmitReturnsTheCaseResultThroughTheFuture) {
       run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline);
 
   EvalService service(tech);
-  std::future<CaseResult> future = service.submit(c);
+  std::future<CaseResult> future = service.submit_fn(
+      [&tech, c] { return evaluate_case(tech, c, {}, kFaultAutoKey); });
   const CaseResult got = future.get();
   // Bit-identical to the direct call (and to the golden_test pins for
   // this exact case: net_1 at 1.25x tau_min).
@@ -120,8 +122,13 @@ TEST(ServiceLifecycle, BatchResultsMatchTheSerialLoopInOrder) {
   ServiceOptions options;
   options.jobs = 4;
   EvalService service(tech, options);
-  BatchHandle batch = service.submit_batch(cases);
-  const auto results = batch.results();
+  std::vector<std::future<CaseResult>> futures;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    futures.push_back(service.submit_fn(
+        [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+  }
+  std::vector<CaseResult> results;
+  for (auto& future : futures) results.push_back(future.get());
   ASSERT_EQ(results.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(results[i].tau_t_fs, serial[i].tau_t_fs) << "case " << i;
@@ -129,124 +136,9 @@ TEST(ServiceLifecycle, BatchResultsMatchTheSerialLoopInOrder) {
     EXPECT_EQ(results[i].dp_width_u, serial[i].dp_width_u) << "case " << i;
     EXPECT_EQ(results[i].improvement_pct, serial[i].improvement_pct);
   }
-  EXPECT_EQ(batch.settled(), cases.size());
-  EXPECT_EQ(batch.completed(), cases.size());
-  EXPECT_EQ(batch.failed(), 0u);
-  EXPECT_EQ(batch.cancelled(), 0u);
-}
-
-TEST(ServiceLifecycle, CallbackFiresOnceAfterEveryFutureAndBeforeWaitAll) {
-  const auto& tech = technology();
-  ServiceOptions options;
-  options.jobs = 2;
-  EvalService service(tech, options);
-
-  // A batch of real (tiny-workload) cases with a completion callback.
-  const auto workload = make_paper_workload(tech, 1, 2005);
-  const auto baseline =
-      core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  std::vector<Case> cases(
-      3, Case{&workload[0].net, 1.5 * workload[0].tau_min_fs,
-              core::RipOptions{}, baseline});
-
-  std::atomic<int> callback_runs{0};
-  BatchHandle batch = service.submit_batch(
-      cases, [&] { callback_runs.fetch_add(1); });
-  batch.wait_all();
-  // wait_all returns only after the callback finished...
-  EXPECT_EQ(callback_runs.load(), 1);
-  // ...and by then every future is ready.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.future(i).wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "future " << i;
-  }
-  batch.wait_all();  // idempotent
-  EXPECT_EQ(callback_runs.load(), 1) << "callback must fire exactly once";
-}
-
-TEST(ServiceLifecycle, CancelAfterCompletionReturnsZeroAndKeepsCallbackOnce) {
-  // Regression: cancel() used to be able to re-run the completion
-  // callback when it raced (or followed) the batch's final settle. A
-  // cancel after everything settled must be a no-op: zero cancelled,
-  // callback still exactly once.
-  const auto& tech = technology();
-  ServiceOptions options;
-  options.jobs = 2;
-  EvalService service(tech, options);
-
-  const auto workload = make_paper_workload(tech, 1, 2005);
-  const auto baseline =
-      core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  std::vector<Case> cases(
-      3, Case{&workload[0].net, 1.5 * workload[0].tau_min_fs,
-              core::RipOptions{}, baseline});
-
-  std::atomic<int> callback_runs{0};
-  BatchHandle batch = service.submit_batch(
-      cases, [&] { callback_runs.fetch_add(1); });
-  batch.wait_all();
-  ASSERT_EQ(batch.settled(), batch.size());
-
-  // Repeated and concurrent late cancels: all no-ops.
-  std::vector<std::thread> cancellers;
-  std::atomic<std::size_t> total_cancelled{0};
-  for (int t = 0; t < 4; ++t) {
-    cancellers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) total_cancelled += batch.cancel();
-    });
-  }
-  for (auto& th : cancellers) th.join();
-  EXPECT_EQ(total_cancelled.load(), 0u);
-  EXPECT_EQ(callback_runs.load(), 1);
-  EXPECT_EQ(batch.completed(), batch.size());
-  EXPECT_EQ(batch.cancelled(), 0u);
-}
-
-TEST(ServiceLifecycle, CancelRacingTheFinalSettleFiresCallbackOnce) {
-  // Hammer the cancel-vs-completion race: many small batches, with a
-  // thread spamming cancel() while each batch settles. However the race
-  // resolves, the callback must fire exactly once per batch and the
-  // settle counters must add up.
-  const auto& tech = technology();
-  ServiceOptions options;
-  options.jobs = 2;
-  EvalService service(tech, options);
-
-  const auto workload = make_paper_workload(tech, 1, 2005);
-  const auto baseline =
-      core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  const std::vector<Case> cases(
-      2, Case{&workload[0].net, 1.5 * workload[0].tau_min_fs,
-              core::RipOptions{}, baseline});
-
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<int> callback_runs{0};
-    BatchHandle batch = service.submit_batch(
-        cases, [&] { callback_runs.fetch_add(1); });
-    std::thread canceller([&] {
-      while (batch.settled() < batch.size()) batch.cancel();
-      // One more after the final settle: must be a no-op.
-      EXPECT_EQ(batch.cancel(), 0u);
-    });
-    batch.wait_all();
-    canceller.join();
-    EXPECT_EQ(callback_runs.load(), 1) << "round " << round;
-    EXPECT_EQ(batch.settled(), batch.size());
-    EXPECT_EQ(batch.completed() + batch.failed() + batch.cancelled(),
-              batch.size());
-  }
-}
-
-TEST(ServiceLifecycle, EmptyBatchCompletesImmediatelyWithCallback) {
-  bool callback_ran = false;
-  EvalService service(technology());
-  BatchHandle batch =
-      service.submit_batch({}, [&] { callback_ran = true; });
-  EXPECT_TRUE(callback_ran);
-  EXPECT_EQ(batch.size(), 0u);
-  batch.wait_all();
-  EXPECT_TRUE(batch.results().empty());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cases_evaluated, cases.size());
+  EXPECT_EQ(service.pending_count(), 0u);
 }
 
 TEST(ServiceLifecycle, QueuedCasesStartInSubmissionOrder) {
@@ -296,48 +188,6 @@ TEST(ServiceLifecycle, QueuedCaseStartsWhenAnyWorkerIsFree) {
       << "the queued case waited for the held worker";
   EXPECT_EQ(next.get().tau_t_fs, 1.0);
   EXPECT_EQ(held.get().tau_t_fs, -1.0);
-}
-
-TEST(ServiceLifecycle, CancelFailsQueuedFuturesAndSparesOtherBatches) {
-  ServiceOptions options;
-  options.jobs = 1;
-  Gate gate;  // holds the only worker, so both batches stay queued
-  EvalService service(technology(), options);
-  std::future<CaseResult> held = service.submit_fn(gate.hold(-1));
-  gate.wait_entered(1);
-
-  const auto workload = make_paper_workload(technology(), 1, 2005);
-  const auto baseline =
-      core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  const std::vector<Case> cases(
-      2, Case{&workload[0].net, 1.5 * workload[0].tau_min_fs,
-              core::RipOptions{}, baseline});
-
-  bool doomed_callback = false;
-  BatchHandle doomed =
-      service.submit_batch(cases, [&] { doomed_callback = true; });
-  BatchHandle kept = service.submit_batch(cases);
-  EXPECT_EQ(service.pending_count(), 4u);
-
-  EXPECT_EQ(doomed.cancel(), 2u);
-  EXPECT_EQ(doomed.cancel(), 0u) << "second cancel finds nothing queued";
-  EXPECT_EQ(service.pending_count(), 2u);
-  // A cancelled batch is settled: wait_all returns, the callback ran,
-  // and every future throws CancelledError.
-  doomed.wait_all();
-  EXPECT_TRUE(doomed_callback);
-  EXPECT_EQ(doomed.cancelled(), 2u);
-  EXPECT_EQ(doomed.completed(), 0u);
-  for (std::size_t i = 0; i < doomed.size(); ++i) {
-    EXPECT_THROW(doomed.future(i).get(), CancelledError) << "future " << i;
-  }
-  EXPECT_THROW(doomed.results(), CancelledError);
-
-  gate.release();
-  held.get();
-  const auto results = kept.results();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(kept.completed(), 2u) << "the other batch must be untouched";
 }
 
 TEST(ServiceLifecycle, CancelPendingSparesTheStartedCase) {
@@ -460,13 +310,28 @@ TEST(ServiceLifecycle, FailingBatchCaseSparesItsNeighbours) {
   ServiceOptions options;
   options.jobs = 2;
   EvalService service(tech, options);
-  BatchHandle batch = service.submit_batch(cases);
-  batch.wait_all();
-  EXPECT_EQ(batch.completed(), 3u);
-  EXPECT_EQ(batch.failed(), 1u);
-  EXPECT_EQ(batch.cancelled(), 0u);
-  EXPECT_THROW(batch.future(1).get(), Error);
-  EXPECT_THROW(batch.results(), Error);
+  std::vector<std::future<CaseResult>> futures;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    futures.push_back(service.submit_fn(
+        [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+  }
+  std::size_t completed = 0;
+  std::size_t failed = 0;
+  std::size_t cancelled = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      futures[i].get();
+      ++completed;
+    } catch (const CancelledError&) {
+      ++cancelled;
+    } catch (const Error&) {
+      ++failed;
+      EXPECT_EQ(i, 1u) << "only the bad case may fail";
+    }
+  }
+  EXPECT_EQ(completed, 3u);
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(cancelled, 0u);
 
   // The blocking engine rethrows the same failure at any job count.
   for (const int jobs : {1, 4}) {
@@ -482,19 +347,13 @@ TEST(ServiceLifecycle, RejectsInvalidSubmissions) {
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
   const Case no_net{nullptr, 1.0, core::RipOptions{}, baseline};
-  EXPECT_THROW(service.submit(no_net), Error);
+  EXPECT_THROW(service
+                   .submit_fn([&no_net] {
+                     return evaluate_case(technology(), no_net, {}, 0);
+                   })
+                   .get(),
+               Error);
   EXPECT_THROW(service.submit_fn(nullptr), Error);
-  EXPECT_THROW(service.submit_batch(std::vector<Case>{no_net}), Error);
-}
-
-TEST(ServiceLifecycle, BatchHandleDefaultConstructedIsInert) {
-  BatchHandle handle;
-  EXPECT_EQ(handle.size(), 0u);
-  EXPECT_EQ(handle.settled(), 0u);
-  EXPECT_EQ(handle.cancel(), 0u);
-  handle.wait_all();  // no-op, must not hang
-  EXPECT_TRUE(handle.results().empty());
-  EXPECT_THROW(handle.future(0), Error);
 }
 
 }  // namespace

@@ -59,90 +59,6 @@ TEST(ShardAssignment, RejectsOutOfRangeShards) {
   EXPECT_THROW(case_shard(3, 0), Error);
 }
 
-/// Round-robin split of `total` tagged results into CaseShards, with
-/// each result carrying its global index in tau_t_fs so the merge's
-/// interleave is checkable.
-std::vector<CaseShard> tagged_shards(std::size_t total, int shard_count) {
-  std::vector<CaseShard> shards(static_cast<std::size_t>(shard_count));
-  for (int s = 0; s < shard_count; ++s) {
-    auto& shard = shards[static_cast<std::size_t>(s)];
-    shard.shard_index = s;
-    shard.shard_count = shard_count;
-    for (const std::size_t k : shard_case_indices(total, s, shard_count)) {
-      CaseResult r;
-      r.tau_t_fs = static_cast<double>(k);
-      shard.results.push_back(r);
-    }
-  }
-  return shards;
-}
-
-TEST(MergeCaseShards, MergesAnyArrivalOrderByMetadata) {
-  auto shards = tagged_shards(11, 3);
-  // Arrival order scrambled — the metadata, not the position, decides
-  // where each shard's results land.
-  std::swap(shards[0], shards[2]);
-  const auto merged = merge_shards(std::span<const CaseShard>(shards));
-  ASSERT_EQ(merged.size(), 11u);
-  for (std::size_t k = 0; k < merged.size(); ++k) {
-    EXPECT_EQ(merged[k].tau_t_fs, static_cast<double>(k)) << "index " << k;
-  }
-}
-
-TEST(MergeCaseShards, DetectsSwappedEqualSizeShards) {
-  // Two equal-size shards claiming the same slot: sizes alone cannot
-  // tell them apart, so the merge must reject the duplicate index.
-  auto shards = tagged_shards(8, 2);
-  shards[0].shard_index = 1;
-  shards[1].shard_index = 1;
-  EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-}
-
-TEST(MergeCaseShards, RejectsEveryInconsistentCombination) {
-  // Empty input.
-  const std::vector<CaseShard> none;
-  EXPECT_THROW(merge_shards(std::span<const CaseShard>(none)), Error);
-
-  // Wrong number of shards for the split.
-  {
-    auto shards = tagged_shards(9, 3);
-    shards.pop_back();
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-  // Shards disagreeing on shard_count.
-  {
-    auto shards = tagged_shards(9, 3);
-    shards[1].shard_count = 4;
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-  // Out-of-range and negative shard_index.
-  {
-    auto shards = tagged_shards(9, 3);
-    shards[2].shard_index = 3;
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-    shards[2].shard_index = -1;
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-  // Duplicate shard_index (one shard of the split missing).
-  {
-    auto shards = tagged_shards(9, 3);
-    shards[2].shard_index = 0;
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-  // A shard whose result count does not match its round-robin slice.
-  {
-    auto shards = tagged_shards(9, 3);
-    shards[1].results.pop_back();
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-  // Non-positive shard_count.
-  {
-    auto shards = tagged_shards(4, 1);
-    shards[0].shard_count = 0;
-    EXPECT_THROW(merge_shards(std::span<const CaseShard>(shards)), Error);
-  }
-}
-
 TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
   const auto& tech = technology();
   const auto workload = make_paper_workload(tech, 2, 2005);
@@ -165,19 +81,22 @@ TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
   ASSERT_EQ(serial.size(), cases.size());
 
   for (const auto& [shard_count, jobs] : kShardJobCombos) {
-    std::vector<CaseShard> pieces;
+    // Each shard's results scatter back to the global indices it owns.
+    std::vector<CaseResult> merged(cases.size());
     std::size_t solved = 0;
     for (int s = 0; s < shard_count; ++s) {
       BatchOptions options;
       options.jobs = jobs;
       options.shard_index = s;
       options.shard_count = shard_count;
-      pieces.push_back({s, shard_count, run_cases(tech, cases, options)});
-      solved += pieces.back().results.size();
+      const auto piece = run_cases(tech, cases, options);
+      const auto owned = shard_case_indices(cases.size(), s, shard_count);
+      ASSERT_EQ(piece.size(), owned.size()) << "shard " << s;
+      for (std::size_t j = 0; j < owned.size(); ++j) merged[owned[j]] = piece[j];
+      solved += piece.size();
     }
     EXPECT_EQ(solved, cases.size())
         << "shards " << shard_count << " jobs " << jobs;
-    const auto merged = merge_shards(std::span<const CaseShard>(pieces));
     ASSERT_EQ(merged.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       // Bit-identical, not just close.

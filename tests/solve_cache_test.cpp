@@ -1,8 +1,8 @@
 // Tests for the sharded Pareto-frontier solve cache (eval/solve_cache)
 // and the target-relative DP substrate under it (dp/chain_dp frontier
-// solves): LRU/eviction mechanics, the bit-identity property of cached
-// answers versus cold solves under every (target, job count, eviction
-// pressure) combination, and the counters EvalService exposes.
+// solves): LRU/eviction mechanics and the bit-identity property of
+// cached answers versus cold solves under every (target, job count,
+// eviction pressure) combination.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "dp/min_delay.hpp"
 #include "dp/workspace.hpp"
 #include "eval/parallel.hpp"
-#include "eval/service.hpp"
 #include "eval/solve_cache.hpp"
 #include "eval/workload.hpp"
 #include "net/candidates.hpp"
@@ -391,39 +390,6 @@ TEST(SolveCacheProperty, RunCasesBitIdenticalWithCacheAttached) {
       EXPECT_GT(stats.hits, 0u);
     }
   }
-}
-
-TEST(ServiceStats, CountersAreVisibleThroughEvalService) {
-  const tech::Technology tech = tech::make_tech180();
-  const net::Net n = test::paper_net(7);
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
-  const auto baseline = core::BaselineOptions::uniform_library(10.0, 40.0, 5);
-
-  SolveCache cache({64, 4});
-  ServiceOptions options;
-  options.jobs = 2;
-  options.context.cache = &cache;
-  std::vector<Case> cases;
-  for (const double f : {1.2, 1.4, 1.6, 1.8}) {
-    cases.push_back(
-        Case{&n, f * md.tau_min_fs, core::RipOptions{}, baseline});
-  }
-  {
-    EvalService service(tech, options);
-    service.submit_batch(cases).wait_all();
-    const auto s = service.stats();
-    EXPECT_EQ(s.cases_evaluated, cases.size());
-    EXPECT_TRUE(s.cache_attached);
-    EXPECT_GT(s.cache.lookups(), 0u);
-    EXPECT_GT(s.cache.hits, 0u);  // 4 targets on one net must share solves
-    EXPECT_EQ(s.cache.hits + s.cache.misses, s.cache.lookups());
-  }
-  // Without a cache the snapshot says so and reports zeroed counters.
-  EvalService plain(tech, ServiceOptions{});
-  const auto s = plain.stats();
-  EXPECT_EQ(s.cases_evaluated, 0u);
-  EXPECT_FALSE(s.cache_attached);
-  EXPECT_EQ(s.cache.lookups(), 0u);
 }
 
 }  // namespace

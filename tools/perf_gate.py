@@ -6,10 +6,10 @@ Compares a fresh bench_dp JSON summary against the committed baseline
 any configuration's ns_per_solve regressed by more than the threshold.
 
 Usage:
-    python3 tools/perf_gate.py CURRENT.json [BASELINE.json]
+    python3 tools/perf_gate.py CURRENT.json
 
-BASELINE.json defaults to BENCH_dp.json next to this script's parent
-directory (the repo root). The regression threshold is 10% and can be
+The baseline is BENCH_dp.json in this script's parent directory (the
+repo root). The regression threshold is 10% and can be
 overridden with RIP_PERF_GATE_PCT — a developer machine that matches the
 baseline's hardware should run with the default; shared CI runners are
 noisy and should pass a generous override (the gate then only catches
@@ -43,13 +43,12 @@ def load_configs(path):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
+    if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     current_path = argv[1]
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(argv[0])))
-    baseline_path = argv[2] if len(argv) == 3 else os.path.join(
-        repo_root, "BENCH_dp.json")
+    baseline_path = os.path.join(repo_root, "BENCH_dp.json")
     try:
         threshold_pct = float(os.environ.get("RIP_PERF_GATE_PCT", "10"))
     except ValueError:
