@@ -27,8 +27,7 @@
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS / RIP_BENCH_JOBS, with
 // --nets / --targets / --jobs overrides, like every other bench. Extra
 // knobs: --repeats R measured passes (default 3), --json PATH writes a
-// machine-readable summary (CI uploads it as BENCH_dp.json), --shard I/N
-// solves only shard I of each configuration's round-robin case split.
+// machine-readable summary (CI uploads it as BENCH_dp.json).
 
 #include <algorithm>
 #include <atomic>
@@ -46,13 +45,13 @@
 #include "dp/library.hpp"
 #include "dp/tree_dp.hpp"
 #include "dp/workspace.hpp"
-#include "eval/parallel.hpp"
 #include "eval/workload.hpp"
 #include "net/candidates.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 // ---------------------------------------------------- allocation counting
@@ -375,7 +374,7 @@ int main(int argc, char** argv) try {
   if (args.has("help")) {
     return bench::usage(
         "bench_dp [--nets N] [--targets N] [--repeats N] [--jobs N] "
-        "[--shard I/N] [--json PATH]");
+        "[--json PATH]");
   }
   const tech::Technology tech = tech::make_tech180();
 
@@ -383,14 +382,11 @@ int main(int argc, char** argv) try {
   const int targets = bench::targets_per_net(args, 10);
   const int repeats = static_cast<int>(count_option(args, "repeats", 3, 1));
   const int jobs = bench::jobs(args);
-  const ShardSpec shard = bench::shard(args);
   const std::string json_path = args.get_or("json", "");
 
   std::cout << "=== DP kernel bench (" << nets << " nets x " << targets
-            << " targets, " << repeats << " repeats, jobs " << jobs;
-  if (shard.count > 1)
-    std::cout << ", shard " << shard.index << "/" << shard.count;
-  std::cout << ") ===\n";
+            << " targets, " << repeats << " repeats, jobs " << jobs
+            << ") ===\n";
 
   const auto workload = eval::make_paper_workload(tech, nets, 2005, {},
                                                   {10.0, 400.0, 10.0, 200.0},
@@ -412,22 +408,17 @@ int main(int argc, char** argv) try {
         cfg.min_width_u, cfg.granularity_u, cfg.library_size);
 
     // Candidate lists per net (one allocation each, outside the
-    // measured region) and the flat sharded case list.
+    // measured region) and the flat net x target case list.
     std::vector<std::vector<double>> candidates;
     candidates.reserve(workload.size());
     for (const auto& wn : workload)
       candidates.push_back(net::uniform_candidates(wn.net, cfg.pitch_um));
     std::vector<CaseRef> cases;
-    const auto flat = eval::shard_case_indices(
-        workload.size() * static_cast<std::size_t>(targets), shard.index,
-        shard.count);
-    cases.reserve(flat.size());
-    for (const std::size_t k : flat) {
-      const std::size_t ni = k / static_cast<std::size_t>(targets);
-      const auto ti = static_cast<int>(k % static_cast<std::size_t>(targets));
-      const auto t = eval::timing_targets_fs(workload[ni].tau_min_fs, targets);
-      cases.push_back(CaseRef{&workload[ni].net, &candidates[ni], t[
-          static_cast<std::size_t>(ti)]});
+    for (std::size_t ni = 0; ni < workload.size(); ++ni) {
+      for (const double tau :
+           eval::timing_targets_fs(workload[ni].tau_min_fs, targets)) {
+        cases.push_back(CaseRef{&workload[ni].net, &candidates[ni], tau});
+      }
     }
 
     ConfigReport report;
@@ -457,20 +448,18 @@ int main(int argc, char** argv) try {
       core::FineProblem problem;
     };
     std::vector<FinalCase> finals;
-    for (const std::size_t k : eval::shard_case_indices(
-             workload.size() * static_cast<std::size_t>(targets), shard.index,
-             shard.count)) {
-      const auto& wn = workload[k / static_cast<std::size_t>(targets)];
-      const double tau = eval::timing_targets_fs(
-          wn.tau_min_fs, targets)[k % static_cast<std::size_t>(targets)];
-      const core::RipResult rip =
-          core::rip_insert(wn.net, tech.device(), tau, rip_options);
-      if (rip.coarse.status != dp::Status::kOptimal ||
-          rip.coarse.solution.empty() || !rip.refined.width_solve_ok) {
-        continue;
+    for (const auto& wn : workload) {
+      for (const double tau : eval::timing_targets_fs(wn.tau_min_fs, targets)) {
+        const core::RipResult rip =
+            core::rip_insert(wn.net, tech.device(), tau, rip_options);
+        if (rip.coarse.status != dp::Status::kOptimal ||
+            rip.coarse.solution.empty() || !rip.refined.width_solve_ok) {
+          continue;
+        }
+        finals.push_back(
+            {&wn.net, tau, rip.coarse.objective_cost,
+             core::fine_problem(wn.net, rip.refined, rip_options)});
       }
-      finals.push_back({&wn.net, tau, rip.coarse.objective_cost,
-                        core::fine_problem(wn.net, rip.refined, rip_options)});
     }
     ConfigReport report;
     report.config = {"rip-final", rip_options.fine_min_width_u,
@@ -534,16 +523,11 @@ int main(int argc, char** argv) try {
     });
 
     std::vector<TreeCaseRef> cases;
-    const auto flat = eval::shard_case_indices(
-        trees.size() * static_cast<std::size_t>(targets), shard.index,
-        shard.count);
-    cases.reserve(flat.size());
-    for (const std::size_t k : flat) {
-      const std::size_t ti = k / static_cast<std::size_t>(targets);
-      const auto tgt = static_cast<int>(k % static_cast<std::size_t>(targets));
-      const double factor =
-          1.1 + 0.9 * tgt / std::max(1, targets - 1);
-      cases.push_back(TreeCaseRef{&trees[ti], factor * min_delay_fs[ti]});
+    for (std::size_t ti = 0; ti < trees.size(); ++ti) {
+      for (int tgt = 0; tgt < targets; ++tgt) {
+        const double factor = 1.1 + 0.9 * tgt / std::max(1, targets - 1);
+        cases.push_back(TreeCaseRef{&trees[ti], factor * min_delay_fs[ti]});
+      }
     }
 
     ConfigReport report;
@@ -573,8 +557,7 @@ int main(int argc, char** argv) try {
     RIP_REQUIRE(out.good(), "cannot open --json output file " + json_path);
     out << "{\n  \"workload\": {\"nets\": " << nets
         << ", \"targets_per_net\": " << targets << ", \"repeats\": "
-        << repeats << ", \"jobs\": " << jobs << ", \"shard_index\": "
-        << shard.index << ", \"shard_count\": " << shard.count
+        << repeats << ", \"jobs\": " << jobs
         << ", \"seed\": 2005},\n  \"configs\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const ConfigReport& r = reports[i];

@@ -8,7 +8,6 @@
 ///   RIP_BENCH_TARGETS  / --targets N  timing targets per net (paper: 20)
 ///   RIP_BENCH_JOBS     / --jobs N     worker threads (1 = serial,
 ///                                     0 = all hardware threads)
-///                / --shard I/N        solve shard I of an N-way split
 
 #include <cstdlib>
 #include <iostream>
@@ -55,9 +54,6 @@ inline int targets_per_net(const CliArgs& args, int fallback = 20) {
 inline int jobs(const CliArgs& args, int fallback = 1) {
   return parallel_jobs(args, jobs(fallback));
 }
-
-/// The `--shard I/N` split of a sweep (default: unsharded).
-inline ShardSpec shard(const CliArgs& args) { return shard_option(args); }
 
 /// Every bench declares `--help` as a boolean flag; main() answers it
 /// with `return bench::usage("bench_x [--opt V] ...")`, which prints

@@ -10,12 +10,7 @@
 //            occasionally wins slightly (negative improvement).
 //
 // Environment: RIP_BENCH_TARGETS / RIP_BENCH_JOBS set the sweep size
-// and worker threads; --targets / --jobs override. `--shard I/N`
-// solves only shard I of an N-way split of the sweep. The unit of the
-// split is a group: the RIP target sweep, or one granularity's
-// baseline target sweep; group j goes to shard j % N. The merged
-// figure over all shards is bit-identical to the unsharded one
-// (eval::merge_fig7_shards).
+// and worker threads; --targets / --jobs override.
 
 #include <iostream>
 
@@ -30,31 +25,13 @@ int main(int argc, char** argv) try {
   using namespace rip;
   const CliArgs args = CliArgs::parse(argc, argv, {"help"});
   if (args.has("help")) {
-    return bench::usage(
-        "bench_fig7 [--targets N] [--jobs N] [--shard I/N]");
+    return bench::usage("bench_fig7 [--targets N] [--jobs N]");
   }
   const tech::Technology tech = tech::make_tech180();
 
   eval::Fig7Config config;
   config.points = bench::targets_per_net(args, 21);
   config.jobs = bench::jobs(args);
-  const ShardSpec shard = bench::shard(args);
-
-  if (shard.count > 1) {
-    std::cout << "=== Figure 7 shard " << shard.index << "/" << shard.count
-              << " (" << config.points << " sweep points, jobs "
-              << config.jobs << ") ===\n";
-    WallTimer shard_timer;
-    const auto piece =
-        eval::run_fig7_shard(tech, config, shard.index, shard.count);
-    std::cout << "solved " << piece.rip.size() << " RIP + "
-              << piece.dp.size() << " DP cases of net " << piece.net_name
-              << " in " << fmt_f(shard_timer.seconds(), 1)
-              << " s\n(merge all shards with eval::merge_fig7_shards to "
-                 "reproduce the unsharded figure bit for bit)\n";
-    bench::warn_unused(args);
-    return 0;
-  }
 
   std::cout << "=== Figure 7: improvement vs timing constraint ===\n";
   std::cout << "(one representative net, DP library size 10, g=10u and "

@@ -8,12 +8,6 @@
 //
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS / RIP_BENCH_JOBS
 // shrink or parallelize the run; --nets / --targets / --jobs override.
-// `--shard I/N` solves only shard I of an N-way split (for
-// multi-machine runs). The unit of the split is a group: one net's RIP
-// target sweep, or one (net, g) baseline target sweep, whose frontier
-// is swept once and every target selected from it; group j goes to
-// shard j % N. The merged table over all shards is bit-identical to
-// the unsharded one (eval::merge_table1_shards).
 
 #include <iostream>
 
@@ -27,8 +21,7 @@ int main(int argc, char** argv) try {
   using namespace rip;
   const CliArgs args = CliArgs::parse(argc, argv, {"help"});
   if (args.has("help")) {
-    return bench::usage(
-        "bench_table1 [--nets N] [--targets N] [--jobs N] [--shard I/N]");
+    return bench::usage("bench_table1 [--nets N] [--targets N] [--jobs N]");
   }
   const tech::Technology tech = tech::make_tech180();
 
@@ -36,24 +29,6 @@ int main(int argc, char** argv) try {
   config.net_count = bench::net_count(args);
   config.targets_per_net = bench::targets_per_net(args);
   config.jobs = bench::jobs(args);
-  const ShardSpec shard = bench::shard(args);
-
-  if (shard.count > 1) {
-    std::cout << "=== Table 1 shard " << shard.index << "/" << shard.count
-              << " (" << config.net_count << " nets x "
-              << config.targets_per_net << " targets, jobs " << config.jobs
-              << ") ===\n";
-    WallTimer shard_timer;
-    const auto piece =
-        eval::run_table1_shard(tech, config, shard.index, shard.count);
-    std::cout << "solved " << piece.rip.size() << " RIP + "
-              << piece.dp.size() << " DP cases in "
-              << fmt_f(shard_timer.seconds(), 1)
-              << " s\n(merge all shards with eval::merge_table1_shards "
-                 "to reproduce the unsharded table bit for bit)\n";
-    bench::warn_unused(args);
-    return 0;
-  }
 
   std::cout << "=== Table 1: power reduction for two-pin nets ===\n";
   std::cout << "(RIP vs DP[14], library size 10, min width 10u; "

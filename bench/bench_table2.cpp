@@ -7,10 +7,6 @@
 //
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS / RIP_BENCH_JOBS
 // shrink or parallelize the run; --nets / --targets / --jobs override.
-// `--shard I/N` solves only shard I of an N-way round-robin split of
-// the case space (for multi-machine runs); the merged table over all
-// shards is bit-identical to the unsharded one
-// (eval::merge_table2_shards).
 
 #include <iostream>
 
@@ -24,8 +20,7 @@ int main(int argc, char** argv) try {
   using namespace rip;
   const CliArgs args = CliArgs::parse(argc, argv, {"help"});
   if (args.has("help")) {
-    return bench::usage(
-        "bench_table2 [--nets N] [--targets N] [--jobs N] [--shard I/N]");
+    return bench::usage("bench_table2 [--nets N] [--targets N] [--jobs N]");
   }
   const tech::Technology tech = tech::make_tech180();
 
@@ -36,24 +31,6 @@ int main(int argc, char** argv) try {
   config.net_count = bench::net_count(args, 10);
   config.targets_per_net = bench::targets_per_net(args, 10);
   config.jobs = bench::jobs(args);
-  const ShardSpec shard = bench::shard(args);
-
-  if (shard.count > 1) {
-    std::cout << "=== Table 2 shard " << shard.index << "/" << shard.count
-              << " (" << config.net_count << " nets x "
-              << config.targets_per_net << " targets, jobs " << config.jobs
-              << ") ===\n";
-    WallTimer shard_timer;
-    const auto piece =
-        eval::run_table2_shard(tech, config, shard.index, shard.count);
-    std::cout << "solved " << piece.rip.size() << " RIP + "
-              << piece.dp.size() << " DP cases in "
-              << fmt_f(shard_timer.seconds(), 1)
-              << " s\n(merge all shards with eval::merge_table2_shards "
-                 "to reproduce the unsharded table bit for bit)\n";
-    bench::warn_unused(args);
-    return 0;
-  }
 
   std::cout << "=== Table 2: power savings and speedup tradeoff ===\n";
   std::cout << "(DP width range 10u..400u at granularity g_DP; "

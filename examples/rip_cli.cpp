@@ -432,14 +432,7 @@ int cmd_compare(const CliArgs& args) {
       args.get_double_or("granularity", 10.0),
       args.get_int_or("lib-size", 10));
 
-  // The batch engine: one Case per sweep point, fanned out over --jobs
-  // and, with --shard I/N, split round-robin across processes.
   const auto targets = eval::timing_targets_fs(md.tau_min_fs, points);
-  std::vector<eval::Case> cases;
-  cases.reserve(targets.size());
-  for (const double tau_t : targets) {
-    cases.push_back(eval::Case{&n, tau_t, core::RipOptions{}, baseline});
-  }
   // Objective backends: one sweep per requested backend. The default
   // (no --backend) single sweep keeps the legacy byte-identical table;
   // 'a|b|c' runs one sweep per backend and emits per-backend column
@@ -460,15 +453,21 @@ int cmd_compare(const CliArgs& args) {
   }
   const bool multi = backends.size() > 1;
 
+  // The batch engine: one Case per sweep point this shard owns (every
+  // point without --shard), fanned out over --jobs. A case's fault key
+  // is its index within the shard.
   eval::BatchOptions batch;
   batch.jobs = parallel_jobs(args);
   const ShardSpec shard = shard_option(args);
-  batch.shard_index = shard.index;
-  batch.shard_count = shard.count;
+  const auto mine =
+      eval::shard_case_indices(targets.size(), shard.index, shard.count);
+  std::vector<eval::Case> cases;
+  cases.reserve(mine.size());
+  for (const std::size_t k : mine) {
+    cases.push_back(eval::Case{&n, targets[k], core::RipOptions{}, baseline});
+  }
   const std::unique_ptr<eval::SolveCache> cache = make_cache(args);
   batch.context.cache = cache.get();
-  const auto mine =
-      eval::shard_case_indices(cases.size(), shard.index, shard.count);
   std::vector<std::vector<eval::CaseResult>> all_results(backends.size());
   for (std::size_t b = 0; b < backends.size(); ++b) {
     batch.context.backend = backends[b].get();
@@ -521,11 +520,16 @@ int cmd_compare(const CliArgs& args) {
 // Reassemble shard CSVs (sweep/compare --shard output) into the full
 // table: every row carries its global point index in the `idx` column,
 // so the merge is a validated interleave — each index 0..total-1 must
-// appear exactly once across the inputs.
+// appear exactly once across the inputs, and every row must have the
+// header's field count (a row cut short by a torn write is rejected).
 int cmd_merge(const CliArgs& args) {
   const auto inputs = split_on(args.require("in"), ',');
   require_input(!inputs.empty() && !inputs.front().empty(),
                 "--in needs a comma-separated list of shard CSVs");
+  const auto field_count = [](const std::string& line) {
+    return static_cast<std::size_t>(
+               std::count(line.begin(), line.end(), ',')) + 1;
+  };
   std::string header;
   std::vector<std::pair<std::size_t, std::string>> rows;
   for (const auto& path : inputs) {
@@ -543,10 +547,13 @@ int cmd_merge(const CliArgs& args) {
         require_input(line == header, path + " has a different header");
         continue;
       }
-      const auto comma = line.find(',');
-      require_input(comma != std::string::npos, path + ": malformed row");
-      const int idx = parse_int(line.substr(0, comma), path + " idx");
+      const int idx = parse_int(line.substr(0, line.find(',')), path + " idx");
       require_input(idx >= 0, path + ": negative idx");
+      require_input(field_count(line) == field_count(header),
+                    path + ": idx " + std::to_string(idx) + " has " +
+                        std::to_string(field_count(line)) +
+                        " fields, the header has " +
+                        std::to_string(field_count(header)));
       rows.emplace_back(static_cast<std::size_t>(idx), line);
     }
     require_input(!first, path + " is empty");

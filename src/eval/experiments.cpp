@@ -4,7 +4,6 @@
 
 #include "dp/workspace.hpp"
 #include "eval/parallel.hpp"
-#include "eval/sharded_sweep.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -58,20 +57,34 @@ CaseResult run_case(const net::Net& net, const tech::Technology& tech,
 
 // ------------------------------------------------------------------ Table 1
 
-// All three experiments are thin adapters over the generic sharded
-// sweep (eval/sharded_sweep.hpp): each owns only its case-space
-// geometry (how a flat index decodes to (net, granularity, target)),
-// the solve bodies, and the serial merge-time reduction. Every solve
-// runs on the evaluating worker's own dp::Workspace::local() and may
-// minimize a pluggable objective backend (config.backend); the
-// reductions run serially in the original input order, so any
-// (shard_count, jobs) combination reproduces the serial bits.
+// Every solve runs on the evaluating worker's own
+// dp::Workspace::local() and may minimize a pluggable objective backend
+// (config.backend); the reductions run serially in the original input
+// order, so any job count reproduces the serial bits.
 //
 // Table 1 and Fig. 7 group each (net, library)'s whole target sweep
 // into one task (RIP groups by net, the baseline by (net, g)); Table 2
 // keeps one case per task so its runtime columns time cold solves.
 
 namespace {
+
+/// Solve `group_count` groups of `group_size` consecutive flat cases
+/// over `jobs` workers and return the flat outcomes. `solve(j, out)`
+/// fills group j's span (out[i] is flat case j * group_size + i) on one
+/// worker thread, in order, so it may carry task-local state such as a
+/// frontier cache from case to case. It must not touch shared mutable
+/// state and writes only its own span, which keeps every job count
+/// bit-identical to the serial loop.
+template <class Outcome, class Solve>
+std::vector<Outcome> solve_groups(std::size_t group_count,
+                                  std::size_t group_size, int jobs,
+                                  Solve&& solve) {
+  std::vector<Outcome> out(group_count * group_size);
+  parallel_for_indexed(group_count, jobs, [&](std::size_t j) {
+    solve(j, std::span<Outcome>(out).subspan(j * group_size, group_size));
+  });
+  return out;
+}
 
 /// Solve one group's targets in order through a task-local frontier
 /// cache of capacity 1: the first target sweeps the target-independent
@@ -89,6 +102,15 @@ void sweep_group(std::span<SolveOutcome> out, Solve&& solve) {
   }
 }
 
+/// One Table 2 solve: feasibility and width for the quality columns,
+/// plus the task's wall clock, taken inside the worker, for the
+/// runtime and speedup columns.
+struct TimedSolveOutcome {
+  bool feasible = false;
+  double width_u = 0;
+  double runtime_s = 0;
+};
+
 /// Table 1 / Fig. 7 baselines: one size-N uniform library per
 /// granularity.
 template <class Config>
@@ -105,9 +127,8 @@ std::vector<core::BaselineOptions> uniform_baselines(const Config& config) {
 
 }  // namespace
 
-Table1Shard run_table1_shard(const tech::Technology& tech,
-                             const Table1Config& config, int shard_index,
-                             int shard_count) {
+Table1Result run_table1(const tech::Technology& tech,
+                        const Table1Config& config) {
   RIP_REQUIRE(!config.granularities_u.empty(),
               "table 1 needs at least one granularity");
   const auto workload =
@@ -125,16 +146,14 @@ Table1Shard run_table1_shard(const tech::Technology& tech,
         timing_targets_fs(wn.tau_min_fs, config.targets_per_net));
   }
 
-  Table1Shard shard;
-  shard.shard_index = shard_index;
-  shard.shard_count = shard_count;
-  for (const auto& wn : workload) shard.net_names.push_back(wn.net.name());
+  Table1Shard outcomes;
+  for (const auto& wn : workload) outcomes.net_names.push_back(wn.net.name());
 
   // RIP runs once per (net, target); each baseline granularity reuses
   // it. A RIP group is one net's targets, a baseline group one
   // (net, g)'s: flat index (ni * g_n + gi) * tgt_n + ti.
-  shard.rip = run_sweep_slice<SolveOutcome>(
-      net_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+  outcomes.rip = solve_groups<SolveOutcome>(
+      net_n, tgt_n, config.jobs,
       [&](std::size_t ni, std::span<SolveOutcome> out) {
         sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
           return core::rip_insert(workload[ni].net, tech.device(),
@@ -145,8 +164,8 @@ Table1Shard run_table1_shard(const tech::Technology& tech,
       });
 
   const auto baselines = uniform_baselines(config);
-  shard.dp = run_sweep_slice<SolveOutcome>(
-      net_n * g_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+  outcomes.dp = solve_groups<SolveOutcome>(
+      net_n * g_n, tgt_n, config.jobs,
       [&](std::size_t group, std::span<SolveOutcome> out) {
         const std::size_t ni = group / g_n;
         const std::size_t gi = group % g_n;
@@ -157,25 +176,23 @@ Table1Shard run_table1_shard(const tech::Technology& tech,
                                     config.backend);
         });
       });
-  return shard;
+  return merge_table1_shards(config, {&outcomes, 1});
 }
 
 Table1Result merge_table1_shards(const Table1Config& config,
                                  std::span<const Table1Shard> shards) {
-  RIP_REQUIRE(!shards.empty(), "merge needs at least one shard");
-  const std::size_t net_n = shards.front().net_names.size();
+  RIP_REQUIRE(shards.size() == 1,
+              "table 1 reduces exactly one outcome record");
+  const Table1Shard& outcomes = shards.front();
+  const std::size_t net_n = outcomes.net_names.size();
   const std::size_t tgt_n = static_cast<std::size_t>(config.targets_per_net);
   const std::size_t g_n = config.granularities_u.size();
-
-  // Reassemble the full flat case spaces from the shards' groups.
-  std::vector<SolveOutcome> rip_runs(net_n * tgt_n);
-  std::vector<SolveOutcome> dp_runs(net_n * g_n * tgt_n);
-  reassemble_sweep_shards(shards, tgt_n, rip_runs, dp_runs,
-                          [&](const Table1Shard& shard) {
-                            RIP_REQUIRE(
-                                shard.net_names == shards.front().net_names,
-                                "shards disagree on the workload");
-                          });
+  RIP_REQUIRE(net_n == static_cast<std::size_t>(config.net_count) &&
+                  outcomes.rip.size() == net_n * tgt_n &&
+                  outcomes.dp.size() == net_n * g_n * tgt_n,
+              "table 1 outcome counts do not match the config");
+  const auto& rip_runs = outcomes.rip;
+  const auto& dp_runs = outcomes.dp;
 
   Table1Result result;
   result.granularities_u = config.granularities_u;
@@ -185,7 +202,7 @@ Table1Result merge_table1_shards(const Table1Config& config,
 
   for (std::size_t ni = 0; ni < net_n; ++ni) {
     Table1Row row;
-    row.net_name = shards.front().net_names[ni];
+    row.net_name = outcomes.net_names[ni];
     for (std::size_t ti = 0; ti < tgt_n; ++ti) {
       if (!rip_runs[ni * tgt_n + ti].feasible) ++row.rip_violations;
     }
@@ -229,12 +246,6 @@ Table1Result merge_table1_shards(const Table1Config& config,
   return result;
 }
 
-Table1Result run_table1(const tech::Technology& tech,
-                        const Table1Config& config) {
-  const Table1Shard shard = run_table1_shard(tech, config, 0, 1);
-  return merge_table1_shards(config, {&shard, 1});
-}
-
 Table to_table(const Table1Result& result) {
   std::vector<std::string> headers{"Net"};
   for (std::size_t gi = 0; gi < result.granularities_u.size(); ++gi) {
@@ -263,9 +274,8 @@ Table to_table(const Table1Result& result) {
 
 // ------------------------------------------------------------------ Table 2
 
-Table2Shard run_table2_shard(const tech::Technology& tech,
-                             const Table2Config& config, int shard_index,
-                             int shard_count) {
+Table2Result run_table2(const tech::Technology& tech,
+                        const Table2Config& config) {
   RIP_REQUIRE(!config.granularities_u.empty(),
               "table 2 needs at least one granularity");
   const auto workload =
@@ -283,18 +293,13 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
         timing_targets_fs(wn.tau_min_fs, config.targets_per_net));
   }
 
-  Table2Shard shard;
-  shard.shard_index = shard_index;
-  shard.shard_count = shard_count;
-  for (const auto& wn : workload) shard.net_names.push_back(wn.net.name());
-
   // RIP runs once per (net, target); every granularity row reuses it.
   // Runtimes are wall clock per task, taken inside the worker. Groups
   // hold one case, so every solve is cold: T_DP and T_RIP are the
   // paper's per-design runtimes. The DP flat space is granularity x net
-  // x target — granularity-major, the unsharded loop order.
-  shard.rip = run_sweep_slice<TimedSolveOutcome>(
-      net_n * tgt_n, 1, config.jobs, shard_index, shard_count,
+  // x target — granularity-major, the reduction's loop order.
+  const auto rip_runs = solve_groups<TimedSolveOutcome>(
+      net_n * tgt_n, 1, config.jobs,
       [&](std::size_t k, std::span<TimedSolveOutcome> out) {
         const std::size_t ni = k / tgt_n;
         const std::size_t ti = k % tgt_n;
@@ -314,8 +319,8 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
         config.range_min_width_u, config.range_max_width_u, g,
         config.pitch_um));
   }
-  shard.dp = run_sweep_slice<TimedSolveOutcome>(
-      g_n * net_n * tgt_n, 1, config.jobs, shard_index, shard_count,
+  const auto dp_runs = solve_groups<TimedSolveOutcome>(
+      g_n * net_n * tgt_n, 1, config.jobs,
       [&](std::size_t k, std::span<TimedSolveOutcome> out) {
         const std::size_t gi = k / (net_n * tgt_n);
         const std::size_t ni = (k / tgt_n) % net_n;
@@ -328,24 +333,6 @@ Table2Shard run_table2_shard(const tech::Technology& tech,
         out[0].feasible = dp.status == dp::Status::kOptimal;
         out[0].width_u = dp.total_width_u;
       });
-  return shard;
-}
-
-Table2Result merge_table2_shards(const Table2Config& config,
-                                 std::span<const Table2Shard> shards) {
-  RIP_REQUIRE(!shards.empty(), "merge needs at least one shard");
-  const std::size_t net_n = shards.front().net_names.size();
-  const std::size_t tgt_n = static_cast<std::size_t>(config.targets_per_net);
-  const std::size_t g_n = config.granularities_u.size();
-
-  std::vector<TimedSolveOutcome> rip_runs(net_n * tgt_n);
-  std::vector<TimedSolveOutcome> dp_runs(g_n * net_n * tgt_n);
-  reassemble_sweep_shards(shards, 1, rip_runs, dp_runs,
-                          [&](const Table2Shard& shard) {
-                            RIP_REQUIRE(
-                                shard.net_names == shards.front().net_names,
-                                "shards disagree on the workload");
-                          });
 
   RunningStats rip_time;
   for (const auto& oc : rip_runs) rip_time.add(oc.runtime_s);
@@ -377,12 +364,6 @@ Table2Result merge_table2_shards(const Table2Config& config,
   return result;
 }
 
-Table2Result run_table2(const tech::Technology& tech,
-                        const Table2Config& config) {
-  const Table2Shard shard = run_table2_shard(tech, config, 0, 1);
-  return merge_table2_shards(config, {&shard, 1});
-}
-
 Table to_table(const Table2Result& result) {
   Table table({"g_DP(u)", "delta%", "T_DP(s)", "T_RIP(s)", "Speedup"});
   for (const auto& row : result.rows) {
@@ -395,9 +376,7 @@ Table to_table(const Table2Result& result) {
 
 // ------------------------------------------------------------------ Fig. 7
 
-Fig7Shard run_fig7_shard(const tech::Technology& tech,
-                         const Fig7Config& config, int shard_index,
-                         int shard_count) {
+Fig7Result run_fig7(const tech::Technology& tech, const Fig7Config& config) {
   RIP_REQUIRE(!config.granularities_u.empty(),
               "fig 7 needs at least one granularity");
   const auto workload =
@@ -405,22 +384,16 @@ Fig7Shard run_fig7_shard(const tech::Technology& tech,
                           {10.0, 400.0, 10.0, 200.0}, config.jobs);
   const auto& wn = workload.back();
 
-  Fig7Shard shard;
-  shard.shard_index = shard_index;
-  shard.shard_count = shard_count;
-  shard.net_name = wn.net.name();
-  shard.tau_min_fs = wn.tau_min_fs;
-
   const auto targets = timing_targets_fs(wn.tau_min_fs, config.points);
   const std::size_t tgt_n = targets.size();
   const std::size_t g_n = config.granularities_u.size();
 
   // RIP once per target; both series reuse it. The DP flat space is
-  // granularity x target (granularity-major, the unsharded loop order).
-  // The RIP sweep is one group, each granularity's sweep another.
-  shard.rip = run_sweep_slice<SolveOutcome>(
-      tgt_n, tgt_n, config.jobs, shard_index, shard_count,
-      [&](std::size_t, std::span<SolveOutcome> out) {
+  // granularity x target (granularity-major, the reduction's loop
+  // order). The RIP sweep is one group, each granularity's sweep
+  // another.
+  const auto rip_runs = solve_groups<SolveOutcome>(
+      1, tgt_n, config.jobs, [&](std::size_t, std::span<SolveOutcome> out) {
         sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
           return core::rip_insert(wn.net, tech.device(), targets[ti],
                                   config.rip, dp::Workspace::local(), cache,
@@ -429,8 +402,8 @@ Fig7Shard run_fig7_shard(const tech::Technology& tech,
       });
 
   const auto baselines = uniform_baselines(config);
-  shard.dp = run_sweep_slice<SolveOutcome>(
-      g_n * tgt_n, tgt_n, config.jobs, shard_index, shard_count,
+  const auto dp_runs = solve_groups<SolveOutcome>(
+      g_n, tgt_n, config.jobs,
       [&](std::size_t gi, std::span<SolveOutcome> out) {
         sweep_group(out, [&](std::size_t ti, SolveCache* cache) {
           return core::run_baseline(wn.net, tech.device(), targets[ti],
@@ -438,30 +411,10 @@ Fig7Shard run_fig7_shard(const tech::Technology& tech,
                                     cache, config.backend);
         });
       });
-  return shard;
-}
-
-Fig7Result merge_fig7_shards(const Fig7Config& config,
-                             std::span<const Fig7Shard> shards) {
-  RIP_REQUIRE(!shards.empty(), "merge needs at least one shard");
-  const double tau_min_fs = shards.front().tau_min_fs;
-  const auto targets = timing_targets_fs(tau_min_fs, config.points);
-  const std::size_t tgt_n = targets.size();
-  const std::size_t g_n = config.granularities_u.size();
-
-  std::vector<SolveOutcome> rip_runs(tgt_n);
-  std::vector<SolveOutcome> dp_runs(g_n * tgt_n);
-  reassemble_sweep_shards(shards, tgt_n, rip_runs, dp_runs,
-                          [&](const Fig7Shard& shard) {
-                            RIP_REQUIRE(
-                                shard.net_name == shards.front().net_name &&
-                                    shard.tau_min_fs == tau_min_fs,
-                                "shards disagree on the swept net");
-                          });
 
   Fig7Result result;
-  result.net_name = shards.front().net_name;
-  result.tau_min_fs = tau_min_fs;
+  result.net_name = wn.net.name();
+  result.tau_min_fs = wn.tau_min_fs;
   for (std::size_t gi = 0; gi < g_n; ++gi) {
     Fig7Series series;
     series.granularity_u = config.granularities_u[gi];
@@ -470,7 +423,7 @@ Fig7Result merge_fig7_shards(const Fig7Config& config,
       const auto& rip = rip_runs[ti];
       Fig7Point point;
       point.tau_t_fs = targets[ti];
-      point.tau_t_over_tau_min = targets[ti] / tau_min_fs;
+      point.tau_t_over_tau_min = targets[ti] / wn.tau_min_fs;
       point.dp_feasible = dp.feasible;
       if (point.dp_feasible && rip.feasible && dp.width_u > 0) {
         point.improvement_pct =
@@ -481,11 +434,6 @@ Fig7Result merge_fig7_shards(const Fig7Config& config,
     result.series.push_back(std::move(series));
   }
   return result;
-}
-
-Fig7Result run_fig7(const tech::Technology& tech, const Fig7Config& config) {
-  const Fig7Shard shard = run_fig7_shard(tech, config, 0, 1);
-  return merge_fig7_shards(config, {&shard, 1});
 }
 
 Table to_table(const Fig7Result& result) {

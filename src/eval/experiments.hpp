@@ -6,6 +6,15 @@
 /// bench binaries (bench/bench_table1.cpp, bench_table2.cpp,
 /// bench_fig7.cpp) print via util::Table next to the paper's reference
 /// values.
+///
+/// Each runner fans its solves out over the persistent scheduler, one
+/// group per task: Table 1 and Fig. 7 group a (net, library)'s whole
+/// target sweep, so the task sweeps the target-independent frontier
+/// once and selects every target from it; Table 2 groups one case, so
+/// every solve it times stays cold. Each group writes only its own
+/// slots and the reduction runs serially in input order, so results
+/// are bit-identical at any job count. A sweep split across processes
+/// is `rip_cli sweep|compare --shard I/N` plus `rip_cli merge`.
 
 #include <span>
 #include <string>
@@ -76,7 +85,7 @@ struct Table1Config {
   int jobs = 1;
   /// Objective backend every solve of the sweep minimizes; nullptr =
   /// the paper's objective (bit-identical to before backends existed).
-  /// Must outlive the run; shards of one split must agree on it.
+  /// Must outlive the run.
   const tech::ObjectiveBackend* backend = nullptr;
 };
 
@@ -108,45 +117,28 @@ Table1Result run_table1(const tech::Technology& tech,
 /// Render in the paper's column layout.
 Table to_table(const Table1Result& result);
 
-// ------------------------------------------------- Table 1 sharding
-
-/// The reduced per-solve record Table 1's aggregation needs. Sharded
-/// runs ship these across processes instead of full solver results.
+/// One RIP or baseline solve, reduced to what Table 1's aggregation
+/// reads.
 struct SolveOutcome {
   bool feasible = false;
   double width_u = 0;
 };
 
-/// One shard of the Table 1 sweep: the outcomes of the cases this
-/// shard owns, in ascending global order. The RIP flat case space is
-/// net x target, the DP space net x granularity x target. Both are cut
-/// into groups of one (net, library)'s targets — RIP's sweep of one
-/// net, the baseline's sweep of one (net, g) — and group j belongs to
-/// shard j % shard_count. A group is solved by one task that sweeps
-/// its target-independent frontier once and selects every target from
-/// it, bit-identical to solving each target cold.
+/// Every solve outcome of one Table 1 sweep, in flat order: RIP over
+/// net x target, the baseline over net x granularity x target. This is
+/// the record run_table1 reduces; the repository benchmark's traced
+/// table1 pass (ripbench/src/table1_workload.cpp) fills one from its
+/// own instrumented solves and reduces it the same way.
 struct Table1Shard {
-  int shard_index = 0;
-  int shard_count = 1;
-  /// Full workload net names (identical in every shard — the workload
-  /// is regenerated deterministically per process).
-  std::vector<std::string> net_names;
-  std::vector<SolveOutcome> rip;  ///< this shard's net x target cases
-  std::vector<SolveOutcome> dp;   ///< this shard's net x g x target cases
+  std::vector<std::string> net_names;  ///< the workload's nets, in order
+  std::vector<SolveOutcome> rip;       ///< net x target
+  std::vector<SolveOutcome> dp;        ///< net x g x target
 };
 
-/// Solve only this shard's slice of the Table 1 sweep. Workload
-/// generation (cheap, deterministic) runs in every shard; the DP/RIP
-/// solves (the actual cost) are split. run_table1(config) is exactly
-/// run_table1_shard(0, 1) + merge_table1_shards, so a sharded run
-/// merged over all shards is bit-identical to the unsharded table.
-Table1Shard run_table1_shard(const tech::Technology& tech,
-                             const Table1Config& config, int shard_index,
-                             int shard_count);
-
-/// Reassemble every shard (any order; all shards of one split must be
-/// present) and run the serial input-order reduction — the same code
-/// path, and therefore the same bits, as the unsharded runner.
+/// Run Table 1's serial input-order reduction over exactly one
+/// complete outcome record (`shards.size() == 1`). Throws rip::Error if
+/// its outcome counts do not match `config`'s nets, targets and
+/// granularities.
 Table1Result merge_table1_shards(const Table1Config& config,
                                  std::span<const Table1Shard> shards);
 
@@ -191,49 +183,6 @@ Table2Result run_table2(const tech::Technology& tech,
 
 Table to_table(const Table2Result& result);
 
-// ------------------------------------------------- Table 2 sharding
-
-/// The per-solve record Table 2's aggregation needs: feasibility and
-/// width for the quality columns, plus the per-task wall clock for the
-/// runtime/speedup columns (measured inside the worker, so it survives
-/// sharding and parallelism).
-struct TimedSolveOutcome {
-  bool feasible = false;
-  double width_u = 0;
-  double runtime_s = 0;
-};
-
-/// One shard of the Table 2 sweep: the RIP flat case space is net x
-/// target, the DP space granularity x net x target (granularity-major,
-/// matching the unsharded runner's loop order). Unlike Table 1 the
-/// split is per case — flat index k belongs to shard k % shard_count —
-/// so every timed solve stays cold.
-struct Table2Shard {
-  int shard_index = 0;
-  int shard_count = 1;
-  /// Full workload net names (identical in every shard — the workload
-  /// is regenerated deterministically per process).
-  std::vector<std::string> net_names;
-  std::vector<TimedSolveOutcome> rip;  ///< this shard's net x target cases
-  std::vector<TimedSolveOutcome> dp;   ///< this shard's g x net x target cases
-};
-
-/// Solve only this shard's slice of the Table 2 sweep. Workload
-/// generation (cheap, deterministic) runs in every shard; the solves
-/// are split. run_table2(config) is exactly run_table2_shard(0, 1) +
-/// merge_table2_shards, so a sharded run merged over all shards is
-/// bit-identical to the unsharded table (runtime columns are wall
-/// clock, but remain genuine per-task measurements).
-Table2Shard run_table2_shard(const tech::Technology& tech,
-                             const Table2Config& config, int shard_index,
-                             int shard_count);
-
-/// Reassemble every shard (any order; all shards of one split must be
-/// present) and run the serial input-order reduction — the same code
-/// path, and therefore the same bits, as the unsharded runner.
-Table2Result merge_table2_shards(const Table2Config& config,
-                                 std::span<const Table2Shard> shards);
-
 // ---------------------------------------------------------------- Fig. 7
 
 /// Configuration for Fig. 7 (improvement vs. timing constraint).
@@ -276,34 +225,5 @@ struct Fig7Result {
 Fig7Result run_fig7(const tech::Technology& tech, const Fig7Config& config);
 
 Table to_table(const Fig7Result& result);
-
-// -------------------------------------------------- Fig. 7 sharding
-
-/// One shard of the Fig. 7 sweep, outcomes in ascending global order.
-/// The RIP flat case space is the target sweep, the DP space
-/// granularity x target (granularity-major, matching the unsharded
-/// runner). As in Table 1 the split is by group: the RIP sweep is one
-/// group and each granularity's sweep another, group j belongs to
-/// shard j % shard_count, and each group sweeps its frontier once.
-struct Fig7Shard {
-  int shard_index = 0;
-  int shard_count = 1;
-  /// Swept net and its minimum delay (identical in every shard).
-  std::string net_name;
-  double tau_min_fs = 0;
-  std::vector<SolveOutcome> rip;  ///< this shard's target cases
-  std::vector<SolveOutcome> dp;   ///< this shard's g x target cases
-};
-
-/// Solve only this shard's slice of the Fig. 7 sweep. run_fig7(config)
-/// is exactly run_fig7_shard(0, 1) + merge_fig7_shards.
-Fig7Shard run_fig7_shard(const tech::Technology& tech,
-                         const Fig7Config& config, int shard_index,
-                         int shard_count);
-
-/// Reassemble every shard and run the serial reduction — bit-identical
-/// to the unsharded figure.
-Fig7Result merge_fig7_shards(const Fig7Config& config,
-                             std::span<const Fig7Shard> shards);
 
 }  // namespace rip::eval

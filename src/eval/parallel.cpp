@@ -5,12 +5,6 @@
 
 namespace rip::eval {
 
-int case_shard(std::size_t case_index, int shard_count) {
-  RIP_REQUIRE(shard_count >= 1, "shard count must be >= 1");
-  return static_cast<int>(case_index %
-                          static_cast<std::size_t>(shard_count));
-}
-
 std::vector<std::size_t> shard_case_indices(std::size_t case_count,
                                             int shard_index,
                                             int shard_count) {
@@ -46,15 +40,13 @@ std::vector<CaseResult> run_cases(const tech::Technology& tech,
   RIP_REQUIRE(options.context.workspace == nullptr,
               "run_cases evaluates on worker-local workspaces; "
               "BatchOptions::context.workspace must stay nullptr");
-  const auto mine = shard_case_indices(cases.size(), options.shard_index,
-                                       options.shard_count);
-  // Case j of the shard writes only slot j, and its shard-local index
-  // is its fault-point key. The scheduler runs jobs 1 as the serial
-  // loop on this thread and, on a failure, skips unclaimed cases and
-  // rethrows the lowest failing index's exception.
-  std::vector<CaseResult> results(mine.size());
-  parallel_for_indexed(mine.size(), options.jobs, [&](std::size_t j) {
-    results[j] = evaluate_case(tech, cases[mine[j]], options.context, j);
+  // Case i writes only slot i, and its index is its fault-point key.
+  // The scheduler runs jobs 1 as the serial loop on this thread and, on
+  // a failure, skips unclaimed cases and rethrows the lowest failing
+  // index's exception.
+  std::vector<CaseResult> results(cases.size());
+  parallel_for_indexed(cases.size(), options.jobs, [&](std::size_t i) {
+    results[i] = evaluate_case(tech, cases[i], options.context, i);
   });
   return results;
 }

@@ -8,30 +8,25 @@
 /// to the serial loop: every case writes only its own slot and
 /// reductions stay serial in input order.
 ///
-/// On top of the in-process fan-out (`jobs`), a batch can be split
-/// across processes or machines: `shard_index`/`shard_count` select a
+/// On top of the in-process fan-out (`jobs`), a sweep can be split
+/// across processes or machines: shard_case_indices() selects a
 /// deterministic round-robin subset of the cases (case i belongs to
-/// shard i % shard_count) and each shard runs independently. Scattering
-/// each shard's results back through shard_case_indices() rebuilds the
-/// unsharded result vector bit for bit. rip_cli (`sweep`/`compare`
-/// `--shard I/N`, reassembled by `rip_cli merge` on the CSV `idx`
-/// column) and the bench binaries sit on top of this via
-/// `--jobs`/`--shard`; eval::run_table1/run_table2/run_fig7 apply the
-/// same assignment to groups of cases and reassemble them with
-/// reassemble_sweep_shards (eval/sharded_sweep.hpp).
+/// shard i % shard_count), each shard runs its own cases, and
+/// scattering each shard's results back to those indices rebuilds the
+/// unsharded result vector bit for bit. rip_cli `sweep`/`compare`
+/// `--shard I/N` build only their shard's cases this way, and
+/// `rip_cli merge` reassembles the shard CSVs on their `idx` column.
 ///
-/// run_cases is one parallel_for_indexed over the shard's cases — the
-/// path the table runners take too. A Case submitted to the
-/// asynchronous eval::EvalService (eval/service.hpp) is a submit_fn
-/// thunk that calls the same evaluate_case, so both produce the same
-/// bits.
+/// run_cases is one parallel_for_indexed over its cases. A Case
+/// submitted to the asynchronous eval::EvalService (eval/service.hpp)
+/// is a submit_fn thunk that calls the same evaluate_case, so both
+/// produce the same bits.
 ///
 /// Memory model: every case's DP solves run on the evaluating thread's
 /// own dp::Workspace::local(), so a long sweep performs zero
 /// steady-state allocations in the DP kernel regardless of which worker
 /// claims which case. Workspace state never leaks into results
-/// — any (jobs, shard) combination stays bit-identical to the serial
-/// loop.
+/// — any job count stays bit-identical to the serial loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,11 +64,6 @@ struct BatchOptions {
   /// Worker threads: 1 = serial on the calling thread (the reference
   /// path the golden tests pin), 0 = one per hardware thread.
   int jobs = 1;
-  /// Cross-process sharding: this process evaluates only the cases with
-  /// case_shard(i, shard_count) == shard_index. Defaults to the single,
-  /// unsharded shard.
-  int shard_index = 0;
-  int shard_count = 1;
   /// Ambient solve state (eval/context.hpp): the shared frontier cache
   /// every case's target-independent DP solves consult, and the
   /// objective backend every solve minimizes. `context.workspace` must
@@ -83,11 +73,8 @@ struct BatchOptions {
   SolveContext context;
 };
 
-/// Deterministic case→shard assignment: case i belongs to shard
-/// i % shard_count. Every case lands in exactly one shard.
-int case_shard(std::size_t case_index, int shard_count);
-
-/// Global indices owned by one shard, in ascending (input) order.
+/// Global indices owned by one shard of a round-robin split (case i
+/// belongs to shard i % shard_count), in ascending (input) order.
 std::vector<std::size_t> shard_case_indices(std::size_t case_count,
                                             int shard_index,
                                             int shard_count);
@@ -101,13 +88,12 @@ std::vector<std::size_t> shard_case_indices(std::size_t case_count,
 CaseResult evaluate_case(const tech::Technology& tech, const Case& c,
                          SolveContext context, std::uint64_t fault_key);
 
-/// Evaluate this shard's cases (RIP + the DP baseline) and return their
-/// results in input order — with the default unsharded options, that is
-/// every case. Runtimes (`rip_runtime_s`, `dp_runtime_s`) are wall
+/// Evaluate every case (RIP + the DP baseline) and return the results
+/// in input order. Runtimes (`rip_runtime_s`, `dp_runtime_s`) are wall
 /// clock measured inside the worker, per task — never around the whole
-/// batch — so Table 1/2 runtime columns stay meaningful at any job
-/// count. jobs=1 is the plain serial loop on the calling thread; jobs>1
-/// is bit-identical because cases are independent and each writes only
+/// batch — so runtime columns stay meaningful at any job count. jobs=1
+/// is the plain serial loop on the calling thread; jobs>1 is
+/// bit-identical because cases are independent and each writes only
 /// its own slot. A failing case stops the batch: cases not yet started
 /// are skipped and the lowest failing index's exception is rethrown.
 std::vector<CaseResult> run_cases(const tech::Technology& tech,

@@ -91,16 +91,16 @@ int parallel_jobs(const CliArgs& args, int fallback) {
   return resolve_jobs(jobs);
 }
 
-ShardSpec shard_option(const CliArgs& args, const std::string& name) {
-  const auto value = args.get(name);
+ShardSpec shard_option(const CliArgs& args) {
+  const auto value = args.get("shard");
   if (!value) return {};
   // Strict digits-only parse with one uniform message shape, so every
-  // binary that takes --shard rejects every malformed spec — negative
-  // values, I >= N, trailing garbage ("0/2x"), signs, spaces — the same
-  // way: "--shard expects I/N with integers 0 <= I < N ...: <why>".
+  // malformed spec — negative values, I >= N, trailing garbage ("0/2x"),
+  // signs, spaces — fails the same way:
+  // "--shard expects I/N with integers 0 <= I < N ...: <why>".
   const auto fail = [&](const std::string& why) {
-    throw Error("--" + name + " expects I/N with integers 0 <= I < N (e.g. "
-                "--" + name + " 0/2): " + why + " in '" + *value + "'");
+    throw Error("--shard expects I/N with integers 0 <= I < N (e.g. "
+                "--shard 0/2): " + why + " in '" + *value + "'");
   };
   const auto parse_field = [&](const std::string& text,
                                const char* which) -> int {

@@ -68,11 +68,10 @@ struct ShardSpec {
   int count = 1;  ///< total shards in the split
 };
 
-/// The standard `--shard I/N` option shared by every shard-capable
-/// binary: shard I of N (0 <= I < N). Absent means the single,
-/// unsharded shard 0/1. Throws rip::Error on a malformed spec.
-ShardSpec shard_option(const CliArgs& args,
-                       const std::string& name = "shard");
+/// rip_cli's `--shard I/N` option for `sweep` and `compare`: shard I of
+/// N (0 <= I < N). Absent means the single, unsharded shard 0/1.
+/// Throws rip::Error on a malformed spec.
+ShardSpec shard_option(const CliArgs& args);
 
 /// Strict unsigned-count option: digits only (no signs, spaces, or
 /// trailing garbage), value >= `min_value`; absent returns `fallback`

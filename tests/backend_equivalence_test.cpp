@@ -86,18 +86,6 @@ TEST(BackendEquivalence, Table1PaperBackendMatchesDefault) {
     }
     expect_same_row(with.average, reference.average);
   }
-
-  // Sharded: two backend-carrying shards reassemble to the same bits.
-  config.backend = &backend;
-  config.jobs = 1;
-  const std::vector<Table1Shard> shards = {
-      run_table1_shard(tech, config, 0, 2),
-      run_table1_shard(tech, config, 1, 2)};
-  const auto merged = merge_table1_shards(config, shards);
-  ASSERT_EQ(merged.rows.size(), reference.rows.size());
-  for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-    expect_same_row(merged.rows[i], reference.rows[i]);
-  }
 }
 
 TEST(BackendEquivalence, Table2PaperBackendMatchesDefault) {
