@@ -27,7 +27,8 @@
 // Environment: RIP_BENCH_NETS / RIP_BENCH_TARGETS / RIP_BENCH_JOBS, with
 // --nets / --targets / --jobs overrides, like every other bench. Extra
 // knobs: --repeats R measured passes (default 3), --json PATH writes a
-// machine-readable summary (CI uploads it as BENCH_dp.json).
+// machine-readable summary with the hardware it ran on (CI uploads it as
+// BENCH_dp.json).
 
 #include <algorithm>
 #include <atomic>
@@ -37,6 +38,7 @@
 #include <iostream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_env.hpp"
@@ -366,6 +368,40 @@ void print_report(const ConfigReport& report) {
   std::cout << ", jobs8 allocs " << report.steady_allocs_jobs8 << "\n";
 }
 
+/// The CPU model from /proc/cpuinfo ("unknown" where there is none).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return rip::trim(line.substr(colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+/// The compiler that built this binary.
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "g++ " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `text` as a JSON string literal.
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -558,7 +594,11 @@ int main(int argc, char** argv) try {
     out << "{\n  \"workload\": {\"nets\": " << nets
         << ", \"targets_per_net\": " << targets << ", \"repeats\": "
         << repeats << ", \"jobs\": " << jobs
-        << ", \"seed\": 2005},\n  \"configs\": [\n";
+        << ", \"seed\": 2005},\n  \"hardware\": {\"nproc\": "
+        << std::thread::hardware_concurrency()
+        << ", \"cpu_model\": " << json_string(cpu_model())
+        << ", \"compiler\": " << json_string(compiler())
+        << "},\n  \"configs\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const ConfigReport& r = reports[i];
       out << "    {\"name\": \"" << r.config.name << "\", \"library_size\": "

@@ -337,14 +337,26 @@ int cmd_solve(const CliArgs& args) {
   return 0;
 }
 
+/// --min-width / --granularity / --lib-size: the baseline's uniform
+/// library, checked as user input before it is built.
+core::BaselineOptions baseline_library(const CliArgs& args) {
+  const double min_width = args.get_double_or("min-width", 10.0);
+  const double granularity = args.get_double_or("granularity", 10.0);
+  const int lib_size = args.get_int_or("lib-size", 10);
+  require_input(lib_size >= 1 && static_cast<std::size_t>(lib_size) <=
+                                     dp::RepeaterLibrary::kMaxSize,
+                "--lib-size must be in [1, 32768]");
+  require_input(granularity > 0, "--granularity must be > 0");
+  require_input(min_width > 0, "--min-width must be > 0");
+  return core::BaselineOptions::uniform_library(min_width, granularity,
+                                                lib_size);
+}
+
 int cmd_baseline(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
+  const auto options = baseline_library(args);
   const net::Net n = load_net(args);
   const double tau_t = resolve_target_fs(args, n, tech);
-  const auto options = core::BaselineOptions::uniform_library(
-      args.get_double_or("min-width", 10.0),
-      args.get_double_or("granularity", 10.0),
-      args.get_int_or("lib-size", 10));
   const auto backend = backend_option(args, tech);
   const auto r =
       core::run_baseline(n, tech.device(), tau_t, options,
@@ -424,13 +436,10 @@ int cmd_sweep(const CliArgs& args) {
 
 int cmd_compare(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
+  const auto baseline = baseline_library(args);
   const net::Net n = load_net(args);
   const int points = args.get_int_or("points", 11);
   const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
-  const auto baseline = core::BaselineOptions::uniform_library(
-      args.get_double_or("min-width", 10.0),
-      args.get_double_or("granularity", 10.0),
-      args.get_int_or("lib-size", 10));
 
   const auto targets = eval::timing_targets_fs(md.tau_min_fs, points);
   // Objective backends: one sweep per requested backend. The default

@@ -120,6 +120,31 @@ void validate_inputs(const net::Net& net, const RepeaterLibrary& library,
   }
 }
 
+/// The width order of a candidate step's merged frontier `back`, from
+/// the old frontier's `order`: the surviving pass-through labels (`map`:
+/// old index -> index in `back`, -1 if pruned) keep their relative
+/// order, and the new repeater labels (`fresh`, indices in `back`; far
+/// fewer than the frontier) are sorted by width and merged in.
+void carry_width_order(const std::vector<std::int32_t>& order,
+                       const std::vector<std::int32_t>& map,
+                       std::vector<std::int32_t>& fresh,
+                       const ChainFrontier& back,
+                       std::vector<std::int32_t>& next) {
+  kernel::sort_by_width(fresh, back.width_u);
+  const double* w = back.width_u.data();
+  next.clear();
+  next.reserve(back.size());
+  std::size_t j = 0;
+  for (const std::int32_t o : order) {
+    const std::int32_t at = map[static_cast<std::size_t>(o)];
+    if (at < 0) continue;
+    while (j < fresh.size() && w[fresh[j]] < w[at]) next.push_back(fresh[j++]);
+    next.push_back(at);
+  }
+  next.insert(next.end(), fresh.begin() + static_cast<std::ptrdiff_t>(j),
+              fresh.end());
+}
+
 /// The whole sweep on `ws`, receiver to driver; fills `stats`' sweep
 /// counters and returns the finished frontier, whose q_fs[i] is label
 /// i's target-relative final slack (driver gate applied; the realized
@@ -132,7 +157,7 @@ void validate_inputs(const net::Net& net, const RepeaterLibrary& library,
 /// one solved frontier answer every target (ChainSolveCache). Only
 /// `bounds` (kernel::LabelBounds; nullptr = none, never when caching)
 /// depend on the target: they drop labels from the pass-through frontier
-/// after each wire run and from each buffer group before its sort.
+/// after each wire run and from each buffer group before its sweep.
 ///
 /// Invariant entering each candidate step: the frontier is sorted by
 /// (C asc, q desc, w asc). Wire propagation preserves it: C order
@@ -143,6 +168,14 @@ void validate_inputs(const net::Net& net, const RepeaterLibrary& library,
 /// survivor set stays correct; at worst a dominated FP-twin lives one
 /// extra round.) The merge below emits the next frontier in the same
 /// order, and the in-place bound filter keeps it.
+///
+/// In power mode a second invariant rides along: `order` is the
+/// frontier's width order (kernel::expand_candidate), carried instead of
+/// re-sorted. Wire propagation leaves widths, hence the order, alone;
+/// the bound filter compacts it; the merge maps its surviving
+/// pass-through labels to their new indices and merges in the new
+/// repeater labels, sorted by width (carry_width_order). Delay mode
+/// builds no order.
 const ChainFrontier& sweep_chain(const net::Net& net,
                                  const tech::RepeaterDevice& device,
                                  const RepeaterLibrary& library,
@@ -160,8 +193,11 @@ const ChainFrontier& sweep_chain(const net::Net& net,
 
   ChainFrontier* front = &ws.chain_front;
   ChainFrontier* back = &ws.chain_back;
+  std::vector<std::int32_t>* order = &ws.width_order;
+  std::vector<std::int32_t>* order_back = &ws.width_order_back;
   front->clear();
   back->clear();
+  order->clear();
   ws.a_parent.clear();
   ws.a_pos.clear();
   ws.a_buffer.clear();
@@ -171,10 +207,11 @@ const ChainFrontier& sweep_chain(const net::Net& net,
   // has no arena entry (node -1 terminates reconstruction).
   front->push(device.co_ff * net.receiver_width_u(), kernel::seed_q_fs(cost),
               0.0, 0, -1);
+  const bool power_mode = (options.mode == Mode::kMinPower);
+  if (power_mode) order->push_back(0);
   stats.labels_created = 1;
   stats.positions = candidates_um.size();
 
-  const bool power_mode = (options.mode == Mode::kMinPower);
   const double intrinsic_fs = device.rs_ohm * device.cp_ff;
   double downstream_pos = net.total_length_um();
   for (std::size_t ci = candidates_um.size(); ci-- > 0;) {
@@ -183,7 +220,8 @@ const ChainFrontier& sweep_chain(const net::Net& net,
     propagate_frontier(*front, interval_affine(ws.pieces));
     downstream_pos = pos;
     if (bounds != nullptr) {
-      stats.labels_pruned += kernel::retain_admitted(*front, *bounds);
+      stats.labels_pruned +=
+          kernel::retain_admitted(*front, *bounds, *order, ws.order_map);
     }
 
     // Library indices that may be inserted at this candidate. A backend
@@ -197,7 +235,7 @@ const ChainFrontier& sweep_chain(const net::Net& net,
     // pre-filtered within each group, concatenated in sorted run order.
     // Labels accumulate the objective cost table (== widths on the
     // identity objective, same bits).
-    expand_candidate(ws, *front, allowed, ws.lib_cost, intrinsic_fs,
+    expand_candidate(ws, *front, *order, allowed, ws.lib_cost, intrinsic_fs,
                      power_mode, bounds);
     const std::size_t fn = front->size();
     const std::size_t gn = ws.expanded.size();
@@ -208,10 +246,14 @@ const ChainFrontier& sweep_chain(const net::Net& net,
     // dominance filter over the combined sorted order and materializing
     // survivors straight into the back frontier. Surviving repeater
     // labels append their reconstruction-arena entry here; pass-throughs
-    // keep their node.
+    // keep their node. In power mode order_map records where each
+    // pass-through label lands (-1: pruned), order_fresh the new repeater
+    // labels.
     back->clear();
     back->reserve(fn + gn);
     ws.frontier.clear();
+    if (power_mode) ws.order_map.resize(fn);
+    ws.order_fresh.clear();
     double best_q = -std::numeric_limits<double>::infinity();
     std::size_t i = 0;
     std::size_t j = 0;
@@ -238,6 +280,10 @@ const ChainFrontier& sweep_chain(const net::Net& net,
         const bool survives = power_mode
                                   ? ws.frontier.try_insert(q, w)
                                   : q > best_q;
+        if (power_mode) {
+          ws.order_map[i] =
+              survives ? static_cast<std::int32_t>(back->size()) : -1;
+        }
         if (survives) {
           best_q = q;
           back->push(front->cap_ff[i], q, w, front->count[i],
@@ -255,6 +301,9 @@ const ChainFrontier& sweep_chain(const net::Net& net,
           ws.a_parent.push_back(front->node[origin]);
           ws.a_pos.push_back(static_cast<std::int32_t>(ci));
           ws.a_buffer.push_back(g.buffer);
+          if (power_mode) {
+            ws.order_fresh.push_back(static_cast<std::int32_t>(back->size()));
+          }
           back->push(g.cap_ff, g.q_fs, g.width_u,
                      static_cast<std::int16_t>(front->count[origin] + 1),
                      static_cast<std::int32_t>(ws.a_parent.size() - 1));
@@ -264,6 +313,11 @@ const ChainFrontier& sweep_chain(const net::Net& net,
     }
     stats.labels_pruned += fn * (1 + allowed.size()) - back->size();
     stats.labels_peak = std::max(stats.labels_peak, back->size());
+    if (power_mode) {
+      carry_width_order(*order, ws.order_map, ws.order_fresh, *back,
+                        *order_back);
+      std::swap(order, order_back);
+    }
     std::swap(front, back);
   }
 

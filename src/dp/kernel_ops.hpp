@@ -92,13 +92,35 @@ struct LabelBounds {
   }
 };
 
-/// Drop in place, in order, every label the bounds reject; return how many.
+/// Rewrite a width order (see expand_candidate) through `remap`: old
+/// frontier index -> new index, or -1 for a dropped label. Survivors keep
+/// their relative order, so the result is the new frontier's width order.
+inline void remap_order(std::vector<std::int32_t>& order,
+                        const std::vector<std::int32_t>& remap) {
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::int32_t to = remap[static_cast<std::size_t>(order[k])];
+    if (to >= 0) order[kept++] = to;
+  }
+  order.resize(kept);
+}
+
+/// Drop in place, in order, every label the bounds reject; return how
+/// many. The frontier's width `order` is compacted along with it
+/// (`remap` is scratch).
 inline std::size_t retain_admitted(ChainFrontier& front,
-                                   const LabelBounds& bounds) {
+                                   const LabelBounds& bounds,
+                                   std::vector<std::int32_t>& order,
+                                   std::vector<std::int32_t>& remap) {
   const std::size_t n = front.size();
+  remap.resize(n);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!bounds.admits(front.q_fs[i], front.width_u[i])) continue;
+    if (!bounds.admits(front.q_fs[i], front.width_u[i])) {
+      remap[i] = -1;
+      continue;
+    }
+    remap[i] = static_cast<std::int32_t>(kept);
     front.cap_ff[kept] = front.cap_ff[i];
     front.q_fs[kept] = front.q_fs[i];
     front.width_u[kept] = front.width_u[i];
@@ -106,7 +128,29 @@ inline std::size_t retain_admitted(ChainFrontier& front,
     front.node[kept++] = front.node[i];
   }
   front.truncate(kept);
+  if (kept < n) remap_order(order, remap);
   return n - kept;
+}
+
+/// The (width asc, index asc) order of `ids`, which index `width_u`.
+inline void sort_by_width(std::vector<std::int32_t>& ids,
+                          const std::vector<double>& width_u) {
+  const double* w = width_u.data();
+  std::sort(ids.begin(), ids.end(), [w](std::int32_t a, std::int32_t b) {
+    return w[a] < w[b] || (w[a] == w[b] && a < b);
+  });
+}
+
+/// Fill `order` with the frontier's width order, from scratch, and return
+/// it. The tree kernel calls this before each candidate expansion; the
+/// chain sweep carries its order from candidate to candidate instead.
+inline const std::vector<std::int32_t>& width_order(
+    const ChainFrontier& front, std::vector<std::int32_t>& order) {
+  order.resize(front.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = static_cast<std::int32_t>(i);
+  sort_by_width(order, front.width_u);
+  return order;
 }
 
 /// Affine coefficients of wire propagation across one candidate interval.
@@ -158,6 +202,41 @@ inline void propagate_frontier(ChainFrontier& front, const WireAffine& wire) {
   }
 }
 
+/// Delay mode's candidate expansion: with no width dimension, each
+/// group's staircase is its single best-q label (ties: the smaller
+/// width, matching the power-mode staircase order), found by a linear
+/// scan. Kept out of line: inlined into the sweep beside the power-mode
+/// group sweep, the same loop ran 10-20% slower (g++ 12, measured), and
+/// it is most of every min_delay solve.
+[[gnu::noinline]] inline void expand_max_q(
+    Workspace& ws, const ChainFrontier& front,
+    const std::vector<std::int16_t>& allowed,
+    const std::vector<double>& cost_u, double intrinsic_fs) {
+  const std::size_t fn = front.size();
+  const double* __restrict cap = front.cap_ff.data();
+  const double* __restrict q = front.q_fs.data();
+  const double* __restrict w = front.width_u.data();
+  for (const std::int16_t b : allowed) {
+    const auto bi = static_cast<std::size_t>(b);
+    const double rs_over_w = ws.lib_rs_over_w[bi];
+    const double wb = cost_u[bi];
+    double best_q = -std::numeric_limits<double>::infinity();
+    double best_w = std::numeric_limits<double>::infinity();
+    std::int32_t best_i = -1;
+    for (std::size_t i = 0; i < fn; ++i) {
+      const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
+      const double up_w = w[i] + wb;
+      if (up_q > best_q || (up_q == best_q && up_w < best_w)) {
+        best_q = up_q;
+        best_w = up_w;
+        best_i = static_cast<std::int32_t>(i);
+      }
+    }
+    ws.expanded.push_back(
+        ExpandLabel{ws.lib_load_ff[bi], best_q, best_w, best_i, b});
+  }
+}
+
 /// Build the buffer-insertion labels of one candidate into ws.expanded,
 /// already dominance-filtered *within* each buffer group and ordered so
 /// that ws.expanded is sorted by (C asc, q desc, w asc).
@@ -166,80 +245,79 @@ inline void propagate_frontier(ChainFrontier& front, const WireAffine& wire) {
 /// group b shares the same downstream capacitance (the buffer's input
 /// load co*w_b), and the allowed buffer list is width-ascending, so the
 /// groups concatenate into a sorted run without any global sort. Within
-/// a group, equal C reduces dominance to the (q, w) staircase: sort the
-/// group (24-byte entries, cache-resident) by (q desc, w asc) and keep
-/// the strictly-falling-width prefix sweep. In delay mode (no width
-/// dimension) the staircase collapses to the single max-q label, found
-/// by a linear scan — no sort at all.
+/// a group, equal C reduces dominance to the (q, w) staircase, found by
+/// one linear sweep along `order`, the frontier's width order: its label
+/// indices by non-decreasing width. Group b adds the same cost w_b to
+/// every width and IEEE addition is monotone, so one order serves every
+/// group. Labels whose sums w + w_b are equal (as computed: two widths
+/// may round to one sum) form a run; a run's candidate is its best
+/// admitted label (highest q, then lowest frontier index), and it
+/// survives iff its q is strictly above every narrower run's. Survivors
+/// come out width-ascending and are appended reversed (q desc, w
+/// strictly falling).
 ///
-/// The group sort is a total order (ties in (q, w) fall back to the
-/// frontier index), so which of two equal labels survives never depends
-/// on the rest of the group; as one boolean expression it sorts faster
-/// than an if-chain. `bounds` (power mode; nullptr = none) cut pre-sort.
+/// That is exactly the staircase of a sort by (q desc, w asc, frontier
+/// index asc): both keep the labels that no other label beats in that
+/// order. So which of two equal labels survives never depends on the
+/// rest of the group, nor on the order of labels inside a run. Delay
+/// mode (no width dimension) is expand_max_q and does not read `order`.
+/// `bounds` (power mode; nullptr = none) cut before the sweep.
 inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
+                             const std::vector<std::int32_t>& order,
                              const std::vector<std::int16_t>& allowed,
                              const std::vector<double>& cost_u,
                              double intrinsic_fs, bool use_width,
                              const LabelBounds* bounds = nullptr) {
   const std::size_t fn = front.size();
+  RIP_ASSERT(!use_width || order.size() == fn,
+             "width order does not cover the frontier");
   ws.expanded.clear();
   // Lower-bound reserve only: the retained workspace capacity converges
   // to the true survivor watermark after warm-up, which is far below
   // the fn * |allowed| worst case — reserving that would pin megabytes
   // of never-used arena per thread.
   ws.expanded.reserve(fn + allowed.size());
+  if (!use_width) {
+    expand_max_q(ws, front, allowed, cost_u, intrinsic_fs);
+    return;
+  }
   const double* __restrict cap = front.cap_ff.data();
   const double* __restrict q = front.q_fs.data();
   const double* __restrict w = front.width_u.data();
+  const std::int32_t* __restrict ord = order.data();
   for (const std::int16_t b : allowed) {
     const auto bi = static_cast<std::size_t>(b);
     const double load = ws.lib_load_ff[bi];
     const double rs_over_w = ws.lib_rs_over_w[bi];
     const double wb = cost_u[bi];
-    if (!use_width) {
-      // Delay mode: only the group's best q can survive (ties: the
-      // smallest width, matching the (q desc, w asc) sort order).
-      double best_q = -std::numeric_limits<double>::infinity();
-      double best_w = std::numeric_limits<double>::infinity();
-      std::int32_t best_i = -1;
-      for (std::size_t i = 0; i < fn; ++i) {
+    // The run's best is selected without branches: which label wins is
+    // data-dependent, so a branch there would mispredict often.
+    const std::size_t first = ws.expanded.size();
+    constexpr std::int32_t kNone = std::numeric_limits<std::int32_t>::max();
+    bool any = false;  // a narrower run has survived
+    double top_q = 0;  // the highest q of the narrower runs
+    std::size_t k = 0;
+    while (k < fn) {
+      const double run_w = w[ord[k]] + wb;
+      double run_q = -std::numeric_limits<double>::infinity();
+      std::int32_t run_i = kNone;
+      do {
+        const std::int32_t i = ord[k];
         const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
-        const double up_w = w[i] + wb;
-        if (up_q > best_q || (up_q == best_q && up_w < best_w)) {
-          best_q = up_q;
-          best_w = up_w;
-          best_i = static_cast<std::int32_t>(i);
-        }
-      }
-      ws.expanded.push_back(ExpandLabel{load, best_q, best_w, best_i, b});
-      continue;
-    }
-    ws.group.clear();
-    ws.group.reserve(fn);
-    for (std::size_t i = 0; i < fn; ++i) {
-      const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
-      const double up_w = w[i] + wb;
-      if (bounds != nullptr && !bounds->admits(up_q, up_w)) continue;
-      ws.group.push_back(
-          GroupEntry{up_q, up_w, static_cast<std::int32_t>(i)});
-    }
-    std::sort(ws.group.begin(), ws.group.end(),
-              [](const GroupEntry& a, const GroupEntry& c) {
-                return a.q_fs > c.q_fs ||
-                       (a.q_fs == c.q_fs &&
-                        (a.width_u < c.width_u ||
-                         (a.width_u == c.width_u && a.origin < c.origin)));
-              });
-    // Sweeping q descending, a label survives the group staircase iff
-    // its width strictly undercuts everything seen.
-    double min_w = std::numeric_limits<double>::infinity();
-    for (const GroupEntry& e : ws.group) {
-      if (e.width_u < min_w) {
-        min_w = e.width_u;
-        ws.expanded.push_back(
-            ExpandLabel{load, e.q_fs, e.width_u, e.origin, b});
+        const bool take =
+            (bounds == nullptr || bounds->admits(up_q, run_w)) &
+            ((up_q > run_q) | ((up_q == run_q) & (i < run_i)));
+        run_q = take ? up_q : run_q;
+        run_i = take ? i : run_i;
+      } while (++k < fn && w[ord[k]] + wb == run_w);
+      if (run_i != kNone && (!any || run_q > top_q)) {
+        any = true;
+        top_q = run_q;
+        ws.expanded.push_back(ExpandLabel{load, run_q, run_w, run_i, b});
       }
     }
+    std::reverse(ws.expanded.begin() + static_cast<std::ptrdiff_t>(first),
+                 ws.expanded.end());
   }
 }
 

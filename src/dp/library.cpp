@@ -21,6 +21,8 @@ RepeaterLibrary::RepeaterLibrary(std::vector<double> widths_u)
                                 return std::abs(a - b) < kDedupTolU;
                               }),
                   widths_u_.end());
+  RIP_REQUIRE(widths_u_.size() <= kMaxSize,
+              "repeater library holds more than 32768 widths");
 }
 
 double RepeaterLibrary::round_to_library(double w) const {

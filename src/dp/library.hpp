@@ -10,6 +10,7 @@
 ///   - RIP's refined library: REFINE's continuous widths rounded to the
 ///     nearest multiple of a granularity (10u), deduplicated.
 
+#include <cstddef>
 #include <vector>
 
 namespace rip::tech {
@@ -22,8 +23,12 @@ namespace rip::dp {
 /// An immutable sorted set of allowed repeater widths (in units of u).
 class RepeaterLibrary {
  public:
+  /// The most widths a library may hold: the DP kernels store library
+  /// indices as std::int16_t.
+  static constexpr std::size_t kMaxSize = 32768;
+
   /// Construct from arbitrary widths; sorts and deduplicates (within
-  /// 1e-9 u). All widths must be positive.
+  /// 1e-9 u). All widths must be positive, and at most kMaxSize remain.
   explicit RepeaterLibrary(std::vector<double> widths_u);
 
   const std::vector<double>& widths_u() const { return widths_u_; }

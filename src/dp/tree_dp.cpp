@@ -472,15 +472,18 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
     }
 
     // Optional repeater at this node: per-group expansion + staircase
-    // merge, shared with the chain kernel's candidate step.
+    // merge, shared with the chain kernel's candidate step. The width
+    // order is sorted afresh here (power mode only); junction merges do
+    // not carry it.
     const std::vector<std::int16_t>& allowed =
         !cost.allow_repeaters              ? kernel::kNoBuffers
         : options.allowed_buffers != nullptr ? (*options.allowed_buffers)[ni]
                                              : ws.all_buffers;
     if (node.candidate && !allowed.empty()) {
       const std::size_t fn = front.size();
-      kernel::expand_candidate(ws, front, allowed, ws.lib_cost, intrinsic_fs,
-                               power_mode);
+      if (power_mode) kernel::width_order(front, ws.width_order);
+      kernel::expand_candidate(ws, front, ws.width_order, allowed,
+                               ws.lib_cost, intrinsic_fs, power_mode);
       merge_expanded(ws, front, static_cast<std::int32_t>(ni), power_mode);
       result.stats.labels_created += allowed.size() * fn;
       result.stats.labels_pruned +=

@@ -80,16 +80,6 @@ struct ChainFrontier {
   }
 };
 
-/// One candidate label of a single buffer-insertion group during the
-/// chain DP's candidate step. Every label of group b shares the same
-/// downstream capacitance (the buffer's input load), so only (q, width,
-/// origin) vary — 24 bytes, sorted cache-resident per group.
-struct GroupEntry {
-  double q_fs;
-  double width_u;
-  std::int32_t origin;  ///< index into the old frontier
-};
-
 /// A group survivor after the within-group dominance filter, tagged
 /// with its buffer for arena materialization.
 struct ExpandLabel {
@@ -137,13 +127,23 @@ class Workspace {
   /// memory-pressure tests; steady-state callers never need it.
   void release_memory();
 
-  // ---- chain DP: the alive frontier double-buffer (current and next),
-  // the per-group expansion scratch, and the concatenated group
-  // survivors the merge step consumes.
+  // ---- chain DP: the alive frontier double-buffer (current and next)
+  // and the concatenated group survivors the merge step consumes.
   ChainFrontier chain_front;
   ChainFrontier chain_back;
-  std::vector<GroupEntry> group;
   std::vector<ExpandLabel> expanded;
+
+  // ---- both DPs: the frontier's width order (its label indices by
+  // non-decreasing width, which kernel::expand_candidate sweeps). The
+  // chain DP double-buffers it like the frontier and carries it from
+  // candidate to candidate: order_map sends old frontier indices to new
+  // ones (-1: dropped) across a bound filter or a merge, and order_fresh
+  // collects the merge's new repeater labels. The tree DP sorts
+  // width_order afresh at each candidate node.
+  std::vector<std::int32_t> width_order;
+  std::vector<std::int32_t> width_order_back;
+  std::vector<std::int32_t> order_map;
+  std::vector<std::int32_t> order_fresh;
 
   // ---- chain DP: append-only reconstruction arena. One entry per
   // surviving repeater insertion; pass-throughs reuse their node.

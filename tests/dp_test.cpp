@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -89,6 +90,13 @@ TEST(Library, InvalidInputsThrow) {
   EXPECT_THROW(RepeaterLibrary::uniform(10.0, 0.0, 5), Error);
   EXPECT_THROW(RepeaterLibrary::uniform(10.0, 10.0, 0), Error);
   EXPECT_THROW(RepeaterLibrary::range(100.0, 10.0, 10.0), Error);
+}
+
+// The kernels store library indices as int16: 32,768 widths is the cap.
+TEST(Library, SizeIsCappedAtTheKernelIndexRange) {
+  EXPECT_EQ(RepeaterLibrary::uniform(1.0, 1.0, 32768).size(),
+            RepeaterLibrary::kMaxSize);
+  EXPECT_THROW(RepeaterLibrary::uniform(1.0, 1.0, 32769), Error);
 }
 
 // --------------------------------------------------------------- pareto
@@ -405,10 +413,11 @@ TEST(ChainDp, EmptyMaskEverywhereMeansUnbuffered) {
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_TRUE(r.solution.empty());
 }
-// The kernel's group sort is a total order: when two frontier labels
-// expand to the same (q, w) under one buffer, the lower frontier index
-// survives, however many unrelated labels share the group (an unstable
-// sort of a large group would otherwise pick either).
+// The group staircase ranks labels by (q desc, w asc, frontier index
+// asc), a total order: when two frontier labels expand to the same
+// (q, w) under one buffer, the lower frontier index survives, however
+// many unrelated labels share the group and wherever the width order
+// puts the pair.
 TEST(ChainDp, EqualExpansionsKeepTheLowerOrigin) {
   Workspace ws;
   ws.lib_load_ff = {3.0};
@@ -444,7 +453,9 @@ TEST(ChainDp, EqualExpansionsKeepTheLowerOrigin) {
     ChainFrontier front;
     for (const Entry& e : entries) front.push(e.cap, e.q, e.w, 0, -1);
 
-    kernel::expand_candidate(ws, front, allowed, cost, 0.0, true);
+    kernel::expand_candidate(ws, front,
+                             kernel::width_order(front, ws.width_order),
+                             allowed, cost, 0.0, true);
     int tied = 0;
     for (const ExpandLabel& g : ws.expanded) {
       if (g.q_fs == 90.0 && g.width_u == 9.0) {
@@ -455,6 +466,146 @@ TEST(ChainDp, EqualExpansionsKeepTheLowerOrigin) {
     }
     EXPECT_EQ(tied, 1) << unrelated << " unrelated labels";
   }
+}
+
+// The group staircase as a sort computes it: drop what the bounds
+// reject, sort by (q desc, w asc, frontier index asc), keep each label
+// whose width strictly undercuts every label before it.
+std::vector<ExpandLabel> sorted_staircase(
+    const Workspace& ws, const ChainFrontier& front,
+    const std::vector<std::int16_t>& allowed, const std::vector<double>& cost,
+    double intrinsic_fs, const kernel::LabelBounds* bounds) {
+  struct Entry {
+    double q, w;
+    std::int32_t origin;
+  };
+  std::vector<ExpandLabel> out;
+  for (const std::int16_t b : allowed) {
+    const auto bi = static_cast<std::size_t>(b);
+    std::vector<Entry> group;
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      const double up_q = front.q_fs[i] - (intrinsic_fs + ws.lib_rs_over_w[bi] *
+                                                              front.cap_ff[i]);
+      const double up_w = front.width_u[i] + cost[bi];
+      if (bounds != nullptr && !bounds->admits(up_q, up_w)) continue;
+      group.push_back(Entry{up_q, up_w, static_cast<std::int32_t>(i)});
+    }
+    std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& c) {
+      if (a.q != c.q) return a.q > c.q;
+      if (a.w != c.w) return a.w < c.w;
+      return a.origin < c.origin;
+    });
+    double min_w = std::numeric_limits<double>::infinity();
+    for (const Entry& e : group) {
+      if (e.w < min_w) {
+        min_w = e.w;
+        out.push_back(ExpandLabel{ws.lib_load_ff[bi], e.q, e.w, e.origin, b});
+      }
+    }
+  }
+  return out;
+}
+
+// expand_candidate's linear sweep along the width order keeps exactly the
+// sorted staircase's survivors, in the same order, on seeded frontiers
+// full of ties: values come from small grids, and some widths are x and
+// nextafter(x), which add up to the same w + w_b. Every case runs with
+// and without bounds, and with the order's equal-width runs as the
+// helper sorts them and reversed.
+TEST(ChainDp, LinearGroupSweepEqualsTheSortedStaircase) {
+  constexpr int kLibrary = 12;
+  std::mt19937_64 rng(2005);
+  const auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  Workspace ws;
+  std::size_t admitted = 0;
+  std::size_t offered = 0;
+  for (int c = 0; c < 300; ++c) {
+    ws.lib_load_ff.clear();
+    ws.lib_rs_over_w.clear();
+    std::vector<double> cost;
+    for (int b = 0; b < kLibrary; ++b) {
+      ws.lib_load_ff.push_back(2.0 * (b + 1));
+      ws.lib_rs_over_w.push_back(0.25 * (1 + pick(4)));
+      cost.push_back(b % 3 == 0 ? 1000.0 * (b + 1) : 4.0 * (1 + pick(8)));
+    }
+    std::vector<std::int16_t> allowed;
+    while (allowed.empty()) {
+      for (int b = 0; b < kLibrary; ++b) {
+        if (pick(3) == 0) allowed.push_back(static_cast<std::int16_t>(b));
+      }
+    }
+    const int n = 1 + pick(400);
+    ChainFrontier front;
+    for (int i = 0; i < n; ++i) {
+      double w = 1.0 + pick(12);
+      if (pick(4) == 0) w = std::nextafter(w, 100.0);
+      front.push(1.0 + pick(8), -10.0 * pick(20), w, 0, -1);
+    }
+    const double intrinsic_fs = 5.0 * pick(2);
+
+    // Bounds at the 30th q percentile and the 70th cost percentile of the
+    // case's expansions: together they cut about half.
+    std::vector<double> up_q;
+    std::vector<double> up_w;
+    for (const std::int16_t b : allowed) {
+      const auto bi = static_cast<std::size_t>(b);
+      for (std::size_t i = 0; i < front.size(); ++i) {
+        up_q.push_back(front.q_fs[i] -
+                       (intrinsic_fs + ws.lib_rs_over_w[bi] * front.cap_ff[i]));
+        up_w.push_back(front.width_u[i] + cost[bi]);
+      }
+    }
+    std::vector<double> q_rank = up_q;
+    std::vector<double> w_rank = up_w;
+    std::sort(q_rank.begin(), q_rank.end());
+    std::sort(w_rank.begin(), w_rank.end());
+    const kernel::LabelBounds bounds{-q_rank[q_rank.size() * 3 / 10], 0.0,
+                                     w_rank[w_rank.size() * 7 / 10]};
+    for (std::size_t k = 0; k < up_q.size(); ++k) {
+      admitted += bounds.admits(up_q[k], up_w[k]) ? 1 : 0;
+    }
+    offered += up_q.size();
+
+    std::vector<std::int32_t> sorted;
+    kernel::width_order(front, sorted);
+    std::vector<std::int32_t> reversed = sorted;
+    for (std::size_t lo = 0; lo < reversed.size();) {
+      std::size_t hi = lo + 1;
+      while (hi < reversed.size() &&
+             front.width_u[static_cast<std::size_t>(reversed[hi])] ==
+                 front.width_u[static_cast<std::size_t>(reversed[lo])]) {
+        ++hi;
+      }
+      std::reverse(reversed.begin() + static_cast<std::ptrdiff_t>(lo),
+                   reversed.begin() + static_cast<std::ptrdiff_t>(hi));
+      lo = hi;
+    }
+
+    for (const kernel::LabelBounds* b :
+         {static_cast<const kernel::LabelBounds*>(nullptr), &bounds}) {
+      const std::vector<ExpandLabel> want =
+          sorted_staircase(ws, front, allowed, cost, intrinsic_fs, b);
+      for (const auto* order : {&sorted, &reversed}) {
+        kernel::expand_candidate(ws, front, *order, allowed, cost,
+                                 intrinsic_fs, true, b);
+        ASSERT_EQ(ws.expanded.size(), want.size()) << "case " << c;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          const ExpandLabel& got = ws.expanded[k];
+          EXPECT_EQ(got.cap_ff, want[k].cap_ff) << "case " << c << " #" << k;
+          EXPECT_EQ(got.q_fs, want[k].q_fs) << "case " << c << " #" << k;
+          EXPECT_EQ(got.width_u, want[k].width_u) << "case " << c << " #" << k;
+          EXPECT_EQ(got.origin, want[k].origin) << "case " << c << " #" << k;
+          EXPECT_EQ(got.buffer, want[k].buffer) << "case " << c << " #" << k;
+        }
+      }
+    }
+  }
+  const double kept =
+      static_cast<double>(admitted) / static_cast<double>(offered);
+  EXPECT_GT(kept, 0.3);
+  EXPECT_LT(kept, 0.7);
 }
 
 // Incumbent 0 on a net that needs repeaters: every repeater label costs

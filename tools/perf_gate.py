@@ -18,8 +18,10 @@ order-of-magnitude blowups, never runner-speed lottery).
 Only configurations present in BOTH files are compared; a configuration
 that disappeared from the current run fails the gate (a silently dropped
 config is how a regression hides), a new configuration is reported and
-skipped. Exit status: 0 = within threshold, 1 = regression or missing
-config, 2 = usage/parse error.
+skipped. Both files' hardware blocks are printed so a reader can tell a
+slower machine from a slower kernel; the verdict reads `configs` alone.
+Exit status: 0 = within threshold, 1 = regression or missing config,
+2 = usage/parse error.
 """
 
 import json
@@ -27,7 +29,8 @@ import os
 import sys
 
 
-def load_configs(path):
+def load(path):
+    """The file's kernel configurations by name, and its hardware line."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -39,7 +42,11 @@ def load_configs(path):
         print(f"perf_gate: {path} has no kernel configurations",
               file=sys.stderr)
         sys.exit(2)
-    return configs
+    hw = data.get("hardware")
+    hardware = "not recorded" if not hw else (
+        f"{hw.get('cpu_model', '?')}, nproc {hw.get('nproc', '?')}, "
+        f"{hw.get('compiler', '?')}")
+    return configs, hardware
 
 
 def main(argv):
@@ -56,13 +63,15 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    baseline = load_configs(baseline_path)
-    current = load_configs(current_path)
+    baseline, baseline_hw = load(baseline_path)
+    current, current_hw = load(current_path)
 
     failures = []
     width = max(len(name) for name in baseline)
     print(f"perf gate: {current_path} vs {baseline_path} "
           f"(threshold +{threshold_pct:g}%)")
+    print(f"  baseline hardware: {baseline_hw}")
+    print(f"  current hardware:  {current_hw}")
     for name, base in sorted(baseline.items()):
         cur = current.get(name)
         if cur is None:
