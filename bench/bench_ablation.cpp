@@ -94,9 +94,8 @@ int main(int argc, char** argv) try {
             << jobs << "; width relative to the full configuration; "
             << "lower is better)\n\n";
 
-  const auto workload = eval::make_paper_workload(tech, nets, 2005, {},
-                                                  {10.0, 400.0, 10.0, 200.0},
-                                                  jobs);
+  const auto workload =
+      eval::make_paper_workload(tech, nets, 2005, {}, {}, jobs);
   const auto variants = make_variants();
 
   const std::size_t net_n = workload.size();

@@ -62,7 +62,7 @@ int main() {
 
   // A shared absolute timing budget, set from the *blocked* net's
   // tau_min so every variant can meet it.
-  const auto md = dp::min_delay(blocked_net, dev, {10.0, 400.0, 10.0, 200.0});
+  const auto md = dp::min_delay(blocked_net, dev);
   const double tau_t = 1.25 * md.tau_min_fs;
   std::cout << "timing budget: " << fmt_unit(units::fs_to_ns(tau_t), 3, "ns")
             << " (1.25 x tau_min of the blocked net)\n";

@@ -13,11 +13,12 @@
 //   rip_cli check    --net my.net --sol out.sol [--target-ns 2.5]
 //   rip_cli merge    --in s0.csv,s1.csv --out merged.csv
 //
-// Streaming (net/netlist_io.hpp + eval/stream.hpp): multi-net netlist
-// files in the text or binary rnl format, converted losslessly in both
-// directions and swept with bounded memory and checkpoint/resume:
+// Every net file is a netlist (net/netlist_io.hpp), text or binary: the
+// commands above read a one-record file, gen writes --nets records, and
+// netlist-convert and stream convert and sweep files of any size with
+// bounded memory and checkpoint/resume (eval/stream.hpp):
 //
-//   rip_cli gen     --nets 1000 --netlist big.rnlb --format binary
+//   rip_cli gen     --nets 1000 --out big.rnlb --format binary
 //   rip_cli netlist-convert --in big.rnlb --out big.rnl
 //   rip_cli stream  --in big.rnlb --out rows.csv --jobs 8
 //                   --max-pending 64 --checkpoint big.ckpt --every 200
@@ -38,7 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -50,7 +51,6 @@
 #include "eval/stream.hpp"
 #include "eval/workload.hpp"
 #include "net/generator.hpp"
-#include "net/net_io.hpp"
 #include "net/netlist_io.hpp"
 #include "net/solution_io.hpp"
 #include "rc/buffered_chain.hpp"
@@ -80,9 +80,9 @@ void require_input(bool ok, const std::string& message) {
 int usage(int rc = 2) {
   std::cout <<
       "usage: rip_cli <command> [options]\n"
-      "  gen      --seed N [--out file.net] [--nets K]\n"
-      "           [--netlist file.rnl [--format text|binary]\n"
-      "            [--store-target-x F]]   (multi-net netlist output)\n"
+      "  gen      --seed N [--nets K] [--out file.net]\n"
+      "           [--format text|binary] [--store-target-x F]\n"
+      "           (K records in one netlist; stdout without --out)\n"
       "  info     --net file.net\n"
       "  solve    --net file.net (--target-ns T | --target-x F)\n"
       "           [--sol out.sol] [--spice out.sp] [--zone-hop]\n"
@@ -110,6 +110,8 @@ int usage(int rc = 2) {
       "           [--cache-ttl-ms N] [--backend NAME]\n"
       "           exit codes: 0 ok, 2 error, 3 stopped early,\n"
       "           4 finished with quarantined records, 5 crashed\n"
+      "net file:  a one-record netlist, text or binary; its stored\n"
+      "           target is ignored\n"
       "common:    [--tech kit.tech] [--faults SPEC [--fault-seed N]]\n"
       "           (--faults = deterministic fault injection, e.g.\n"
       "           'netlist.read:err@17;solve.delay:50ms@p=0.01';\n"
@@ -131,10 +133,6 @@ tech::Technology load_tech(const CliArgs& args) {
     return tech::read_technology_file(*path);
   }
   return tech::make_tech180();
-}
-
-net::Net load_net(const CliArgs& args) {
-  return net::read_net_file(args.require("net"));
 }
 
 /// --cache / --cache-capacity: the optional per-invocation frontier
@@ -191,8 +189,7 @@ double resolve_target_fs(const CliArgs& args, const net::Net& n,
   }
   const double factor = args.get_double_or("target-x", 0.0);
   require_input(factor > 0, "need --target-ns or --target-x");
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
-  return factor * md.tau_min_fs;
+  return factor * dp::min_delay(n, tech.device()).tau_min_fs;
 }
 
 /// --format text|binary -> NetlistFormat, with a caller-chosen default
@@ -210,64 +207,45 @@ int cmd_gen(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
   const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
   const int count = args.get_int_or("nets", 1);
+  require_input(count >= 1, "--nets must be >= 1");
+  // --store-target-x F bakes tau_t = F * tau_min into each record (one
+  // tau_min DP per net — meant for test-scale files); without it records
+  // carry no target and `stream` resolves its --target-x default per net
+  // at evaluation time.
+  const double target_x = args.get_double_or("store-target-x", 0.0);
+  require_input(target_x >= 0, "--store-target-x must be > 0 when given");
+  const net::NetlistFormat format =
+      format_option(args, net::NetlistFormat::kText);
+  const auto out = args.get("out");
+  std::optional<net::NetlistWriter> writer;
+  if (out) writer.emplace(*out, format);
+  else writer.emplace(std::cout, format, "stdout");
   Rng rng(seed);
   net::RandomNetConfig config;
-  if (const auto netlist = args.get("netlist")) {
-    // Multi-net netlist output: all --nets records into ONE streamable
-    // file. --store-target-x F bakes tau_t = F * tau_min into each
-    // record (one tau_min DP per net — meant for test-scale files);
-    // without it records carry no target and `stream` resolves its
-    // --target-x default per net at evaluation time.
-    const double target_x = args.get_double_or("store-target-x", 0.0);
-    require_input(target_x >= 0, "--store-target-x must be > 0 when given");
-    net::NetlistWriter writer(
-        *netlist, format_option(args, net::NetlistFormat::kText));
-    for (int i = 0; i < count; ++i) {
-      const std::string name = "net_" + std::to_string(i + 1);
-      const net::Net n = net::random_net(tech, config, rng, name);
-      double tau_t_fs = 0.0;
-      if (target_x > 0) {
-        const auto md = dp::min_delay(n, tech.device(),
-                                      {10.0, 400.0, 10.0, 200.0});
-        tau_t_fs = target_x * md.tau_min_fs;
-      }
-      writer.add(n, tau_t_fs);
-    }
-    writer.close();
-    std::cout << "wrote " << *netlist << " (" << count << " nets, "
-              << (writer.format() == net::NetlistFormat::kText ? "text"
-                                                               : "binary")
-              << ")\n";
-    return 0;
-  }
   for (int i = 0; i < count; ++i) {
     const std::string name = "net_" + std::to_string(i + 1);
     const net::Net n = net::random_net(tech, config, rng, name);
-    if (const auto out = args.get("out"); out && count == 1) {
-      std::ofstream file(*out);
-      require_input(file.good(), "cannot write " + *out);
-      net::write_net(file, n);
-      std::cout << "wrote " << *out << " (" << n.total_length_um() / 1000.0
-                << " mm, " << n.segments().size() << " segments)\n";
-    } else if (const auto out2 = args.get("out"); out2) {
-      const std::string path = *out2 + "." + std::to_string(i + 1);
-      std::ofstream file(path);
-      require_input(file.good(), "cannot write " + path);
-      net::write_net(file, n);
-      std::cout << "wrote " << path << "\n";
-    } else {
-      net::write_net(std::cout, n);
-    }
+    const double tau_t_fs =
+        target_x > 0 ? target_x * dp::min_delay(n, tech.device()).tau_min_fs
+                     : 0.0;
+    writer->add(n, tau_t_fs);
+  }
+  writer->close();
+  if (out) {
+    std::cout << "wrote " << *out << " (" << writer->count()
+              << (writer->count() == 1 ? " net, " : " nets, ")
+              << (format == net::NetlistFormat::kText ? "text" : "binary")
+              << ")\n";
   }
   return 0;
 }
 
 int cmd_info(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const double unbuffered =
       rc::elmore_delay_fs(n, net::RepeaterSolution{}, tech.device());
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
+  const auto md = dp::min_delay(n, tech.device());
   std::cout << "net " << n.name() << "\n";
   std::cout << "  length:      " << fmt_f(n.total_length_um() / 1000.0, 3)
             << " mm in " << n.segments().size() << " segments\n";
@@ -290,7 +268,7 @@ int cmd_info(const CliArgs& args) {
 
 int cmd_solve(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const double tau_t = resolve_target_fs(args, n, tech);
 
   core::RipOptions options;
@@ -355,7 +333,7 @@ core::BaselineOptions baseline_library(const CliArgs& args) {
 int cmd_baseline(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
   const auto options = baseline_library(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const double tau_t = resolve_target_fs(args, n, tech);
   const auto backend = backend_option(args, tech);
   const auto r =
@@ -380,11 +358,11 @@ int cmd_baseline(const CliArgs& args) {
 
 int cmd_sweep(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const int points = args.get_int_or("points", 11);
   const int jobs = parallel_jobs(args);
   const ShardSpec shard = shard_option(args);
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
+  const auto md = dp::min_delay(n, tech.device());
 
   // Solve this shard's points in parallel, then render in sweep order.
   std::vector<double> factors(static_cast<std::size_t>(std::max(points, 0)));
@@ -437,9 +415,9 @@ int cmd_sweep(const CliArgs& args) {
 int cmd_compare(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
   const auto baseline = baseline_library(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const int points = args.get_int_or("points", 11);
-  const auto md = dp::min_delay(n, tech.device(), {10.0, 400.0, 10.0, 200.0});
+  const auto md = dp::min_delay(n, tech.device());
 
   const auto targets = eval::timing_targets_fs(md.tau_min_fs, points);
   // Objective backends: one sweep per requested backend. The default
@@ -674,7 +652,7 @@ int cmd_stream(const CliArgs& args) {
 
 int cmd_check(const CliArgs& args) {
   const tech::Technology tech = load_tech(args);
-  const net::Net n = load_net(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const auto parsed = net::read_solution_file(args.require("sol"));
   if (!parsed.net_name.empty() && parsed.net_name != n.name()) {
     std::cout << "warning: solution was produced for net '"

@@ -1,27 +1,27 @@
 // Design-to-signoff hand-off: run RIP on a net, validate the solution
 // with the built-in transient simulator, then export a SPICE deck for an
-// external circuit simulator. Also demonstrates the RIPNET text format
-// for exchanging routed nets.
+// external circuit simulator. Also demonstrates the netlist format
+// (net/netlist_io.hpp) for exchanging routed nets.
 //
 //   $ ./examples/spice_export            # deck to rip_solution.sp
-//   $ ./examples/spice_export mynet.net  # read a RIPNET file instead
+//   $ ./examples/spice_export mynet.net  # a one-record netlist file
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/rip.hpp"
 #include "dp/min_delay.hpp"
 #include "eval/workload.hpp"
-#include "net/net_io.hpp"
+#include "net/netlist_io.hpp"
 #include "rc/buffered_chain.hpp"
 #include "sim/spice.hpp"
 #include "sim/transient.hpp"
 #include "tech/technology.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace rip;
   const tech::Technology tech = tech::make_tech180();
   const auto& dev = tech.device();
@@ -29,18 +29,18 @@ int main(int argc, char** argv) {
   // Load a net from a file if given; otherwise draw one from the paper's
   // population.
   net::Net n = [&] {
-    if (argc > 1) return net::read_net_file(argv[1]);
+    if (argc > 1) return net::read_single_net(argv[1]);
     const auto wl = eval::make_paper_workload(tech, 1, 1717);
     return wl.front().net;
   }();
   std::cout << "net '" << n.name() << "': " << n.segments().size()
             << " segments, " << n.total_length_um() / 1000.0 << " mm\n";
 
-  // Echo the net in RIPNET format (the interchange format).
-  std::cout << "\n--- RIPNET ---\n";
-  net::write_net(std::cout, n);
+  // Echo the net as a one-record text netlist (the interchange format).
+  std::cout << "\n--- ripnetlist ---\n";
+  net::NetlistWriter(std::cout, net::NetlistFormat::kText, "stdout").add(n);
 
-  const auto md = dp::min_delay(n, dev, {10.0, 400.0, 10.0, 200.0});
+  const auto md = dp::min_delay(n, dev);
   const double tau_t = 1.3 * md.tau_min_fs;
   const auto rip = core::rip_insert(n, dev, tau_t);
   if (rip.status != dp::Status::kOptimal) {
@@ -68,4 +68,7 @@ int main(int argc, char** argv) {
   std::cout << "SPICE deck written to " << path
             << " (switch-level repeater models, .measure t50 included)\n";
   return 0;
+} catch (const rip::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";  // e.g. a malformed net file
+  return 2;
 }

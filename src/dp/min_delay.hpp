@@ -12,14 +12,17 @@
 
 namespace rip::dp {
 
-/// Options for the tau_min computation. Defaults mirror the richest
-/// library any scheme in the paper may use (10u..400u in 10u steps) with
-/// a 50 um placement grid (RIP's finest location granularity).
+/// Options for the tau_min computation. The default is the one grid
+/// every tau_min multiple is taken against: the richest library any
+/// scheme in the paper may use (10u..400u in 10u steps) on the DP
+/// schemes' 200 um location pitch, so that every scheme's target is
+/// achievable on its own placement grid (a finer pitch gives a tau_min
+/// the 200 um baseline cannot reach).
 struct MinDelayOptions {
   double min_width_u = 10.0;
   double max_width_u = 400.0;
   double granularity_u = 10.0;
-  double pitch_um = 50.0;
+  double pitch_um = 200.0;
 };
 
 /// Result of the tau_min computation.

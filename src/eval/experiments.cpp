@@ -132,8 +132,8 @@ Table1Result run_table1(const tech::Technology& tech,
   RIP_REQUIRE(!config.granularities_u.empty(),
               "table 1 needs at least one granularity");
   const auto workload =
-      make_paper_workload(tech, config.net_count, config.seed, {},
-                          {10.0, 400.0, 10.0, 200.0}, config.jobs);
+      make_paper_workload(tech, config.net_count, config.seed, {}, {},
+                          config.jobs);
 
   const std::size_t net_n = workload.size();
   const std::size_t tgt_n = static_cast<std::size_t>(config.targets_per_net);
@@ -279,8 +279,8 @@ Table2Result run_table2(const tech::Technology& tech,
   RIP_REQUIRE(!config.granularities_u.empty(),
               "table 2 needs at least one granularity");
   const auto workload =
-      make_paper_workload(tech, config.net_count, config.seed, {},
-                          {10.0, 400.0, 10.0, 200.0}, config.jobs);
+      make_paper_workload(tech, config.net_count, config.seed, {}, {},
+                          config.jobs);
 
   const std::size_t net_n = workload.size();
   const std::size_t tgt_n = static_cast<std::size_t>(config.targets_per_net);
@@ -380,8 +380,8 @@ Fig7Result run_fig7(const tech::Technology& tech, const Fig7Config& config) {
   RIP_REQUIRE(!config.granularities_u.empty(),
               "fig 7 needs at least one granularity");
   const auto workload =
-      make_paper_workload(tech, config.net_index + 1, config.seed, {},
-                          {10.0, 400.0, 10.0, 200.0}, config.jobs);
+      make_paper_workload(tech, config.net_index + 1, config.seed, {}, {},
+                          config.jobs);
   const auto& wn = workload.back();
 
   const auto targets = timing_targets_fs(wn.tau_min_fs, config.points);

@@ -104,7 +104,8 @@ struct StreamOptions {
   std::uint64_t stop_after = 0;
   /// Target for records that carry none (tau_t_fs == 0 in the file):
   /// default_target_x * tau_min, with tau_min solved per net inside the
-  /// worker (expensive — prefer stored targets for big files).
+  /// worker on dp::MinDelayOptions' default grid, the one stored targets
+  /// use (expensive — prefer stored targets for big files).
   double default_target_x = 1.5;
   /// Quarantine sidecar CSV (`idx,name,class,detail`). Non-empty
   /// enables quarantine: failed records become sidecar rows and the

@@ -24,9 +24,7 @@ struct WorkloadNet {
 
 /// Deterministic workload: `net_count` nets drawn from `config` with
 /// per-net seeds derived from `seed`, each with tau_min computed via the
-/// delay-mode DP (dp::min_delay). The default tau_min grid matches the
-/// DP schemes' 200 um location pitch so that every scheme's target is
-/// achievable on its own placement grid.
+/// delay-mode DP (dp::min_delay) on `min_delay`'s grid.
 ///
 /// The per-net generators are split off the master seed serially, then
 /// the per-net tau_min solves fan out over `jobs` worker threads
@@ -36,7 +34,7 @@ std::vector<WorkloadNet> make_paper_workload(
     const tech::Technology& tech, int net_count = 20,
     std::uint64_t seed = 2005,
     const net::RandomNetConfig& config = {},
-    const dp::MinDelayOptions& min_delay = {10.0, 400.0, 10.0, 200.0},
+    const dp::MinDelayOptions& min_delay = {},
     int jobs = 1);
 
 /// The paper's target sweep: `count` evenly spaced multipliers from

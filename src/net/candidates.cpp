@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "util/error.hpp"
 
@@ -9,9 +10,19 @@ namespace rip::net {
 
 std::vector<double> uniform_candidates(const Net& net, double pitch_um) {
   RIP_REQUIRE(pitch_um > 0, "candidate pitch must be positive");
-  std::vector<double> out;
   const double total = net.total_length_um();
-  out.reserve(static_cast<std::size_t>(total / pitch_um) + 1);
+  // Sized in floating point first: a cast of inf is undefined behaviour,
+  // and a reserve of 5e12 positions is one no machine can satisfy.
+  const double grid = total / pitch_um;
+  if (!(grid <= static_cast<double>(kMaxCandidates))) {
+    std::ostringstream msg;
+    msg << "net '" << net.name() << "' spans " << grid
+        << " candidate positions at " << pitch_um << " um pitch (limit "
+        << kMaxCandidates << ")";
+    throw Error(msg.str());
+  }
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(grid) + 1);
   for (double pos = pitch_um; pos < total; pos += pitch_um) {
     if (net.placement_legal(pos)) out.push_back(pos);
   }

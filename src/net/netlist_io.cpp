@@ -123,6 +123,26 @@ void put_f64(std::string& out, double v) {
   out.append(bytes, sizeof(double));
 }
 
+/// The little-endian u32 in the four bytes at `p`.
+std::uint32_t get_u32(const char* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void write_header(std::ostream& os, NetlistFormat format) {
+  if (format == NetlistFormat::kBinary) {
+    std::string header(kBinaryMagic, 4);
+    put_u32(header, kBinaryVersion);
+    os.write(header.data(), static_cast<std::streamsize>(header.size()));
+  } else {
+    os << kTextMagic << " 1\n";
+  }
+}
+
 /// Bounds-checked cursor over one binary record payload. Any overrun
 /// throws a typed "truncated record payload" NetlistError, so a short
 /// or lying length prefix can never read out of bounds.
@@ -142,12 +162,7 @@ class PayloadCursor {
 
   std::uint32_t u32(const char* what) {
     need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
+    const std::uint32_t v = get_u32(bytes_.data() + pos_);
     pos_ += 4;
     return v;
   }
@@ -250,12 +265,7 @@ void NetlistReader::read_header() {
     if (is_->gcount() != 4) {
       throw NetlistError(label_, -1, "truncated binary netlist header");
     }
-    std::uint32_t version = 0;
-    for (int i = 0; i < 4; ++i) {
-      version |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(vbytes[i]))
-                 << (8 * i);
-    }
+    const std::uint32_t version = get_u32(vbytes);
     if (version != kBinaryVersion) {
       throw NetlistError(label_, -1,
                          "unsupported binary netlist version " +
@@ -320,12 +330,7 @@ void NetlistReader::seek(std::uint64_t offset, std::uint64_t record_index) {
       is_->read(prefix, 4);
       bool plausible = is_->gcount() == 4;
       if (plausible) {
-        std::uint32_t payload_bytes = 0;
-        for (int i = 0; i < 4; ++i) {
-          payload_bytes |= static_cast<std::uint32_t>(
-                               static_cast<unsigned char>(prefix[i]))
-                           << (8 * i);
-        }
+        const std::uint32_t payload_bytes = get_u32(prefix);
         plausible = payload_bytes > 0 &&
                     payload_bytes <= kMaxNetlistRecordBytes &&
                     offset + 4 + payload_bytes <= file_size;
@@ -526,12 +531,7 @@ std::optional<NetlistRecord> NetlistReader::next_binary() {
   is_->read(prefix, 4);
   if (is_->gcount() == 0 && is_->eof()) return std::nullopt;  // boundary EOF
   if (is_->gcount() != 4) fail("truncated record length prefix");
-  std::uint32_t payload_bytes = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_bytes |= static_cast<std::uint32_t>(
-                         static_cast<unsigned char>(prefix[i]))
-                     << (8 * i);
-  }
+  const std::uint32_t payload_bytes = get_u32(prefix);
   if (payload_bytes > kMaxNetlistRecordBytes) {
     fail("oversized record length prefix " + std::to_string(payload_bytes) +
          " (limit " + std::to_string(kMaxNetlistRecordBytes) + " bytes)");
@@ -607,27 +607,17 @@ NetlistWriter::NetlistWriter(const std::string& path, NetlistFormat format)
     throw NetlistError(path, -1, "cannot open netlist file for writing");
   }
   os_ = &file_;
-  if (format_ == NetlistFormat::kBinary) {
-    os_->write(kBinaryMagic, 4);
-    std::string v;
-    put_u32(v, kBinaryVersion);
-    os_->write(v.data(), static_cast<std::streamsize>(v.size()));
-  } else {
-    *os_ << kTextMagic << " 1\n";
-  }
+  write_header(*os_, format_);
 }
 
 NetlistWriter::NetlistWriter(std::ostream& os, NetlistFormat format,
                              std::string label)
     : os_(&os), label_(std::move(label)), format_(format) {
-  if (format_ == NetlistFormat::kBinary) {
-    os_->write(kBinaryMagic, 4);
-    std::string v;
-    put_u32(v, kBinaryVersion);
-    os_->write(v.data(), static_cast<std::streamsize>(v.size()));
-  } else {
-    *os_ << kTextMagic << " 1\n";
-  }
+  write_header(*os_, format_);
+}
+
+void NetlistWriter::fail(const std::string& detail) const {
+  throw NetlistError(label_, static_cast<std::int64_t>(count_), detail);
 }
 
 NetlistWriter::~NetlistWriter() {
@@ -639,10 +629,7 @@ NetlistWriter::~NetlistWriter() {
 }
 
 void NetlistWriter::add(const Net& net, double tau_t_fs) {
-  if (closed_) {
-    throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                       "add() after close()");
-  }
+  if (closed_) fail("add() after close()");
   // Injected write failure, keyed by record ordinal; fires before any
   // bytes go out so a faulted add() leaves the stream clean.
   try {
@@ -653,8 +640,7 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
                        net.name());
   }
   if (!std::isfinite(tau_t_fs) || tau_t_fs < 0) {
-    throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                       "timing target must be finite and >= 0 (0 = unset)");
+    fail("timing target must be finite and >= 0 (0 = unset)");
   }
   if (format_ == NetlistFormat::kText) {
     *os_ << "net " << net.name() << "\n";
@@ -679,10 +665,7 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
   } else {
     std::string payload;
     payload.reserve(128 + net.segments().size() * 40);
-    if (net.name().size() > 0xffff) {
-      throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                         "net name longer than 65535 bytes");
-    }
+    if (net.name().size() > 0xffff) fail("net name longer than 65535 bytes");
     put_u16(payload, static_cast<std::uint16_t>(net.name().size()));
     payload += net.name();
     put_f64(payload, net.driver_width_u());
@@ -693,10 +676,7 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
       put_f64(payload, s.length_um);
       put_f64(payload, s.r_ohm_per_um);
       put_f64(payload, s.c_ff_per_um);
-      if (s.layer.size() > 0xffff) {
-        throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                           "layer name longer than 65535 bytes");
-      }
+      if (s.layer.size() > 0xffff) fail("layer name longer than 65535 bytes");
       put_u16(payload, static_cast<std::uint16_t>(s.layer.size()));
       payload += s.layer;
     }
@@ -706,20 +686,15 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
       put_f64(payload, z.end_um);
     }
     if (payload.size() > kMaxNetlistRecordBytes) {
-      throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                         "record payload exceeds " +
-                             std::to_string(kMaxNetlistRecordBytes) +
-                             " bytes");
+      fail("record payload exceeds " +
+           std::to_string(kMaxNetlistRecordBytes) + " bytes");
     }
     std::string prefix;
     put_u32(prefix, static_cast<std::uint32_t>(payload.size()));
     os_->write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
     os_->write(payload.data(), static_cast<std::streamsize>(payload.size()));
   }
-  if (!os_->good()) {
-    throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                       "write failed");
-  }
+  if (!os_->good()) fail("write failed");
   ++count_;
 }
 
@@ -727,11 +702,20 @@ void NetlistWriter::close() {
   if (closed_) return;
   closed_ = true;
   os_->flush();
-  if (!os_->good()) {
-    throw NetlistError(label_, static_cast<std::int64_t>(count_),
-                       "flush failed on close");
-  }
+  if (!os_->good()) fail("flush failed on close");
   if (os_ == &file_) file_.close();
+}
+
+Net read_single_net(const std::string& path) {
+  NetlistReader reader(path);
+  auto record = reader.next();
+  if (!record || reader.next()) {
+    throw NetlistError(path, -1,
+                       std::string(record ? "more than one" : "no") +
+                           " net record (a net file holds exactly one)",
+                       NetlistErrorKind::kMalformed);
+  }
+  return std::move(record->net);
 }
 
 }  // namespace rip::net

@@ -1,21 +1,22 @@
 #pragma once
 
 /// @file netlist_io.hpp
-/// Versioned on-disk netlist formats and the streaming reader/writer
-/// that feed full-chip sweeps. Where net_io.hpp serializes ONE net per
-/// file, a netlist file carries 10^4..10^6 records, so both formats are
-/// designed to be produced and consumed incrementally: the writer never
-/// buffers more than one record, the reader yields one record at a time
-/// and never loads the file, and every record boundary has a byte
-/// offset that a checkpoint can store and seek back to (eval/stream.hpp
-/// builds its resume protocol on exactly that).
+/// Versioned on-disk netlist formats and the streaming reader/writer:
+/// the one file grammar for nets. A file carries from one record (what
+/// rip_cli's single-net commands read) to 10^6 records (a full-chip
+/// sweep), so both formats are designed to be produced and consumed
+/// incrementally: the writer never buffers more than one record, the
+/// reader yields one record at a time and never loads the file, and
+/// every record boundary has a byte offset that a checkpoint can store
+/// and seek back to (eval/stream.hpp builds its resume protocol on
+/// exactly that).
 ///
 /// A record is a net plus an optional per-net timing target in
 /// femtoseconds (0 = unset; the stream driver then derives one), so a
 /// file is a self-contained workload, not just geometry.
 ///
-/// Text format ("ripnetlist 1") — line oriented, diffable, the
-/// directives of the single-net format plus record framing:
+/// Text format ("ripnetlist 1") — line oriented and diffable; each
+/// record is framed by `net <name>` ... `end`:
 ///
 ///     ripnetlist 1
 ///     net net_1
@@ -212,6 +213,8 @@ class NetlistWriter {
   NetlistFormat format() const { return format_; }
 
  private:
+  [[noreturn]] void fail(const std::string& detail) const;
+
   std::ofstream file_;
   std::ostream* os_ = nullptr;
   std::string label_;
@@ -219,6 +222,12 @@ class NetlistWriter {
   std::uint64_t count_ = 0;
   bool closed_ = false;
 };
+
+/// The net of a one-record netlist file in either encoding: the file
+/// form of every single-net command. Throws NetlistError naming `path`
+/// when the file holds no record or more than one; a stored target is
+/// dropped.
+Net read_single_net(const std::string& path);
 
 /// Shortest-round-trip decimal rendering of a double (std::to_chars):
 /// parsing the result reproduces the exact bits, and re-rendering the

@@ -1,15 +1,14 @@
 // Unit tests for the net module: geometry, prefix integrals, forbidden
-// zones, candidates, solutions, serialization, and the random generator.
+// zones, candidates, solutions, and the random generator (netlist files
+// are netlist_io_test's).
 
 #include <cmath>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "net/candidates.hpp"
 #include "net/generator.hpp"
 #include "net/net.hpp"
-#include "net/net_io.hpp"
 #include "net/solution.hpp"
 #include "tech/technology.hpp"
 #include "test_helpers.hpp"
@@ -258,39 +257,27 @@ TEST(Candidates, InvalidArgumentsThrow) {
   EXPECT_THROW(window_candidates(n, {100.0}, 1, 0.0), Error);
 }
 
-// ------------------------------------------------------------------- io
-
-TEST(NetIo, RoundTrip) {
-  const Net original = test::two_segment_net_with_zone();
-  std::ostringstream os;
-  write_net(os, original);
-  std::istringstream is(os.str());
-  const Net parsed = read_net(is);
-  EXPECT_EQ(parsed.name(), original.name());
-  EXPECT_DOUBLE_EQ(parsed.driver_width_u(), original.driver_width_u());
-  EXPECT_DOUBLE_EQ(parsed.receiver_width_u(), original.receiver_width_u());
-  ASSERT_EQ(parsed.segments().size(), original.segments().size());
-  EXPECT_DOUBLE_EQ(parsed.total_length_um(), original.total_length_um());
-  ASSERT_EQ(parsed.zones().size(), 1u);
-  EXPECT_DOUBLE_EQ(parsed.zones()[0].start_um, 400.0);
-  EXPECT_DOUBLE_EQ(parsed.zones()[0].end_um, 700.0);
-}
-
-TEST(NetIo, RejectsMissingHeaderAndUnknownDirectives) {
-  std::istringstream no_header("name x\ndriver 1\nreceiver 1\n");
-  EXPECT_THROW(read_net(no_header), Error);
-  std::istringstream unknown("ripnet 1\nfrobnicate 3\n");
-  EXPECT_THROW(read_net(unknown), Error);
-}
-
-TEST(NetIo, RejectsMissingSegmentKeys) {
-  std::istringstream is(
-      "ripnet 1\ndriver 10\nreceiver 5\nsegment len_um 100\n");
-  EXPECT_THROW(read_net(is), Error);
-}
-
-TEST(NetIo, MissingFileThrows) {
-  EXPECT_THROW(read_net_file("/nonexistent/net.txt"), Error);
+TEST(Candidates, GridPastTheKernelCountRangeIsATypedError) {
+  // Finite, positive lengths the reader accepts: 5e12 grid positions,
+  // and two segments whose sum is inf. Each is refused before anything
+  // is allocated, as an input error rather than a precondition.
+  const Net huge("huge", 100, 50, {Segment{1e15, 0.1, 0.2, "metal4"}});
+  const Net endless("endless", 100, 50,
+                    {Segment{1e308, 0.1, 0.2, "metal4"},
+                     Segment{1e308, 0.1, 0.2, "metal4"}});
+  for (const Net* n : {&huge, &endless}) {
+    try {
+      uniform_candidates(*n, 200.0);
+      ADD_FAILURE() << n->name() << ": expected rip::Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("(limit 32767)"), std::string::npos) << what;
+      EXPECT_EQ(what.find("precondition"), std::string::npos) << what;
+    }
+  }
+  // A grid of exactly kMaxCandidates pitches is still built.
+  const Net edge("edge", 100, 50, {Segment{32767.0, 0.1, 0.2, "metal4"}});
+  EXPECT_EQ(uniform_candidates(edge, 1.0).size(), kMaxCandidates - 1);
 }
 
 // -------------------------------------------------------------- generator

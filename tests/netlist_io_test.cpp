@@ -11,13 +11,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "net/net_io.hpp"
 #include "net/netlist_io.hpp"
 #include "util/rng.hpp"
 
@@ -215,6 +215,11 @@ std::vector<FaultCase> text_faults() {
   faults.push_back({"unknown_directive",
                     "ripnetlist 1\nnet x\nfrobnicate 3\nend\n",
                     "unknown directive 'frobnicate'", 0, 0});
+  faults.push_back({"missing_segment_key",
+                    "ripnetlist 1\nnet x\ndriver 10\nreceiver 5\n"
+                    "segment len_um 100\nend\n",
+                    "segment needs len_um, r_ohm_per_um and c_ff_per_um", 0,
+                    0});
   faults.push_back({"odd_segment_kv",
                     "ripnetlist 1\nnet x\ndriver 100\nreceiver 50\n"
                     "segment len_um 1000 r_ohm_per_um\nend\n",
@@ -602,40 +607,50 @@ TEST(NetlistWriter, RejectsBadTarget) {
       NetlistError);
 }
 
-// ------------------------------------- net_io source-context regression
-//
-// Satellite of the streaming PR: single-net read errors must name their
-// source. These pin the exact message format.
+// --------------------------------------------- open failure names its file
 
-TEST(NetIoErrorContext, StreamErrorsCarrySourceName) {
-  std::istringstream is("ripnet 1\nbogus_directive 3\n");
-  try {
-    net::read_net(is, "widget.net");
-    FAIL() << "expected rip::Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "widget.net: unknown directive 'bogus_directive' at line 2");
-  }
+// read_single_net is the net-file reader of rip_cli and spice_export.
+// A missing net file surfaces as the base rip::Error, the type rip_cli
+// catches to report a usage error.
+TEST(NetIo, MissingFileThrows) {
+  EXPECT_THROW(net::read_single_net("/nonexistent/net.txt"), Error);
 }
 
-TEST(NetIoErrorContext, NoSourceKeepsLegacyMessage) {
-  std::istringstream is("ripnet 1\nbogus_directive 3\n");
-  try {
-    net::read_net(is);
-    FAIL() << "expected rip::Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "unknown directive 'bogus_directive' at line 2");
+// A net file holding no record or a second one is refused naming the
+// file, in either encoding, never silently truncated.
+TEST(NetIo, SingleNetFileHoldsExactlyOneRecord) {
+  const std::string path = ::testing::TempDir() + "netlist_io_test_one.net";
+  for (const NetlistFormat format : {NetlistFormat::kText,
+                                     NetlistFormat::kBinary}) {
+    const auto refusal = [&](int records) -> std::string {
+      NetlistWriter writer(path, format);
+      for (int i = 0; i < records; ++i) writer.add(tiny_net());
+      writer.close();
+      try {
+        expect_same_net(net::read_single_net(path), tiny_net("n0"));
+        return "";
+      } catch (const NetlistError& e) {
+        return e.what();
+      }
+    };
+    EXPECT_EQ(refusal(1), "");
+    EXPECT_EQ(refusal(0),
+              path + ": no net record (a net file holds exactly one)");
+    EXPECT_EQ(refusal(2), path + ": more than one net record (a net file "
+                                 "holds exactly one)");
   }
+  std::remove(path.c_str());
 }
 
 TEST(NetIoErrorContext, MissingFileNamesPath) {
   try {
-    net::read_net_file("/nonexistent/nets/x.net");
-    FAIL() << "expected rip::Error";
-  } catch (const Error& e) {
+    NetlistReader reader("/nonexistent/nets/x.net");
+    FAIL() << "expected NetlistError";
+  } catch (const NetlistError& e) {
     EXPECT_EQ(std::string(e.what()),
-              "cannot open net file: /nonexistent/nets/x.net");
+              "/nonexistent/nets/x.net: cannot open netlist file");
+    EXPECT_EQ(e.path(), "/nonexistent/nets/x.net");
+    EXPECT_EQ(e.record_index(), -1);
   }
 }
 

@@ -26,6 +26,7 @@
 #include "eval/experiments.hpp"
 #include "eval/solve_cache.hpp"
 #include "eval/stream.hpp"
+#include "eval/workload.hpp"
 #include "net/generator.hpp"
 #include "net/netlist_io.hpp"
 #include "tech/objective.hpp"
@@ -457,6 +458,91 @@ TEST(StreamGuards, MissingTargetIsDerivedInWorker) {
   EXPECT_EQ(slurp(output), expected_csv(w, in_memory_results(w, nullptr)));
   std::filesystem::remove(input);
   std::filesystem::remove(output);
+}
+
+TEST(StreamGuards, DerivedTargetIsTheStoredPaperTarget) {
+  // A record without a target and the same net stored at 1.5 x its
+  // make_paper_workload tau_min (the grid gen --store-target-x and the
+  // table runners use) must be one target and so one row.
+  const auto nets = eval::make_paper_workload(tech180(), 3, 2005);
+  const std::string derived_in = temp_path("grid_derived.rnl");
+  const std::string stored_in = temp_path("grid_stored.rnl");
+  {
+    net::NetlistWriter derived(derived_in, net::NetlistFormat::kText);
+    net::NetlistWriter stored(stored_in, net::NetlistFormat::kText);
+    for (const auto& wn : nets) {
+      derived.add(wn.net, 0.0);
+      stored.add(wn.net, 1.5 * wn.tau_min_fs);
+    }
+    derived.close();
+    stored.close();
+  }
+  eval::StreamOptions options;
+  options.default_target_x = 1.5;
+  const std::string derived_csv = temp_path("grid_derived.csv");
+  const std::string stored_csv = temp_path("grid_stored.csv");
+  ASSERT_TRUE(
+      eval::run_stream(tech180(), derived_in, derived_csv, options).finished);
+  ASSERT_TRUE(
+      eval::run_stream(tech180(), stored_in, stored_csv, options).finished);
+  EXPECT_EQ(slurp(derived_csv), slurp(stored_csv));
+  for (const auto& path : {derived_in, stored_in, derived_csv, stored_csv}) {
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(StreamGuards, OversizedRecordIsQuarantinedAtAnyJobCount) {
+  // Record 1 passes the reader (every value finite and positive) but is
+  // 10^15 um long: 5e12 candidate positions, more than a DP label's
+  // int16 repeater count can index. Its solve fails with a typed error,
+  // so quarantine loses that record alone.
+  const Workload w = make_workload(3, 17);
+  const std::string golden_in = temp_path("oversized_golden.rnl");
+  const std::string golden_csv = temp_path("oversized_golden.csv");
+  write_workload(w, golden_in, net::NetlistFormat::kText);
+  const eval::StreamOptions unfaulted;
+  ASSERT_TRUE(
+      eval::run_stream(tech180(), golden_in, golden_csv, unfaulted).finished);
+  std::string survivors;
+  {
+    std::istringstream golden(slurp(golden_csv));
+    for (std::string line; std::getline(golden, line);) {
+      if (!starts_with(line, "1,")) survivors += line + "\n";
+    }
+  }
+
+  Workload faulted = w;
+  faulted.nets[1] =
+      net::Net("huge", 100.0, 50.0, {net::Segment{1e15, 0.1, 0.2, "metal4"}});
+  const std::string input = temp_path("oversized.rnl");
+  write_workload(faulted, input, net::NetlistFormat::kText);
+  for (const int jobs : {1, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const std::string csv = temp_path("oversized.csv");
+    const std::string errs = temp_path("oversized_errors.csv");
+    eval::StreamOptions options;
+    options.jobs = jobs;
+    options.errors_path = errs;
+    const auto result = eval::run_stream(tech180(), input, csv, options);
+    EXPECT_TRUE(result.finished);
+    EXPECT_EQ(result.rows_written, 2u);
+    EXPECT_EQ(result.rows_quarantined, 1u);
+    EXPECT_EQ(slurp(csv), survivors);
+
+    std::istringstream sidecar(slurp(errs));
+    std::string line;
+    ASSERT_TRUE(std::getline(sidecar, line));
+    EXPECT_EQ(line, "idx,name,class,detail");
+    ASSERT_TRUE(std::getline(sidecar, line));
+    EXPECT_TRUE(starts_with(line, "1,huge,solve,")) << line;
+    EXPECT_NE(line.find("(limit 32767)"), std::string::npos) << line;
+    EXPECT_FALSE(std::getline(sidecar, line)) << "extra row: " << line;
+    std::filesystem::remove(csv);
+    std::filesystem::remove(errs);
+  }
+  for (const auto& path : {golden_in, golden_csv, input}) {
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

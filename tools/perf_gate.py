@@ -2,35 +2,47 @@
 """Perf gate for the chain-DP kernel bench.
 
 Compares a fresh bench_dp JSON summary against the committed baseline
-(BENCH_dp.json at the repo root) per kernel configuration and fails when
-any configuration's ns_per_solve regressed by more than the threshold.
+(BENCH_dp.json at the repo root) per kernel configuration, on two kinds
+of figure:
+
+- Work counters, exactly: labels_per_solve, labels_peak and arena_peak
+  are deterministic for a given workload, so any rise fails the gate
+  (a pruning bug that keeps more labels shows here on any machine). A
+  fall passes, and the gate asks for a re-baseline so the next rise is
+  measured from the new level.
+- Wall clock, with a threshold: ns_per_solve may not rise by more than
+  10%, overridable with RIP_PERF_GATE_PCT — a developer machine that
+  matches the baseline's hardware should run with the default; shared
+  CI runners are noisy and should pass a generous override (the gate
+  then only catches order-of-magnitude blowups, never runner-speed
+  lottery).
 
 Usage:
     python3 tools/perf_gate.py CURRENT.json
 
 The baseline is BENCH_dp.json in this script's parent directory (the
-repo root). The regression threshold is 10% and can be
-overridden with RIP_PERF_GATE_PCT — a developer machine that matches the
-baseline's hardware should run with the default; shared CI runners are
-noisy and should pass a generous override (the gate then only catches
-order-of-magnitude blowups, never runner-speed lottery).
-
-Only configurations present in BOTH files are compared; a configuration
-that disappeared from the current run fails the gate (a silently dropped
-config is how a regression hides), a new configuration is reported and
-skipped. Both files' hardware blocks are printed so a reader can tell a
-slower machine from a slower kernel; the verdict reads `configs` alone.
-Exit status: 0 = within threshold, 1 = regression or missing config,
-2 = usage/parse error.
+repo root). Both files must describe the same workload (`nets`,
+`targets_per_net` and `seed` of their `workload` blocks); otherwise the
+counters are not comparable and the gate refuses with exit 2, naming
+the mismatch. Only configurations present in BOTH files are compared; a
+configuration that disappeared from the current run fails the gate (a
+silently dropped config is how a regression hides), a new configuration
+is reported and skipped. Both files' hardware blocks are printed so a
+reader can tell a slower machine from a slower kernel.
+Exit status: 0 = pass, 1 = regression or missing config, 2 =
+usage/parse error or a workload mismatch.
 """
 
 import json
 import os
 import sys
 
+COUNTERS = ("labels_per_solve", "labels_peak", "arena_peak")
+WORKLOAD_KEYS = ("nets", "targets_per_net", "seed")
+
 
 def load(path):
-    """The file's kernel configurations by name, and its hardware line."""
+    """The file's configurations by name, its workload and hardware line."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -46,7 +58,7 @@ def load(path):
     hardware = "not recorded" if not hw else (
         f"{hw.get('cpu_model', '?')}, nproc {hw.get('nproc', '?')}, "
         f"{hw.get('compiler', '?')}")
-    return configs, hardware
+    return configs, data.get("workload") or {}, hardware
 
 
 def main(argv):
@@ -63,39 +75,64 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    baseline, baseline_hw = load(baseline_path)
-    current, current_hw = load(current_path)
+    baseline, baseline_wl, baseline_hw = load(baseline_path)
+    current, current_wl, current_hw = load(current_path)
+
+    mismatches = [
+        f"{key} {baseline_wl.get(key)} (baseline) vs "
+        f"{current_wl.get(key)} (current)"
+        for key in WORKLOAD_KEYS
+        if key not in baseline_wl or baseline_wl[key] != current_wl.get(key)
+    ]
+    if mismatches:
+        print("perf_gate: the runs measured different workloads, so their "
+              "counters are not comparable: " + "; ".join(mismatches),
+              file=sys.stderr)
+        return 2
 
     failures = []
+    rebaseline = []
     width = max(len(name) for name in baseline)
     print(f"perf gate: {current_path} vs {baseline_path} "
-          f"(threshold +{threshold_pct:g}%)")
+          f"(counters exact, wall clock +{threshold_pct:g}%)")
     print(f"  baseline hardware: {baseline_hw}")
     print(f"  current hardware:  {current_hw}")
     for name, base in sorted(baseline.items()):
         cur = current.get(name)
         if cur is None:
             print(f"  {name:<{width}}  MISSING from current run")
-            failures.append(name)
+            failures.append(f"{name} missing")
             continue
+        for counter in COUNTERS:
+            # Printed as stored: bench_dp writes the counters' exact
+            # digits, so the smallest rise shows and fails.
+            base_n, cur_n = base[counter], cur[counter]
+            if cur_n != base_n:
+                rose = cur_n > base_n
+                print(f"  {name:<{width}}  {counter} {base_n} -> {cur_n}  "
+                      + ("ROSE" if rose else "fell"))
+                (failures if rose else rebaseline).append(f"{name} {counter}")
         base_ns = float(base["ns_per_solve"])
         cur_ns = float(cur["ns_per_solve"])
         delta_pct = (cur_ns - base_ns) / base_ns * 100.0
         verdict = "ok"
         if delta_pct > threshold_pct:
             verdict = "REGRESSED"
-            failures.append(name)
+            failures.append(f"{name} ns_per_solve {delta_pct:+.1f}%")
         print(f"  {name:<{width}}  {base_ns / 1e3:10.1f} -> "
               f"{cur_ns / 1e3:10.1f} us/solve  {delta_pct:+7.1f}%  {verdict}")
     for name in sorted(set(current) - set(baseline)):
         print(f"  {name:<{width}}  new configuration (no baseline, skipped)")
 
+    if rebaseline:
+        print(f"perf_gate: {len(rebaseline)} counter(s) fell "
+              f"({', '.join(rebaseline)}): re-baseline BENCH_dp.json so "
+              "the gate holds the new level")
     if failures:
-        print(f"perf_gate: FAIL — {len(failures)} configuration(s) over "
-              f"the +{threshold_pct:g}% threshold: {', '.join(failures)}",
-              file=sys.stderr)
+        print(f"perf_gate: FAIL — {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("perf_gate: PASS")
+    print(f"perf_gate: PASS ({len(COUNTERS)} counters of {len(baseline)} "
+          "configurations compared exactly)")
     return 0
 
 
