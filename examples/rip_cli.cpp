@@ -36,6 +36,7 @@
 // are wall clock).
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -181,15 +182,51 @@ void print_cache_stats(const eval::SolveCache* cache) {
             << " bytes\n";
 }
 
-/// Resolve --target-ns / --target-x (x tau_min) into femtoseconds.
-double resolve_target_fs(const CliArgs& args, const net::Net& n,
-                         const tech::Technology& tech) {
-  if (const auto ns = args.get("target-ns")) {
-    return units::ns_to_fs(parse_double(*ns, "--target-ns"));
+/// --NAME as a finite number > 0 (a target or a factor), or `fallback`
+/// when absent.
+double positive_option(const CliArgs& args, const std::string& name,
+                       double fallback) {
+  const double v = args.get_double_or(name, fallback);
+  require_input(std::isfinite(v) && v > 0,
+                "--" + name + " must be finite and > 0");
+  return v;
+}
+
+/// --NAME as an integer >= 1, or `fallback` when absent.
+int positive_int_option(const CliArgs& args, const std::string& name,
+                        int fallback) {
+  const int v = args.get_int_or(name, fallback);
+  require_input(v >= 1, "--" + name + " must be >= 1");
+  return v;
+}
+
+/// The timing target of a single-net command: --target-ns T, or
+/// --target-x F times the net's tau_min. Read, and checked, before any
+/// file is opened.
+struct TargetOption {
+  double ns = 0;  ///< > 0 when given
+  double x = 0;   ///< > 0 when given instead
+
+  double fs(const net::Net& n, const tech::Technology& tech) const {
+    const double target_fs =
+        ns > 0 ? units::ns_to_fs(ns)
+               : x * dp::min_delay(n, tech.device()).tau_min_fs;
+    require_input(std::isfinite(target_fs),
+                  ns > 0 ? "--target-ns is too large"
+                         : "--target-x times tau_min is too large");
+    return target_fs;
   }
-  const double factor = args.get_double_or("target-x", 0.0);
-  require_input(factor > 0, "need --target-ns or --target-x");
-  return factor * dp::min_delay(n, tech.device()).tau_min_fs;
+};
+
+TargetOption target_option(const CliArgs& args) {
+  TargetOption target;
+  if (args.has("target-ns")) {
+    target.ns = positive_option(args, "target-ns", 0.0);
+    return target;
+  }
+  require_input(args.has("target-x"), "need --target-ns or --target-x");
+  target.x = positive_option(args, "target-x", 0.0);
+  return target;
 }
 
 /// --format text|binary -> NetlistFormat, with a caller-chosen default
@@ -204,7 +241,6 @@ net::NetlistFormat format_option(const CliArgs& args,
 }
 
 int cmd_gen(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
   const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
   const int count = args.get_int_or("nets", 1);
   require_input(count >= 1, "--nets must be >= 1");
@@ -212,10 +248,12 @@ int cmd_gen(const CliArgs& args) {
   // tau_min DP per net — meant for test-scale files); without it records
   // carry no target and `stream` resolves its --target-x default per net
   // at evaluation time.
-  const double target_x = args.get_double_or("store-target-x", 0.0);
-  require_input(target_x >= 0, "--store-target-x must be > 0 when given");
+  const double target_x = args.has("store-target-x")
+                              ? positive_option(args, "store-target-x", 0.0)
+                              : 0.0;
   const net::NetlistFormat format =
       format_option(args, net::NetlistFormat::kText);
+  const tech::Technology tech = load_tech(args);
   const auto out = args.get("out");
   std::optional<net::NetlistWriter> writer;
   if (out) writer.emplace(*out, format);
@@ -267,14 +305,14 @@ int cmd_info(const CliArgs& args) {
 }
 
 int cmd_solve(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
-  const net::Net n = net::read_single_net(args.require("net"));
-  const double tau_t = resolve_target_fs(args, n, tech);
-
+  const TargetOption target = target_option(args);
   core::RipOptions options;
   options.refine.move.allow_zone_hop = args.has("zone-hop");
-  options.refine_repeats = args.get_int_or("refine-repeats", 1);
+  options.refine_repeats = positive_int_option(args, "refine-repeats", 1);
+  const tech::Technology tech = load_tech(args);
   const auto backend = backend_option(args, tech);
+  const net::Net n = net::read_single_net(args.require("net"));
+  const double tau_t = target.fs(n, tech);
 
   const auto r =
       core::rip_insert(n, tech.device(), tau_t, options,
@@ -331,11 +369,12 @@ core::BaselineOptions baseline_library(const CliArgs& args) {
 }
 
 int cmd_baseline(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
   const auto options = baseline_library(args);
-  const net::Net n = net::read_single_net(args.require("net"));
-  const double tau_t = resolve_target_fs(args, n, tech);
+  const TargetOption target = target_option(args);
+  const tech::Technology tech = load_tech(args);
   const auto backend = backend_option(args, tech);
+  const net::Net n = net::read_single_net(args.require("net"));
+  const double tau_t = target.fs(n, tech);
   const auto r =
       core::run_baseline(n, tech.device(), tau_t, options,
                          dp::Workspace::local(), nullptr, backend.get());
@@ -357,15 +396,15 @@ int cmd_baseline(const CliArgs& args) {
 }
 
 int cmd_sweep(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
-  const net::Net n = net::read_single_net(args.require("net"));
-  const int points = args.get_int_or("points", 11);
+  const int points = positive_int_option(args, "points", 11);
   const int jobs = parallel_jobs(args);
   const ShardSpec shard = shard_option(args);
+  const tech::Technology tech = load_tech(args);
+  const net::Net n = net::read_single_net(args.require("net"));
   const auto md = dp::min_delay(n, tech.device());
 
   // Solve this shard's points in parallel, then render in sweep order.
-  std::vector<double> factors(static_cast<std::size_t>(std::max(points, 0)));
+  std::vector<double> factors(static_cast<std::size_t>(points));
   for (int k = 0; k < points; ++k) {
     factors[static_cast<std::size_t>(k)] =
         1.05 + (points > 1 ? k * 1.0 / (points - 1) : 0.0);
@@ -413,10 +452,10 @@ int cmd_sweep(const CliArgs& args) {
 }
 
 int cmd_compare(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
   const auto baseline = baseline_library(args);
+  const int points = positive_int_option(args, "points", 11);
+  const tech::Technology tech = load_tech(args);
   const net::Net n = net::read_single_net(args.require("net"));
-  const int points = args.get_int_or("points", 11);
   const auto md = dp::min_delay(n, tech.device());
 
   const auto targets = eval::timing_targets_fs(md.tau_min_fs, points);
@@ -598,7 +637,6 @@ int cmd_netlist_convert(const CliArgs& args) {
 // window, not the file. --checkpoint/--every make the run resumable
 // after a kill; --stop-after simulates the kill for tests.
 int cmd_stream(const CliArgs& args) {
-  const tech::Technology tech = load_tech(args);
   eval::StreamOptions options;
   options.jobs = parallel_jobs(args);
   // Strict counts: absent flags keep their defaults, but an explicit
@@ -613,15 +651,17 @@ int cmd_stream(const CliArgs& args) {
                 "--checkpoint requires --every N");
   options.resume = args.has("resume");
   options.stop_after = count_option(args, "stop-after", 0, 1);
-  options.default_target_x = args.get_double_or("target-x", 1.5);
+  options.default_target_x = positive_option(args, "target-x", 1.5);
   if (const auto errors = args.get("errors")) options.errors_path = *errors;
   options.deadline_ms = args.get_double_or("deadline-ms", 0.0);
-  require_input(options.deadline_ms >= 0, "--deadline-ms must be >= 0");
+  require_input(std::isfinite(options.deadline_ms) && options.deadline_ms >= 0,
+                "--deadline-ms must be finite and >= 0");
   options.retry.max_attempts =
       static_cast<int>(count_option(args, "retry", 1, 1));
   options.retry.base = std::chrono::milliseconds(
       count_option(args, "retry-base-ms", 1, 1));
   const std::unique_ptr<eval::SolveCache> cache = make_cache(args);
+  const tech::Technology tech = load_tech(args);
   const std::unique_ptr<tech::ObjectiveBackend> backend =
       backend_option(args, tech);
   options.context.cache = cache.get();
@@ -651,6 +691,8 @@ int cmd_stream(const CliArgs& args) {
 }
 
 int cmd_check(const CliArgs& args) {
+  const bool timed = args.has("target-ns");
+  const double target_ns = timed ? positive_option(args, "target-ns", 0.0) : 0;
   const tech::Technology tech = load_tech(args);
   const net::Net n = net::read_single_net(args.require("net"));
   const auto parsed = net::read_solution_file(args.require("sol"));
@@ -668,8 +710,8 @@ int cmd_check(const CliArgs& args) {
   std::cout << "elmore delay: "
             << fmt_unit(units::fs_to_ns(delay), 3, "ns") << "\n";
   bool timing_ok = true;
-  if (const auto ns = args.get("target-ns")) {
-    const double tau_t = units::ns_to_fs(parse_double(*ns, "--target-ns"));
+  if (timed) {
+    const double tau_t = units::ns_to_fs(target_ns);
     timing_ok = delay <= tau_t;
     std::cout << "timing: " << (timing_ok ? "MET" : "VIOLATED") << " (target "
               << fmt_unit(units::fs_to_ns(tau_t), 3, "ns") << ")\n";

@@ -11,7 +11,11 @@
 ///   3. Build a concise library B (REFINE widths rounded to 10u) and a
 ///      small location set S (each REFINE location ±10 positions at
 ///      50 um) and re-run the DP restricted to B and S, as an exact
-///      branch-and-bound against stage 1's cost (run_chain_dp_bounded).
+///      branch-and-bound against stage 1's cost (run_chain_dp_bounded):
+///      a label is dropped once it costs more than stage 1's answer, or
+///      once its slack, less the least delay any buffering of the path
+///      from the driver to it could add (a lookahead floor from one
+///      driver-to-receiver sweep), misses the target.
 ///
 /// Guarantee: the returned solution is the best feasible of stage 3 and
 /// stage 1, so RIP is feasible whenever the coarse DP is, and never worse

@@ -16,8 +16,6 @@ namespace {
 
 using kernel::expand_candidate;
 using kernel::identity_cost_table;
-using kernel::interval_affine;
-using kernel::kNoBuffers;
 using kernel::propagate_frontier;
 
 /// Resolve the active backend's per-net cost coefficients (identity when
@@ -157,7 +155,10 @@ void carry_width_order(const std::vector<std::int32_t>& order,
 /// one solved frontier answer every target (ChainSolveCache). Only
 /// `bounds` (kernel::LabelBounds; nullptr = none, never when caching)
 /// depend on the target: they drop labels from the pass-through frontier
-/// after each wire run and from each buffer group before its sweep.
+/// after each wire run and from each buffer group before its sweep. With
+/// bounds the sweep first fills the lookahead floor
+/// (kernel::fill_lookahead_floor) and charges each candidate's labels
+/// their floor there.
 ///
 /// Invariant entering each candidate step: the frontier is sorted by
 /// (C asc, q desc, w asc). Wire propagation preserves it: C order
@@ -190,6 +191,16 @@ const ChainFrontier& sweep_chain(const net::Net& net,
   ws.all_buffers.resize(lib_n);
   for (std::size_t b = 0; b < lib_n; ++b)
     ws.all_buffers[b] = static_cast<std::int16_t>(b);
+  kernel::fill_wire_affines(net, candidates_um, ws);
+  const double intrinsic_fs = device.rs_ohm * device.cp_ff;
+  const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
+  // The bounds at the candidate being swept: *bounds plus its floor.
+  kernel::LabelBounds at{};
+  if (bounds != nullptr) {
+    at = *bounds;
+    kernel::fill_lookahead_floor(ws, cost, options.allowed_buffers,
+                                 driver_rs_over_w, intrinsic_fs);
+  }
 
   ChainFrontier* front = &ws.chain_front;
   ChainFrontier* back = &ws.chain_back;
@@ -212,31 +223,27 @@ const ChainFrontier& sweep_chain(const net::Net& net,
   stats.labels_created = 1;
   stats.positions = candidates_um.size();
 
-  const double intrinsic_fs = device.rs_ohm * device.cp_ff;
-  double downstream_pos = net.total_length_um();
   for (std::size_t ci = candidates_um.size(); ci-- > 0;) {
-    const double pos = candidates_um[ci];
-    net.pieces_between(pos, downstream_pos, ws.pieces);
-    propagate_frontier(*front, interval_affine(ws.pieces));
-    downstream_pos = pos;
+    propagate_frontier(*front, ws.wire[ci + 1]);
     if (bounds != nullptr) {
+      at.pass_floor_fs = ws.floor_d0[ci];
+      at.pass_floor_ohm = ws.floor_rmin[ci];
+      at.group_floor_fs = ws.floor_group.data() + ws.floor_group_at[ci];
       stats.labels_pruned +=
-          kernel::retain_admitted(*front, *bounds, *order, ws.order_map);
+          kernel::retain_admitted(*front, at, *order, ws.order_map);
     }
 
     // Library indices that may be inserted at this candidate. A backend
     // that forbids repeaters empties every candidate's list.
     const std::vector<std::int16_t>& allowed =
-        !cost.allow_repeaters        ? kNoBuffers
-        : options.allowed_buffers != nullptr ? (*options.allowed_buffers)[ci]
-                                             : ws.all_buffers;
+        kernel::allowed_at(cost, options.allowed_buffers, ws, ci);
 
     // Option B labels (insert a repeater here), built per buffer group,
     // pre-filtered within each group, concatenated in sorted run order.
     // Labels accumulate the objective cost table (== widths on the
     // identity objective, same bits).
     expand_candidate(ws, *front, *order, allowed, ws.lib_cost, intrinsic_fs,
-                     power_mode, bounds);
+                     power_mode, bounds != nullptr ? &at : nullptr);
     const std::size_t fn = front->size();
     const std::size_t gn = ws.expanded.size();
     stats.labels_created += allowed.size() * fn;
@@ -322,9 +329,7 @@ const ChainFrontier& sweep_chain(const net::Net& net,
   }
 
   // Final wire run up to the driver, then the driver gate in place.
-  net.pieces_between(0.0, downstream_pos, ws.pieces);
-  propagate_frontier(*front, interval_affine(ws.pieces));
-  const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
+  propagate_frontier(*front, ws.wire[0]);
   double* q = front->q_fs.data();
   const double* cap = front->cap_ff.data();
   const std::size_t n = front->size();

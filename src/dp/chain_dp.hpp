@@ -150,8 +150,10 @@ ChainDpResult run_chain_dp(const net::Net& net,
                            const ChainDpOptions& options, Workspace& ws);
 
 /// RIP's stage 3 as an exact branch-and-bound: run_chain_dp (kMinPower
-/// only, uncached) minus every label that can no longer meet the target
-/// or already costs more than `incumbent_cost` (kernel::LabelBounds).
+/// only, uncached) minus every label that can no longer meet the target,
+/// even on the fastest path to the driver it could still get (a lookahead
+/// floor from one driver-to-receiver sweep), or already costs more than
+/// `incumbent_cost` (kernel::LabelBounds).
 /// If the unbounded optimum meets the target at a cost <= incumbent_cost,
 /// status, solution, delay, width and cost are bit-identical to it;
 /// otherwise the status is kInfeasible (with an empty min_delay_solution

@@ -69,10 +69,23 @@ inline bool meets_target(double q_rel_fs, double target_fs, double tol_fs) {
   return q_rel_fs + target_fs >= -tol_fs;
 }
 
-/// The two exact branch-and-bound cuts of RIP's stage 3
+/// The lookahead cut's margin, relative to the target: the cut drops a
+/// label only when its slack minus its floor misses the target by more
+/// than the slack tolerance plus kFloorMargin * target. Where the cut
+/// decides, q and the floor are each at most about the target in size (a
+/// label further past it fails the slack cut first), and each is a sum of
+/// at most a few hundred nonnegative terms, so each lies within about
+/// 1e-13 * target of its exact value. The margin exceeds that by orders
+/// of magnitude: the cut never drops a label that has a completion the
+/// DP would compute as feasible.
+inline constexpr double kFloorMargin = 1e-9;
+
+/// The exact branch-and-bound cuts of RIP's stage 3
 /// (dp::run_chain_dp_bounded): a label is admitted while it can still
-/// meet the target and its cost does not exceed the incumbent (stage 1's
-/// cost, which a kept stage-3 answer must not exceed). Both are exact:
+/// meet the target, its cost does not exceed the incumbent (stage 1's
+/// cost, which a kept stage-3 answer must not exceed), and its slack
+/// minus its lookahead floor can still meet the target. The first two
+/// are exact:
 ///  - all terms are nonnegative (wire R, C and K, load times driving
 ///    resistance, intrinsic delay, cost coefficients): the Technology, Net
 ///    and RepeaterLibrary constructors and checked_chain_cost reject
@@ -82,13 +95,42 @@ inline bool meets_target(double q_rel_fs, double target_fs, double tol_fs) {
 ///  - ties are ordered by label content (expand_candidate), so the
 ///    bounded sweep keeps exactly the unbounded sweep's admitted labels
 ///    and selects the same answer whenever that answer is admitted.
+/// The lookahead cut is exact too:
+///  - the floor (fill_lookahead_floor) is, in exact arithmetic, a lower
+///    bound on the delay that every completion of the label adds between
+///    the driver and the label, and the cut's margin (kFloorMargin)
+///    exceeds the rounding of both the floor and q, so a cut label has no
+///    completion that final selection would accept;
+///  - a label with no feasible completion can neither be selected nor
+///    dominate a label that has one: whatever dominates a label gets, by
+///    monotone rounding, at least its slack under every completion;
+///  - so the labels with a feasible completion, and the answer chosen
+///    among them, are the unbounded sweep's, bit for bit.
+/// The floor fields describe the candidate being swept (the chain sweep
+/// sets them per candidate). A LabelBounds built from its first three
+/// fields has a zero floor, whose cut at a positive target (the margin
+/// widening the tolerance) is weaker than the slack cut: it applies no
+/// floor.
 struct LabelBounds {
   double target_fs;
   double slack_tolerance_fs;
   double max_cost;
+  double pass_floor_fs = 0;   ///< D0 at this candidate [fs]
+  double pass_floor_ohm = 0;  ///< Rmin at this candidate [Ohm]
+  /// F of each allowed width at this candidate, parallel to the allowed
+  /// list [fs]; nullptr = 0 for every group.
+  const double* group_floor_fs = nullptr;
+
   bool admits(double q_rel_fs, double cost) const {
     return meets_target(q_rel_fs, target_fs, slack_tolerance_fs) &&
            cost <= max_cost;
+  }
+  /// admits(), and the lookahead cut of a label every completion of
+  /// which adds at least `floor_fs` of delay upstream.
+  bool admits(double q_rel_fs, double cost, double floor_fs) const {
+    return admits(q_rel_fs, cost) &&
+           meets_target(q_rel_fs - floor_fs, target_fs,
+                        slack_tolerance_fs + kFloorMargin * target_fs);
   }
 };
 
@@ -105,9 +147,10 @@ inline void remap_order(std::vector<std::int32_t>& order,
   order.resize(kept);
 }
 
-/// Drop in place, in order, every label the bounds reject; return how
-/// many. The frontier's width `order` is compacted along with it
-/// (`remap` is scratch).
+/// Drop in place, in order, every pass-through label the bounds reject,
+/// the lookahead cut charging label (q, C) the floor D0 + Rmin * C;
+/// return how many. The frontier's width `order` is compacted along with
+/// it (`remap` is scratch).
 inline std::size_t retain_admitted(ChainFrontier& front,
                                    const LabelBounds& bounds,
                                    std::vector<std::int32_t>& order,
@@ -116,7 +159,9 @@ inline std::size_t retain_admitted(ChainFrontier& front,
   remap.resize(n);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!bounds.admits(front.q_fs[i], front.width_u[i])) {
+    const double floor_fs =
+        bounds.pass_floor_fs + bounds.pass_floor_ohm * front.cap_ff[i];
+    if (!bounds.admits(front.q_fs[i], front.width_u[i], floor_fs)) {
       remap[i] = -1;
       continue;
     }
@@ -153,21 +198,7 @@ inline const std::vector<std::int32_t>& width_order(
   return order;
 }
 
-/// Affine coefficients of wire propagation across one candidate interval.
-/// Carrying a label upstream over the interval's pieces applies, piece by
-/// piece, q -= r*(C + c/2); C += c. Composed over the whole interval that
-/// is exactly
-///   q -= R_tot * C + K;   C += C_tot
-/// with K = sum_k r_k * (c_0 + ... + c_{k-1} + 0.5*c_k) over pieces
-/// ordered downstream->upstream. The coefficients depend only on the
-/// interval, so they are computed once and applied to every alive label —
-/// two fused multiply-adds per label instead of a loop over pieces.
-struct WireAffine {
-  double r_tot = 0;  ///< total interval resistance [Ohm]
-  double c_tot = 0;  ///< total interval capacitance [fF]
-  double k = 0;      ///< label-independent Elmore term [fs]
-};
-
+/// The wire map (WireAffine) of one candidate interval's pieces.
 inline WireAffine interval_affine(const std::vector<net::WirePiece>& pieces) {
   WireAffine a;
   // pieces are ordered upstream->downstream; accumulate from the
@@ -199,6 +230,127 @@ inline void propagate_frontier(ChainFrontier& front, const WireAffine& wire) {
   for (std::size_t i = 0; i < n; ++i) {
     q[i] -= wire.r_tot * cap[i] + wire.k;
     cap[i] += wire.c_tot;
+  }
+}
+
+/// Fill ws.wire with the wire map of every candidate interval, driver to
+/// receiver: wire[k] spans [c_{k-1}, c_k], where c_{-1} is the driver and
+/// c_n the receiver, so the chain sweep crosses wire[n] first and wire[0]
+/// last.
+inline void fill_wire_affines(const net::Net& net,
+                              const std::vector<double>& candidates_um,
+                              Workspace& ws) {
+  const std::size_t n = candidates_um.size();
+  ws.wire.resize(n + 1);
+  double upstream_um = 0.0;
+  for (std::size_t k = 0; k <= n; ++k) {
+    const double pos_um = k < n ? candidates_um[k] : net.total_length_um();
+    net.pieces_between(upstream_um, pos_um, ws.pieces);
+    ws.wire[k] = interval_affine(ws.pieces);
+    upstream_um = pos_um;
+  }
+}
+
+/// The library indices that may be inserted at candidate `ci`: none when
+/// the backend forbids repeaters, the caller's list when one is given,
+/// else the whole library (ws.all_buffers).
+inline const std::vector<std::int16_t>& allowed_at(
+    const tech::ChainCost& cost,
+    const std::vector<std::vector<std::int16_t>>* allowed_buffers,
+    const Workspace& ws, std::size_t ci) {
+  if (!cost.allow_repeaters) return kNoBuffers;
+  return allowed_buffers != nullptr ? (*allowed_buffers)[ci]
+                                    : ws.all_buffers;
+}
+
+/// Append `p` to an (R, t) Pareto set built in R-ascending order, unless
+/// the last pair dominates it; a pair at the last pair's R and a lower t
+/// replaces it. So the set keeps t strictly falling.
+inline void pareto_push(std::vector<ForwardPair>& set, ForwardPair p) {
+  if (!set.empty() && p.t_fs >= set.back().t_fs) return;
+  if (!set.empty() && p.r_ohm == set.back().r_ohm) set.pop_back();
+  set.push_back(p);
+}
+
+/// The lookahead floor of RIP's stage 3 (LabelBounds), from one sweep
+/// driver to receiver over the chain sweep's candidates, allowed widths
+/// and wire maps (ws.wire, after fill_wire_affines). The sweep keeps the
+/// Pareto set of (R, t) pairs (ForwardPair), R ascending and t strictly
+/// falling:
+///  - the seed at the driver is (rs/w_d, rs*cp);
+///  - an interval maps t += R*C_tot + K, then R += R_tot (the backward
+///    map's K: sum r_k * (downstream caps + c_k/2) equals
+///    sum c_k * (upstream resistances + r_k/2));
+///  - width b at candidate i has F(i, b) = min over the set of
+///    t + R*co*w_b, the least delay from the driver into that repeater,
+///    and adds (rs/w_b, F(i, b) + rs*cp) to the set.
+/// Candidate i records F(i, b) for each allowed width, into floor_group,
+/// and D0(i) and Rmin(i), the least t and the least R of the set after
+/// its insertions. Every completion of a label of group b at i adds at
+/// least F(i, b) of delay upstream; every completion of a pass-through
+/// label with load C at i, with or without a repeater at i, adds at least
+/// D0(i) + Rmin(i)*C. Both maps are monotone, so dropping a dominated
+/// pair loses no minimum. Reads ws.lib_load_ff and ws.lib_rs_over_w.
+inline void fill_lookahead_floor(
+    Workspace& ws, const tech::ChainCost& cost,
+    const std::vector<std::vector<std::int16_t>>* allowed_buffers,
+    double driver_rs_over_w, double intrinsic_fs) {
+  const std::size_t n = ws.wire.size() - 1;
+  ws.floor_d0.resize(n);
+  ws.floor_rmin.resize(n);
+  ws.floor_group_at.resize(n);
+  ws.floor_group.clear();
+  // The set and its scratch ping-pong through local pointers, so each
+  // buffer serves the same steps on every solve of the same shape.
+  std::vector<ForwardPair>* set = &ws.fwd;
+  std::vector<ForwardPair>* next = &ws.fwd_next;
+  set->assign(1, ForwardPair{driver_rs_over_w, intrinsic_fs});
+  for (std::size_t i = 0; i < n; ++i) {
+    // Cross the interval. R keeps its order; t may lose its own, and
+    // what that leaves dominated is dropped.
+    const WireAffine& wire = ws.wire[i];
+    next->clear();
+    for (const ForwardPair& p : *set) {
+      pareto_push(*next, {p.r_ohm + wire.r_tot,
+                          p.t_fs + (p.r_ohm * wire.c_tot + wire.k)});
+    }
+    std::swap(set, next);
+
+    const std::vector<std::int16_t>& allowed =
+        allowed_at(cost, allowed_buffers, ws, i);
+    ws.floor_group_at[i] = ws.floor_group.size();
+    for (const std::int16_t b : allowed) {
+      const double load = ws.lib_load_ff[static_cast<std::size_t>(b)];
+      double f = std::numeric_limits<double>::infinity();
+      for (const ForwardPair& p : *set) {
+        f = std::min(f, p.t_fs + p.r_ohm * load);
+      }
+      ws.floor_group.push_back(f);
+    }
+    if (!allowed.empty()) {
+      // Merge the new repeater pairs into the set in (R, t) ascending
+      // order. The allowed list ascends in width, so its R = rs/w_b
+      // descends: walk it from the back.
+      const double* f = ws.floor_group.data() + ws.floor_group_at[i];
+      next->clear();
+      std::size_t k = 0;
+      for (std::size_t g = allowed.size(); g-- > 0;) {
+        const ForwardPair fresh{
+            ws.lib_rs_over_w[static_cast<std::size_t>(allowed[g])],
+            f[g] + intrinsic_fs};
+        for (; k < set->size() && ((*set)[k].r_ohm < fresh.r_ohm ||
+                                   ((*set)[k].r_ohm == fresh.r_ohm &&
+                                    (*set)[k].t_fs <= fresh.t_fs));
+             ++k) {
+          pareto_push(*next, (*set)[k]);
+        }
+        pareto_push(*next, fresh);
+      }
+      for (; k < set->size(); ++k) pareto_push(*next, (*set)[k]);
+      std::swap(set, next);
+    }
+    ws.floor_rmin[i] = set->front().r_ohm;
+    ws.floor_d0[i] = set->back().t_fs;
   }
 }
 
@@ -261,7 +413,8 @@ inline void propagate_frontier(ChainFrontier& front, const WireAffine& wire) {
 /// order. So which of two equal labels survives never depends on the
 /// rest of the group, nor on the order of labels inside a run. Delay
 /// mode (no width dimension) is expand_max_q and does not read `order`.
-/// `bounds` (power mode; nullptr = none) cut before the sweep.
+/// `bounds` (power mode; nullptr = none) cut before the sweep, the
+/// lookahead cut charging group k the floor bounds->group_floor_fs[k].
 inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
                              const std::vector<std::int32_t>& order,
                              const std::vector<std::int16_t>& allowed,
@@ -285,11 +438,18 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
   const double* __restrict q = front.q_fs.data();
   const double* __restrict w = front.width_u.data();
   const std::int32_t* __restrict ord = order.data();
-  for (const std::int16_t b : allowed) {
+  for (std::size_t g = 0; g < allowed.size(); ++g) {
+    const std::int16_t b = allowed[g];
     const auto bi = static_cast<std::size_t>(b);
     const double load = ws.lib_load_ff[bi];
     const double rs_over_w = ws.lib_rs_over_w[bi];
     const double wb = cost_u[bi];
+    // Every label of the group drives the same load, so one floor serves
+    // the whole group.
+    const double floor_fs =
+        bounds != nullptr && bounds->group_floor_fs != nullptr
+            ? bounds->group_floor_fs[g]
+            : 0.0;
     // The run's best is selected without branches: which label wins is
     // data-dependent, so a branch there would mispredict often.
     const std::size_t first = ws.expanded.size();
@@ -305,7 +465,7 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
         const std::int32_t i = ord[k];
         const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
         const bool take =
-            (bounds == nullptr || bounds->admits(up_q, run_w)) &
+            (bounds == nullptr || bounds->admits(up_q, run_w, floor_fs)) &
             ((up_q > run_q) | ((up_q == run_q) & (i < run_i)));
         run_q = take ? up_q : run_q;
         run_i = take ? i : run_i;

@@ -80,6 +80,28 @@ struct ChainFrontier {
   }
 };
 
+/// Affine coefficients of wire propagation across one candidate interval.
+/// Carrying a label upstream over the interval's pieces applies, piece by
+/// piece, q -= r*(C + c/2); C += c. Composed over the whole interval that
+/// is exactly
+///   q -= R_tot * C + K;   C += C_tot
+/// with K = sum_k r_k * (c_0 + ... + c_{k-1} + 0.5*c_k) over pieces
+/// ordered downstream->upstream. The coefficients depend only on the
+/// interval, so they are computed once and applied to every alive label —
+/// two fused multiply-adds per label instead of a loop over pieces.
+struct WireAffine {
+  double r_tot = 0;  ///< total interval resistance [Ohm]
+  double c_tot = 0;  ///< total interval capacitance [fF]
+  double k = 0;      ///< label-independent Elmore term [fs]
+};
+
+/// A point of the lookahead floor's forward sweep: R, the resistance from
+/// the driving gate to here, and t, the delay so far with no load here.
+struct ForwardPair {
+  double r_ohm;
+  double t_fs;
+};
+
 /// A group survivor after the within-group dominance filter, tagged
 /// with its buffer for arena materialization.
 struct ExpandLabel {
@@ -150,6 +172,23 @@ class Workspace {
   std::vector<std::int32_t> a_parent;
   std::vector<std::int32_t> a_pos;
   std::vector<std::int16_t> a_buffer;
+
+  // ---- chain DP: the candidate intervals' wire maps, driver to
+  // receiver (kernel::fill_wire_affines): wire[k] ends at candidate k,
+  // and wire[n] at the receiver. The chain sweep reads them, and so does
+  // the lookahead floor's forward sweep.
+  std::vector<WireAffine> wire;
+
+  // ---- RIP's stage 3: the lookahead floor (kernel::fill_lookahead_floor).
+  // Per candidate i, floor_d0[i] and floor_rmin[i]; per allowed width k
+  // of candidate i, floor_group[floor_group_at[i] + k]. The forward
+  // sweep's Pareto set double-buffers through fwd and fwd_next.
+  std::vector<double> floor_d0;
+  std::vector<double> floor_rmin;
+  std::vector<double> floor_group;
+  std::vector<std::size_t> floor_group_at;
+  std::vector<ForwardPair> fwd;
+  std::vector<ForwardPair> fwd_next;
 
   // ---- dominance pruning: the flat staircase frontier.
   FlatFrontier frontier;

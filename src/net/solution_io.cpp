@@ -1,5 +1,7 @@
 #include "net/solution_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -9,6 +11,15 @@
 #include "util/strings.hpp"
 
 namespace rip::net {
+
+namespace {
+
+/// A malformed solution file is a typed input error, not a precondition.
+void expect(bool ok, const std::string& message) {
+  if (!ok) throw Error(message);
+}
+
+}  // namespace
 
 ParsedSolution read_solution(std::istream& is) {
   std::string line;
@@ -24,27 +35,36 @@ ParsedSolution read_solution(std::istream& is) {
     const auto tokens = split_ws(t);
     const std::string& kind = tokens[0];
     if (kind == "ripsol") {
-      RIP_REQUIRE(tokens.size() == 2 && tokens[1] == "1",
-                  "unsupported ripsol version at line " +
-                      std::to_string(line_no));
+      expect(tokens.size() == 2 && tokens[1] == "1",
+             "unsupported ripsol version at line " + std::to_string(line_no));
       got_magic = true;
     } else if (kind == "net") {
-      RIP_REQUIRE(tokens.size() == 2,
-                  "net takes one token at line " + std::to_string(line_no));
+      expect(tokens.size() == 2,
+             "net takes one token at line " + std::to_string(line_no));
       net_name = tokens[1];
     } else if (kind == "repeater") {
-      RIP_REQUIRE(tokens.size() == 5 && tokens[1] == "x_um" &&
-                      tokens[3] == "w_u",
-                  "repeater line must be 'repeater x_um <pos> w_u <width>' "
-                  "at line " + std::to_string(line_no));
-      repeaters.push_back(Repeater{parse_double(tokens[2], "x_um"),
-                                   parse_double(tokens[4], "w_u")});
+      expect(tokens.size() == 5 && tokens[1] == "x_um" && tokens[3] == "w_u",
+             "repeater line must be 'repeater x_um <pos> w_u <width>' at "
+             "line " + std::to_string(line_no));
+      const Repeater r{parse_double(tokens[2], "x_um"),
+                       parse_double(tokens[4], "w_u")};
+      expect(std::isfinite(r.position_um) && std::isfinite(r.width_u) &&
+                 r.width_u > 0,
+             "repeater x_um must be finite and w_u finite and > 0 at line " +
+                 std::to_string(line_no));
+      repeaters.push_back(r);
     } else {
       throw Error("unknown directive '" + kind + "' at line " +
                   std::to_string(line_no));
     }
   }
-  RIP_REQUIRE(got_magic, "missing 'ripsol 1' header");
+  expect(got_magic, "missing 'ripsol 1' header");
+  std::vector<double> positions;
+  for (const Repeater& r : repeaters) positions.push_back(r.position_um);
+  std::sort(positions.begin(), positions.end());
+  expect(std::adjacent_find(positions.begin(), positions.end()) ==
+             positions.end(),
+         "two repeaters at the same position");
   ParsedSolution out;
   out.solution = RepeaterSolution(std::move(repeaters));
   out.net_name = std::move(net_name);
@@ -53,7 +73,7 @@ ParsedSolution read_solution(std::istream& is) {
 
 ParsedSolution read_solution_file(const std::string& path) {
   std::ifstream in(path);
-  RIP_REQUIRE(in.good(), "cannot open solution file: " + path);
+  if (!in.good()) throw Error(path + ": cannot open solution file");
   return read_solution(in);
 }
 

@@ -27,14 +27,25 @@ class Deadline {
   /// An inactive deadline: check() never throws.
   Deadline() = default;
 
-  /// Starts the clock now. A non-positive budget means no deadline.
+  /// Starts the clock now. A non-positive budget means no deadline; a
+  /// budget past the steady clock's remaining range (infinity included)
+  /// expires at time_point::max(), that is, never.
   explicit Deadline(double budget_ms) {
     if (budget_ms > 0.0) {
+      using Clock = std::chrono::steady_clock;
       active_ = true;
       budget_ms_ = budget_ms;
-      expires_at_ = std::chrono::steady_clock::now() +
-                    std::chrono::nanoseconds(
-                        static_cast<std::int64_t>(budget_ms * 1e6));
+      const Clock::time_point now = Clock::now();
+      const Clock::duration left = Clock::time_point::max() - now;
+      expires_at_ = Clock::time_point::max();
+      // Compared in double first, so the tick conversion below cannot
+      // overflow; then in ticks, so now + budget cannot.
+      if (budget_ms <
+          std::chrono::duration<double, std::milli>(left).count()) {
+        const auto budget = std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double, std::milli>(budget_ms));
+        if (budget < left) expires_at_ = now + budget;
+      }
     }
   }
 

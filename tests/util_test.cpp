@@ -1,11 +1,13 @@
 // Unit tests for the util module: RNG, statistics, solvers, strings,
-// tables.
+// tables, deadlines.
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/solver.hpp"
@@ -290,6 +292,22 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(t.millis(), first);  // monotone
   t.reset();
   EXPECT_LT(t.millis(), first + 1000.0);
+}
+
+// ------------------------------------------------------------- deadline
+
+// A budget the steady clock cannot reach is a deadline that never comes,
+// not one that overflows into the past and expires at once.
+TEST(Deadline, BudgetPastTheClockRangeNeverExpires) {
+  for (const double budget_ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    const Deadline deadline(budget_ms);
+    EXPECT_TRUE(deadline.active()) << budget_ms;
+    EXPECT_FALSE(deadline.expired()) << budget_ms;
+    EXPECT_NO_THROW(deadline.check("test")) << budget_ms;
+  }
+  EXPECT_FALSE(Deadline(1e12).expired());
+  EXPECT_FALSE(Deadline(0.0).active());
 }
 
 // ---------------------------------------------------------------- error
