@@ -417,7 +417,8 @@ int main(int argc, char** argv) try {
 
   const int nets = bench::net_count(args, 4);
   const int targets = bench::targets_per_net(args, 10);
-  const int repeats = static_cast<int>(count_option(args, "repeats", 3, 1));
+  const int repeats = args.get_int_or("repeats", 3);
+  if (repeats < 1) throw Error("--repeats expects an integer >= 1");
   const int jobs = bench::jobs(args);
   const std::string json_path = args.get_or("json", "");
 

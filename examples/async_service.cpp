@@ -2,15 +2,16 @@
 // (eval/service.hpp): submit evaluation thunks, get futures, feel the
 // bounded queue's backpressure, and cancel queued work. This is the
 // submit/await shape an iterative optimization driver or a network
-// front-end builds on, instead of blocking in eval::run_cases for a
-// whole batch.
+// front-end builds on, instead of blocking in parallel_for_indexed for
+// a whole sweep.
 
 #include <future>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "core/baseline.hpp"
-#include "eval/parallel.hpp"
+#include "eval/experiments.hpp"
 #include "eval/service.hpp"
 #include "eval/workload.hpp"
 #include "tech/technology.hpp"
@@ -25,11 +26,10 @@ int main() {
   const auto workload = eval::make_paper_workload(tech, 2, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  std::vector<eval::Case> cases;
+  std::vector<std::pair<const net::Net*, double>> cases;
   for (const auto& wn : workload) {
     for (const double tau_t : eval::timing_targets_fs(wn.tau_min_fs, 5)) {
-      cases.push_back(
-          eval::Case{&wn.net, tau_t, core::RipOptions{}, baseline});
+      cases.emplace_back(&wn.net, tau_t);
     }
   }
 
@@ -39,12 +39,15 @@ int main() {
   options.max_pending = 4;
   eval::EvalService service(tech, options);
 
-  // A Case becomes a thunk that calls evaluate_case — the per-case body
-  // eval::run_cases uses, so the service returns the same bits. Case i
-  // keys the solve.* fault points, like run_cases does.
+  // A case becomes a thunk that calls eval::run_case — the entry point
+  // every blocking sweep fans out, so the service returns the same
+  // bits. Case i keys the solve.* fault points, as a sweep's point does.
   const auto submit = [&](std::size_t i) {
-    return service.submit_fn([&tech, c = cases[i], i] {
-      return eval::evaluate_case(tech, c, eval::SolveContext{}, i);
+    return service.submit_fn([&, i] {
+      eval::SolveContext context;
+      context.fault_key = i;
+      return eval::run_case(*cases[i].first, tech, cases[i].second, {},
+                            baseline, context);
     });
   };
 

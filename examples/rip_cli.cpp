@@ -47,7 +47,7 @@
 #include "core/rip.hpp"
 #include "dp/min_delay.hpp"
 #include "dp/workspace.hpp"
-#include "eval/parallel.hpp"
+#include "eval/experiments.hpp"
 #include "eval/solve_cache.hpp"
 #include "eval/stream.hpp"
 #include "eval/workload.hpp"
@@ -108,7 +108,7 @@ int usage(int rc = 2) {
       "           [--errors quarantine.csv] [--deadline-ms F]\n"
       "           [--retry N] [--retry-base-ms N]\n"
       "           [--cache] [--cache-capacity N] [--cache-bytes N]\n"
-      "           [--cache-ttl-ms N] [--backend NAME]\n"
+      "           [--backend NAME]\n"
       "           exit codes: 0 ok, 2 error, 3 stopped early,\n"
       "           4 finished with quarantined records, 5 crashed\n"
       "net file:  a one-record netlist, text or binary; its stored\n"
@@ -144,16 +144,12 @@ std::unique_ptr<eval::SolveCache> make_cache(const CliArgs& args) {
     require_input(!args.has("cache-capacity"),
                   "--cache-capacity requires --cache");
     require_input(!args.has("cache-bytes"), "--cache-bytes requires --cache");
-    require_input(!args.has("cache-ttl-ms"),
-                  "--cache-ttl-ms requires --cache");
     return nullptr;
   }
   eval::SolveCacheOptions options;
   options.capacity =
       static_cast<std::size_t>(count_option(args, "cache-capacity", 1024, 1));
   options.max_bytes = count_option(args, "cache-bytes", 0, 1);
-  options.ttl = std::chrono::milliseconds(
-      count_option(args, "cache-ttl-ms", 0, 1));
   return std::make_unique<eval::SolveCache>(options);
 }
 
@@ -410,7 +406,7 @@ int cmd_sweep(const CliArgs& args) {
         1.05 + (points > 1 ? k * 1.0 / (points - 1) : 0.0);
   }
   const auto mine =
-      eval::shard_case_indices(factors.size(), shard.index, shard.count);
+      shard_case_indices(factors.size(), shard.index, shard.count);
   std::vector<core::RipResult> runs(mine.size());
   // With --cache, every point's stage-1 coarse frontier is solved once
   // and shared (the sweep varies only the target) — on this thread's
@@ -479,25 +475,26 @@ int cmd_compare(const CliArgs& args) {
   }
   const bool multi = backends.size() > 1;
 
-  // The batch engine: one Case per sweep point this shard owns (every
-  // point without --shard), fanned out over --jobs. A case's fault key
-  // is its index within the shard.
-  eval::BatchOptions batch;
-  batch.jobs = parallel_jobs(args);
+  // One run_case per sweep point this shard owns (every point without
+  // --shard), fanned out over --jobs exactly as `sweep` does. A point's
+  // fault key is its index within the shard. A failing point stops the
+  // sweep and rethrows the lowest failing index's error.
+  const int jobs = parallel_jobs(args);
   const ShardSpec shard = shard_option(args);
   const auto mine =
-      eval::shard_case_indices(targets.size(), shard.index, shard.count);
-  std::vector<eval::Case> cases;
-  cases.reserve(mine.size());
-  for (const std::size_t k : mine) {
-    cases.push_back(eval::Case{&n, targets[k], core::RipOptions{}, baseline});
-  }
+      shard_case_indices(targets.size(), shard.index, shard.count);
   const std::unique_ptr<eval::SolveCache> cache = make_cache(args);
-  batch.context.cache = cache.get();
   std::vector<std::vector<eval::CaseResult>> all_results(backends.size());
   for (std::size_t b = 0; b < backends.size(); ++b) {
-    batch.context.backend = backends[b].get();
-    all_results[b] = eval::run_cases(tech, cases, batch);
+    all_results[b].resize(mine.size());
+    parallel_for_indexed(mine.size(), jobs, [&](std::size_t j) {
+      eval::SolveContext context;
+      context.cache = cache.get();
+      context.backend = backends[b].get();
+      context.fault_key = j;
+      all_results[b][j] =
+          eval::run_case(n, tech, targets[mine[j]], {}, baseline, context);
+    });
   }
   print_cache_stats(cache.get());
 
@@ -649,17 +646,21 @@ int cmd_stream(const CliArgs& args) {
   if (const auto ckpt = args.get("checkpoint")) options.checkpoint_path = *ckpt;
   require_input(options.checkpoint_path.empty() || options.checkpoint_every > 0,
                 "--checkpoint requires --every N");
+  require_input(
+      options.checkpoint_every == 0 || !options.checkpoint_path.empty(),
+      "--every requires --checkpoint FILE");
   options.resume = args.has("resume");
+  require_input(!options.resume || !options.checkpoint_path.empty(),
+                "--resume requires --checkpoint FILE");
   options.stop_after = count_option(args, "stop-after", 0, 1);
   options.default_target_x = positive_option(args, "target-x", 1.5);
   if (const auto errors = args.get("errors")) options.errors_path = *errors;
   options.deadline_ms = args.get_double_or("deadline-ms", 0.0);
   require_input(std::isfinite(options.deadline_ms) && options.deadline_ms >= 0,
                 "--deadline-ms must be finite and >= 0");
-  options.retry.max_attempts =
-      static_cast<int>(count_option(args, "retry", 1, 1));
+  options.retry.max_attempts = positive_int_option(args, "retry", 1);
   options.retry.base = std::chrono::milliseconds(
-      count_option(args, "retry-base-ms", 1, 1));
+      positive_int_option(args, "retry-base-ms", 1));
   const std::unique_ptr<eval::SolveCache> cache = make_cache(args);
   const tech::Technology tech = load_tech(args);
   const std::unique_ptr<tech::ObjectiveBackend> backend =

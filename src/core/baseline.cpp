@@ -26,14 +26,6 @@ BaselineOptions BaselineOptions::range_library(double min_width_u,
 
 dp::ChainDpResult run_baseline(const net::Net& net,
                                const tech::RepeaterDevice& device,
-                               double tau_t_fs,
-                               const BaselineOptions& options) {
-  return run_baseline(net, device, tau_t_fs, options,
-                      dp::Workspace::local());
-}
-
-dp::ChainDpResult run_baseline(const net::Net& net,
-                               const tech::RepeaterDevice& device,
                                double tau_t_fs, const BaselineOptions& options,
                                dp::Workspace& workspace,
                                dp::ChainSolveCache* cache,

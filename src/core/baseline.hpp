@@ -9,12 +9,9 @@
 
 #include "dp/chain_dp.hpp"
 #include "dp/library.hpp"
+#include "dp/workspace.hpp"
 #include "net/net.hpp"
 #include "tech/technology.hpp"
-
-namespace rip::dp {
-class Workspace;
-}  // namespace rip::dp
 
 namespace rip::core {
 
@@ -37,24 +34,18 @@ struct BaselineOptions {
                                        double pitch_um = 200.0);
 };
 
-/// Run the baseline DP for a timing target. The first overload solves
-/// on this thread's dp::Workspace::local(); the second reuses the
-/// caller's workspace arenas across solves, may consult a frontier
-/// cache (the baseline solves a fixed library/pitch per net, so across a
-/// target sweep every solve after the first is a cache hit), and may
-/// minimize a pluggable objective (tech/objective.hpp; nullptr = the
-/// paper's minimum-width objective, bit-identical to before backends
-/// existed).
-dp::ChainDpResult run_baseline(const net::Net& net,
-                               const tech::RepeaterDevice& device,
-                               double tau_t_fs,
-                               const BaselineOptions& options);
-dp::ChainDpResult run_baseline(const net::Net& net,
-                               const tech::RepeaterDevice& device,
-                               double tau_t_fs,
-                               const BaselineOptions& options,
-                               dp::Workspace& workspace,
-                               dp::ChainSolveCache* cache = nullptr,
-                               const tech::ObjectiveBackend* backend = nullptr);
+/// Run the baseline DP for a timing target on the arenas of
+/// `workspace` (by default this thread's dp::Workspace::local()). It
+/// may consult a frontier cache (the baseline solves a fixed
+/// library/pitch per net, so across a target sweep every solve after
+/// the first is a cache hit), and may minimize a pluggable objective
+/// (tech/objective.hpp; nullptr = the paper's minimum-width objective,
+/// bit-identical to before backends existed).
+dp::ChainDpResult run_baseline(
+    const net::Net& net, const tech::RepeaterDevice& device,
+    double tau_t_fs, const BaselineOptions& options,
+    dp::Workspace& workspace = dp::Workspace::local(),
+    dp::ChainSolveCache* cache = nullptr,
+    const tech::ObjectiveBackend* backend = nullptr);
 
 }  // namespace rip::core

@@ -73,11 +73,6 @@ FineProblem fine_problem(const net::Net& net,
 }
 
 RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
-                     double tau_t_fs, const RipOptions& options) {
-  return rip_insert(net, device, tau_t_fs, options, dp::Workspace::local());
-}
-
-RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
                      double tau_t_fs, const RipOptions& options,
                      dp::Workspace& workspace, dp::ChainSolveCache* cache,
                      const tech::ObjectiveBackend* backend) {

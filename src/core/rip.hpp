@@ -26,13 +26,10 @@
 
 #include "analytical/refine.hpp"
 #include "dp/chain_dp.hpp"
+#include "dp/workspace.hpp"
 #include "net/net.hpp"
 #include "net/solution.hpp"
 #include "tech/technology.hpp"
-
-namespace rip::dp {
-class Workspace;
-}  // namespace rip::dp
 
 namespace rip::core {
 
@@ -98,15 +95,15 @@ FineProblem fine_problem(const net::Net& net,
                          const analytical::RefineResult& refined,
                          const RipOptions& options);
 
-/// Run Algorithm RIP on a net with timing target `tau_t_fs`. The first
-/// overload runs its DP stages on this thread's dp::Workspace::local();
-/// the second reuses the caller's workspace arenas across stages and
-/// calls, and may consult a frontier cache for the stage-1 coarse DP
-/// (whose library/candidates are target-independent, so a target sweep
-/// over one net hits after the first solve). The stage-3 fine DP is
-/// never cached: its library and allowed-width windows derive from the
-/// REFINE output, which changes with the target — caching it would only
-/// pollute the cache with single-use entries.
+/// Run Algorithm RIP on a net with timing target `tau_t_fs`. Its DP
+/// stages reuse the arenas of `workspace` (by default this thread's
+/// dp::Workspace::local()) across stages and calls, and may consult a
+/// frontier cache for the stage-1 coarse DP (whose library/candidates
+/// are target-independent, so a target sweep over one net hits after
+/// the first solve). The stage-3 fine DP is never cached: its library
+/// and allowed-width windows derive from the REFINE output, which
+/// changes with the target — caching it would only pollute the cache
+/// with single-use entries.
 ///
 /// An objective backend (tech/objective.hpp) threads into both DP stages
 /// and the final stage-3-vs-stage-1 arbitration (compared by objective
@@ -115,10 +112,8 @@ FineProblem fine_problem(const net::Net& net,
 /// total width is, so the analytical width argmin is the cost argmin
 /// too. nullptr = the paper's objective, bit-identical to before.
 RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
-                     double tau_t_fs, const RipOptions& options = {});
-RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
-                     double tau_t_fs, const RipOptions& options,
-                     dp::Workspace& workspace,
+                     double tau_t_fs, const RipOptions& options = {},
+                     dp::Workspace& workspace = dp::Workspace::local(),
                      dp::ChainSolveCache* cache = nullptr,
                      const tech::ObjectiveBackend* backend = nullptr);
 

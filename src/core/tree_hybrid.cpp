@@ -13,14 +13,6 @@ namespace rip::core {
 TreeHybridResult tree_hybrid_insert(const dp::BufferTree& tree,
                                     const tech::RepeaterDevice& device,
                                     double driver_width_u, double tau_t_fs,
-                                    const TreeHybridOptions& options) {
-  return tree_hybrid_insert(tree, device, driver_width_u, tau_t_fs, options,
-                            dp::Workspace::local());
-}
-
-TreeHybridResult tree_hybrid_insert(const dp::BufferTree& tree,
-                                    const tech::RepeaterDevice& device,
-                                    double driver_width_u, double tau_t_fs,
                                     const TreeHybridOptions& options,
                                     dp::Workspace& workspace) {
   RIP_REQUIRE(tau_t_fs > 0, "timing target must be positive");

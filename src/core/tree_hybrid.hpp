@@ -19,6 +19,7 @@
 /// paper's Table 2, transplanted to trees.
 
 #include "dp/tree_dp.hpp"
+#include "dp/workspace.hpp"
 #include "tech/technology.hpp"
 
 namespace rip::core {
@@ -51,16 +52,12 @@ struct TreeHybridResult {
 };
 
 /// Run the tree hybrid with a driver of `driver_width_u` at the root.
-/// The first overload runs its DP and greedy stages on this thread's
-/// dp::Workspace::local(); the second reuses the caller's workspace.
-TreeHybridResult tree_hybrid_insert(const dp::BufferTree& tree,
-                                    const tech::RepeaterDevice& device,
-                                    double driver_width_u, double tau_t_fs,
-                                    const TreeHybridOptions& options = {});
-TreeHybridResult tree_hybrid_insert(const dp::BufferTree& tree,
-                                    const tech::RepeaterDevice& device,
-                                    double driver_width_u, double tau_t_fs,
-                                    const TreeHybridOptions& options,
-                                    dp::Workspace& workspace);
+/// Its DP and greedy stages run on `workspace`, by default this
+/// thread's dp::Workspace::local().
+TreeHybridResult tree_hybrid_insert(
+    const dp::BufferTree& tree, const tech::RepeaterDevice& device,
+    double driver_width_u, double tau_t_fs,
+    const TreeHybridOptions& options = {},
+    dp::Workspace& workspace = dp::Workspace::local());
 
 }  // namespace rip::core

@@ -14,16 +14,6 @@ BruteForceResult brute_force(const net::Net& net,
                              const RepeaterLibrary& library,
                              const std::vector<double>& candidates_um,
                              double timing_target_fs,
-                             std::size_t max_assignments) {
-  return brute_force(net, device, library, candidates_um, timing_target_fs,
-                     max_assignments, Workspace::local());
-}
-
-BruteForceResult brute_force(const net::Net& net,
-                             const tech::RepeaterDevice& device,
-                             const RepeaterLibrary& library,
-                             const std::vector<double>& candidates_um,
-                             double timing_target_fs,
                              std::size_t max_assignments, Workspace& ws) {
   const std::size_t choices = library.size() + 1;  // widths or "no repeater"
   double estimate = 1.0;

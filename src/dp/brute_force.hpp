@@ -10,6 +10,7 @@
 
 #include "dp/chain_dp.hpp"
 #include "dp/library.hpp"
+#include "dp/workspace.hpp"
 #include "net/net.hpp"
 #include "net/solution.hpp"
 #include "tech/technology.hpp"
@@ -31,20 +32,14 @@ struct BruteForceResult {
 /// count exceeds `max_assignments` (guards against accidental blow-up in
 /// tests). Delays are evaluated with the independent rc::BufferedChain
 /// evaluator, so agreement with the DP also validates the DP's
-/// incremental Elmore bookkeeping. The first overload uses this thread's
-/// Workspace::local() for its per-assignment repeater scratch; the
-/// second reuses the caller's.
+/// incremental Elmore bookkeeping. The per-assignment repeater scratch
+/// lives in `ws`, by default this thread's Workspace::local().
 BruteForceResult brute_force(const net::Net& net,
                              const tech::RepeaterDevice& device,
                              const RepeaterLibrary& library,
                              const std::vector<double>& candidates_um,
                              double timing_target_fs,
-                             std::size_t max_assignments = 2'000'000);
-BruteForceResult brute_force(const net::Net& net,
-                             const tech::RepeaterDevice& device,
-                             const RepeaterLibrary& library,
-                             const std::vector<double>& candidates_um,
-                             double timing_target_fs,
-                             std::size_t max_assignments, Workspace& ws);
+                             std::size_t max_assignments = 2'000'000,
+                             Workspace& ws = Workspace::local());
 
 }  // namespace rip::dp

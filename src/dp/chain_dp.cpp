@@ -527,15 +527,6 @@ ChainDpResult run_chain_dp(const net::Net& net,
                            const tech::RepeaterDevice& device,
                            const RepeaterLibrary& library,
                            const std::vector<double>& candidates_um,
-                           const ChainDpOptions& options) {
-  return run_chain_dp(net, device, library, candidates_um, options,
-                      Workspace::local());
-}
-
-ChainDpResult run_chain_dp(const net::Net& net,
-                           const tech::RepeaterDevice& device,
-                           const RepeaterLibrary& library,
-                           const std::vector<double>& candidates_um,
                            const ChainDpOptions& options, Workspace& ws) {
   return solve_and_select(net, device, library, candidates_um, options,
                           nullptr, ws);

@@ -135,19 +135,15 @@ struct ChainDpResult {
 /// rejected with rip::Error — generate candidates with
 /// net::uniform_candidates / net::window_candidates.
 ///
-/// The first overload solves on this thread's Workspace::local(); the
-/// second reuses the caller's workspace (its prior contents never affect
-/// the result — only how much memory is already warm).
+/// Solves on `ws`, by default this thread's Workspace::local(); its
+/// prior contents never affect the result — only how much memory is
+/// already warm.
 ChainDpResult run_chain_dp(const net::Net& net,
                            const tech::RepeaterDevice& device,
                            const RepeaterLibrary& library,
                            const std::vector<double>& candidates_um,
-                           const ChainDpOptions& options);
-ChainDpResult run_chain_dp(const net::Net& net,
-                           const tech::RepeaterDevice& device,
-                           const RepeaterLibrary& library,
-                           const std::vector<double>& candidates_um,
-                           const ChainDpOptions& options, Workspace& ws);
+                           const ChainDpOptions& options,
+                           Workspace& ws = Workspace::local());
 
 /// RIP's stage 3 as an exact branch-and-bound: run_chain_dp (kMinPower
 /// only, uncached) minus every label that can no longer meet the target,

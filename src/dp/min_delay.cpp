@@ -8,12 +8,6 @@ namespace rip::dp {
 
 MinDelayResult min_delay(const net::Net& net,
                          const tech::RepeaterDevice& device,
-                         const MinDelayOptions& options) {
-  return min_delay(net, device, options, Workspace::local());
-}
-
-MinDelayResult min_delay(const net::Net& net,
-                         const tech::RepeaterDevice& device,
                          const MinDelayOptions& options, Workspace& ws) {
   const RepeaterLibrary library = RepeaterLibrary::range(
       options.min_width_u, options.max_width_u, options.granularity_u);

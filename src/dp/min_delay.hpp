@@ -7,6 +7,7 @@
 
 #include "dp/chain_dp.hpp"
 #include "dp/library.hpp"
+#include "dp/workspace.hpp"
 #include "net/net.hpp"
 #include "tech/technology.hpp"
 
@@ -32,14 +33,11 @@ struct MinDelayResult {
   double unbuffered_delay_fs = 0;    ///< delay with no repeaters at all
 };
 
-/// Compute tau_min by running the DP in kMinDelay mode. The first
-/// overload solves on this thread's Workspace::local(); the second
-/// reuses the caller's workspace arenas.
+/// Compute tau_min by running the DP in kMinDelay mode on `ws`, by
+/// default this thread's Workspace::local().
 MinDelayResult min_delay(const net::Net& net,
                          const tech::RepeaterDevice& device,
-                         const MinDelayOptions& options = {});
-MinDelayResult min_delay(const net::Net& net,
-                         const tech::RepeaterDevice& device,
-                         const MinDelayOptions& options, Workspace& ws);
+                         const MinDelayOptions& options = {},
+                         Workspace& ws = Workspace::local());
 
 }  // namespace rip::dp

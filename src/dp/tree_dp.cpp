@@ -350,15 +350,6 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
                          const tech::RepeaterDevice& device,
                          double driver_width_u,
                          const RepeaterLibrary& library,
-                         const ChainDpOptions& options) {
-  return run_tree_dp(tree, device, driver_width_u, library, options,
-                     Workspace::local());
-}
-
-TreeDpResult run_tree_dp(const BufferTree& tree,
-                         const tech::RepeaterDevice& device,
-                         double driver_width_u,
-                         const RepeaterLibrary& library,
                          const ChainDpOptions& options, Workspace& ws) {
   const auto& nodes = tree.nodes();
   RIP_REQUIRE(driver_width_u > 0, "driver width must be positive");
@@ -594,13 +585,6 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
   ws.stats_.peak_arena_labels =
       std::max(ws.stats_.peak_arena_labels, result.stats.arena_peak);
   return result;
-}
-
-double tree_delay_fs(const BufferTree& tree,
-                     const tech::RepeaterDevice& device,
-                     double driver_width_u, const TreeSolution& solution) {
-  return tree_delay_fs(tree, device, driver_width_u, solution,
-                       Workspace::local());
 }
 
 double tree_delay_fs(const BufferTree& tree,

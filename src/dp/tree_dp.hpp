@@ -29,12 +29,11 @@
 
 #include "dp/chain_dp.hpp"
 #include "dp/library.hpp"
+#include "dp/workspace.hpp"
 #include "tech/technology.hpp"
 #include "util/rng.hpp"
 
 namespace rip::dp {
-
-class Workspace;
 
 /// A node of a routing tree for buffering. The edge to the parent is a
 /// lumped RC (r, c); node 0 is the root (driver output, edge ignored).
@@ -93,32 +92,24 @@ struct TreeDpResult {
 };
 
 /// Run power-aware (kMinPower) or min-delay (kMinDelay) buffering over
-/// the tree with a driver of width `driver_width_u` at the root. The
-/// first overload solves on this thread's Workspace::local(); the second
-/// reuses the caller's workspace arenas (label pools, prune scratch, the
-/// flat Pareto frontier) across solves.
+/// the tree with a driver of width `driver_width_u` at the root, on the
+/// arenas of `ws` (label pools, prune scratch, the flat Pareto
+/// frontier), by default this thread's Workspace::local().
 TreeDpResult run_tree_dp(const BufferTree& tree,
                          const tech::RepeaterDevice& device,
                          double driver_width_u,
                          const RepeaterLibrary& library,
-                         const ChainDpOptions& options);
-TreeDpResult run_tree_dp(const BufferTree& tree,
-                         const tech::RepeaterDevice& device,
-                         double driver_width_u,
-                         const RepeaterLibrary& library,
-                         const ChainDpOptions& options, Workspace& ws);
+                         const ChainDpOptions& options,
+                         Workspace& ws = Workspace::local());
 
 /// Evaluate the worst-sink Elmore delay of a buffered tree — an
 /// independent check of the DP bookkeeping (used in tests, and by the
-/// tree hybrid's greedy descent, which calls it thousands of times: the
-/// workspace overload reuses the two bottom-up sweep vectors).
-double tree_delay_fs(const BufferTree& tree,
-                     const tech::RepeaterDevice& device,
-                     double driver_width_u, const TreeSolution& solution);
+/// tree hybrid's greedy descent, which calls it thousands of times: it
+/// reuses the two bottom-up sweep vectors of `ws`).
 double tree_delay_fs(const BufferTree& tree,
                      const tech::RepeaterDevice& device,
                      double driver_width_u, const TreeSolution& solution,
-                     Workspace& ws);
+                     Workspace& ws = Workspace::local());
 
 /// Parameters for the random tree generator (test/bench workloads).
 struct RandomTreeConfig {

@@ -14,11 +14,12 @@
 /// operator new).
 ///
 /// Threading model: a Workspace is single-threaded state. Every solver
-/// entry point takes an optional `Workspace&`; the parameterless
-/// overloads use `Workspace::local()`, one workspace per thread, so each
-/// participant of the persistent scheduler (eval/parallel.hpp) and each
-/// service worker (eval/service.hpp) reuses its own arenas across the
-/// cases it claims.
+/// entry point takes one `Workspace&` parameter that defaults to
+/// `Workspace::local()`, one workspace per thread, so each participant
+/// of the persistent scheduler (util/thread_pool.hpp) and each service
+/// worker (eval/service.hpp) reuses its own arenas across the cases it
+/// claims. eval::run_case always solves on the calling thread's local
+/// workspace.
 /// Solver results are a pure function of the solver inputs — never of
 /// the workspace's prior contents — which tests/pareto_property_test.cpp
 /// proves by bit-comparing fresh-workspace and reused-workspace solves.

@@ -2,33 +2,28 @@
 
 /// @file context.hpp
 /// eval::SolveContext — the one bundle of ambient solve state threaded
-/// through the evaluation layer. run_case, evaluate_case, run_cases
-/// (BatchOptions), run_stream (StreamOptions) and rip_cli all accept the
-/// same struct, so adding a new piece of ambient state (as the objective
-/// backend was) means one new field here instead of another trailing
-/// default on every signature in the stack. EvalService carries none: a
-/// thunk submitted to it evaluates under whatever context it captured.
+/// through the evaluation layer. run_case, run_stream (StreamOptions)
+/// and rip_cli all accept the same struct, so adding a new piece of
+/// ambient state (as the objective backend was) means one new field
+/// here instead of another trailing default on every signature in the
+/// stack. EvalService carries none: a thunk submitted to it evaluates
+/// under whatever context it captured.
 ///
-/// Every field is nullable and nullptr means "the default":
-///   workspace == nullptr  -> the calling thread's dp::Workspace::local()
+/// Every pointer is nullable and nullptr means "the default":
 ///   cache     == nullptr  -> no frontier caching
 ///   backend   == nullptr  -> the paper's minimum-total-width objective,
 ///                            bit-identical to before backends existed
+///   deadline  == nullptr  -> no deadline
 ///
-/// The batch engines (run_cases, run_stream) evaluate on several
-/// worker threads, each on its own thread-local workspace — they
-/// reject a non-null `workspace`, which would be a data race. Pass a
-/// workspace only to the single-threaded run_case.
+/// The DP arenas are not part of the context: every solve runs on the
+/// calling thread's dp::Workspace::local(), so a context can be shared
+/// by every worker of a fan-out.
 
 #include <cstdint>
 
 #include "eval/solve_cache.hpp"
 #include "util/deadline.hpp"
 #include "util/fault.hpp"
-
-namespace rip::dp {
-class Workspace;
-}  // namespace rip::dp
 
 namespace rip::tech {
 class ObjectiveBackend;
@@ -40,9 +35,6 @@ namespace rip::eval {
 /// copy; owns nothing. Whatever it points at must outlive every solve
 /// run under it.
 struct SolveContext {
-  /// DP arena set both solvers of a case reuse; nullptr = the calling
-  /// thread's dp::Workspace::local().
-  dp::Workspace* workspace = nullptr;
   /// Shared Pareto-frontier cache consulted by the target-independent
   /// DP solves (RIP's coarse stage, the whole baseline); nullptr
   /// disables caching. Results are bit-identical with or without it.
@@ -55,7 +47,7 @@ struct SolveContext {
   /// from run_case (never a partial result).
   const Deadline* deadline = nullptr;
   /// Stable identity for this case at the solve.* fault points (record
-  /// index in a stream, case index in a batch), so injected faults hit
+  /// index in a stream, point index in a sweep), so injected faults hit
   /// the same cases at any job count. kFaultAutoKey = per-point arrival
   /// order (schedule-dependent).
   std::uint64_t fault_key = kFaultAutoKey;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "dp/workspace.hpp"
-#include "eval/parallel.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -17,8 +16,7 @@ CaseResult run_case(const net::Net& net, const tech::Technology& tech,
                     double tau_t_fs, const core::RipOptions& rip_options,
                     const core::BaselineOptions& baseline_options,
                     const SolveContext& context) {
-  dp::Workspace& ws = context.workspace != nullptr ? *context.workspace
-                                                   : dp::Workspace::local();
+  dp::Workspace& ws = dp::Workspace::local();
   CaseResult out;
   out.tau_t_fs = tau_t_fs;
 

@@ -1,20 +1,25 @@
 #pragma once
 
 /// @file experiments.hpp
-/// Runners that regenerate every table and figure of the paper's
-/// evaluation (Section 6). Each returns a structured result that the
-/// bench binaries (bench/bench_table1.cpp, bench_table2.cpp,
-/// bench_fig7.cpp) print via util::Table next to the paper's reference
-/// values.
+/// The paper's unit of evaluation, run_case (RIP against a DP baseline
+/// on one (net, target) case), and the runners that regenerate every
+/// table and figure of its Section 6. Each runner returns a structured
+/// result that the bench binaries (bench/bench_table1.cpp,
+/// bench_table2.cpp, bench_fig7.cpp) print via util::Table next to the
+/// paper's reference values.
 ///
-/// Each runner fans its solves out over the persistent scheduler, one
-/// group per task: Table 1 and Fig. 7 group a (net, library)'s whole
-/// target sweep, so the task sweeps the target-independent frontier
-/// once and selects every target from it; Table 2 groups one case, so
-/// every solve it times stays cold. Each group writes only its own
-/// slots and the reduction runs serially in input order, so results
-/// are bit-identical at any job count. A sweep split across processes
-/// is `rip_cli sweep|compare --shard I/N` plus `rip_cli merge`.
+/// run_case is the one per-case entry point: rip_cli's `compare` fans
+/// it out with parallel_for_indexed (util/thread_pool.hpp), and
+/// run_stream submits it to the EvalService (eval/service.hpp) as a
+/// thunk. Each runner fans its solves out over the persistent
+/// scheduler, one group per task: Table 1 and Fig. 7 group a (net,
+/// library)'s whole target sweep, so the task sweeps the
+/// target-independent frontier once and selects every target from it;
+/// Table 2 groups one case, so every solve it times stays cold. Each
+/// group writes only its own slots and the reduction runs serially in
+/// input order, so results are bit-identical at any job count. A sweep
+/// split across processes is `rip_cli sweep|compare --shard I/N` plus
+/// `rip_cli merge`.
 
 #include <span>
 #include <string>
@@ -27,10 +32,6 @@
 #include "eval/workload.hpp"
 #include "tech/technology.hpp"
 #include "util/table.hpp"
-
-namespace rip::dp {
-class Workspace;
-}  // namespace rip::dp
 
 namespace rip::eval {
 
@@ -48,16 +49,18 @@ struct CaseResult {
 };
 
 /// Run RIP and one baseline on a single (net, target) case under one
-/// SolveContext (eval/context.hpp): `context.workspace` is the DP arena
-/// set both solvers reuse (nullptr = the calling thread's
-/// dp::Workspace::local() — the path scheduler workers take, so every
-/// participant of a parallel sweep reuses its own arenas case after
-/// case); `context.cache` optionally shares a frontier cache between
-/// the target-independent DP solves (RIP's coarse stage and the whole
-/// baseline) — with it, re-running a cached net at a new target costs a
-/// frontier walk instead of two DP sweeps, bit-identical to the
-/// uncached path; `context.backend` selects the objective both solvers
-/// minimize (nullptr = the paper's, bit-identical to before).
+/// SolveContext (eval/context.hpp). Both solvers run on the calling
+/// thread's dp::Workspace::local(), so every participant of a parallel
+/// sweep reuses its own arenas case after case. `context.cache`
+/// optionally shares a frontier cache between the target-independent
+/// DP solves (RIP's coarse stage and the whole baseline) — with it,
+/// re-running a cached net at a new target costs a frontier walk
+/// instead of two DP sweeps, bit-identical to the uncached path;
+/// `context.backend` selects the objective both solvers minimize
+/// (nullptr = the paper's, bit-identical to before). The solve.*
+/// fault points fire first, under `context.fault_key`, and
+/// `context.deadline` is checked before and between the two solves.
+/// Runtimes are wall clock measured around each solve on this thread.
 CaseResult run_case(const net::Net& net, const tech::Technology& tech,
                     double tau_t_fs, const core::RipOptions& rip_options,
                     const core::BaselineOptions& baseline_options,
@@ -80,8 +83,7 @@ struct Table1Config {
   core::RipOptions rip;
   /// Worker threads for the sweep, which fans out one (net, library)
   /// group at a time; 1 = the serial reference path, 0 = all hardware
-  /// threads. Results are bit-identical at any job count (see
-  /// eval/parallel.hpp).
+  /// threads. Results are bit-identical at any job count.
   int jobs = 1;
   /// Objective backend every solve of the sweep minimizes; nullptr =
   /// the paper's objective (bit-identical to before backends existed).

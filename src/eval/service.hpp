@@ -2,19 +2,21 @@
 
 /// @file service.hpp
 /// The asynchronous evaluation service: a bounded queue of evaluation
-/// thunks with its own worker threads. Where eval::run_cases blocks the
-/// caller for a whole batch, an EvalService accepts thunks one at a
-/// time, returns a future per thunk, and runs them in the background —
-/// the shape the streaming driver (eval/stream.hpp) and an iterative
-/// optimization loop (resubmit, refine, resubmit) need. A thunk that
-/// evaluates a Case calls eval::evaluate_case (eval/parallel.hpp), the
-/// same per-case body run_cases uses, so both produce the same bits.
+/// thunks with its own worker threads. Where parallel_for_indexed
+/// blocks the caller for a whole sweep, an EvalService accepts thunks
+/// one at a time, returns a future per thunk, and runs them in the
+/// background — the shape the streaming driver (eval/stream.hpp) and an
+/// iterative optimization loop (resubmit, refine, resubmit) need. A
+/// thunk that evaluates a (net, target) case calls eval::run_case, the
+/// same per-case entry point every blocking sweep fans out, so both
+/// produce the same bits.
 ///
 /// Scheduling model:
 ///   - Pending thunks sit in one bounded FIFO (ServiceOptions::
 ///     max_pending; submit_fn blocks when it is full — backpressure).
-///   - `jobs` worker threads each pop the front of the FIFO and run
-///     it, so a queued thunk starts as soon as any worker is free.
+///   - `jobs` worker threads (resolve_jobs: at most kMaxJobs) each pop
+///     the front of the FIFO and run it, so a queued thunk starts as
+///     soon as any worker is free.
 ///   - Queued (not yet started) thunks can be cancelled cooperatively
 ///     (cancel_pending): their futures fail with CancelledError.
 ///     Started thunks always run to completion.
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "eval/experiments.hpp"
-#include "eval/parallel.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -58,8 +59,8 @@ struct RetryPolicy {
 
 /// Knobs of the async service.
 struct ServiceOptions {
-  /// Worker threads popping the FIFO: N >= 1 taken literally, 0 = one
-  /// per hardware thread.
+  /// Worker threads popping the FIFO, resolved by resolve_jobs: N >= 1
+  /// taken literally up to kMaxJobs, 0 = one per hardware thread.
   int jobs = 1;
   /// Bounded-queue backpressure: submit_fn blocks while this many
   /// thunks are already queued (not yet started). 0 = unbounded.

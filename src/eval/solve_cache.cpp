@@ -19,7 +19,6 @@ SolveCache::SolveCache(const SolveCacheOptions& options) {
   if (options.max_bytes > 0) {
     shard_byte_budget_ = std::max<std::uint64_t>(1, options.max_bytes / shards);
   }
-  ttl_ = options.ttl;
   shards_ = std::vector<Shard>(shards);
 }
 
@@ -36,17 +35,6 @@ std::shared_ptr<const dp::ChainFrontierSolve> SolveCache::lookup(
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  // Lazy TTL expiry: an over-age entry answers nothing and is dropped on
-  // the spot (the caller re-solves and re-inserts a fresh frontier).
-  if (ttl_.count() > 0 &&
-      std::chrono::steady_clock::now() - it->second.stored_at >= ttl_) {
-    shard.bytes -= it->second.solve->bytes();
-    shard.lru.erase(it->second.lru_it);
-    shard.map.erase(it);
-    ++shard.ttl_evictions;
     ++shard.misses;
     return nullptr;
   }
@@ -93,8 +81,7 @@ std::shared_ptr<const dp::ChainFrontierSolve> SolveCache::insert(
       std::make_shared<const dp::ChainFrontierSolve>(std::move(solve));
   shard.lru.push_front(key);
   shard.bytes += stored->bytes();
-  shard.map.emplace(key, Entry{stored, shard.lru.begin(),
-                               std::chrono::steady_clock::now()});
+  shard.map.emplace(key, Entry{stored, shard.lru.begin()});
   ++shard.insertions;
   // Byte budget: evict LRU tails until under budget, but never the entry
   // just stored — a single oversized frontier must pass through, not
@@ -123,7 +110,6 @@ SolveCacheStats SolveCache::stats() const {
     out.misses += shard.misses;
     out.insertions += shard.insertions;
     out.evictions += shard.evictions;
-    out.ttl_evictions += shard.ttl_evictions;
     out.insert_failures += shard.insert_failures;
     out.entries += shard.map.size();
     out.bytes += shard.bytes;

@@ -27,7 +27,10 @@
 ///    (ceil(capacity/shards) each). With capacity <= shards the shard
 ///    count collapses to 1 so eviction pressure behaves as a strict
 ///    global LRU (the capacity-1 property tests rely on this).
-#include <chrono>
+///  - No expiry: the key covers every input the sweep reads, the
+///    objective backend's fingerprint and per-net coefficients included,
+///    so an entry cannot go stale; only capacity and the byte budget
+///    evict.
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -52,11 +55,6 @@ struct SolveCacheOptions {
   /// of growing without bound. A shard always keeps at least its newest
   /// entry, so one oversized frontier cannot wedge the cache.
   std::uint64_t max_bytes = 0;
-  /// Entry time-to-live (0 = entries never expire). Expiry is lazy: a
-  /// lookup that finds an entry older than the TTL drops it and counts
-  /// a miss plus a ttl_eviction. Keeps long-lived services from
-  /// answering from arbitrarily stale frontiers after re-tuning.
-  std::chrono::nanoseconds ttl{0};
 };
 
 /// Counter snapshot, summed over shards. Monotonic except entries/bytes.
@@ -65,7 +63,6 @@ struct SolveCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;  ///< entries stored (racing dups excluded)
   std::uint64_t evictions = 0;   ///< LRU evictions (capacity or byte budget)
-  std::uint64_t ttl_evictions = 0;   ///< entries dropped as expired
   std::uint64_t insert_failures = 0; ///< inserts dropped (injected faults)
   std::uint64_t entries = 0;     ///< currently resident entries
   std::uint64_t bytes = 0;       ///< approximate resident footprint
@@ -102,7 +99,6 @@ class SolveCache final : public dp::ChainSolveCache {
   struct Entry {
     std::shared_ptr<const dp::ChainFrontierSolve> solve;
     std::list<std::uint64_t>::iterator lru_it;
-    std::chrono::steady_clock::time_point stored_at;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -113,7 +109,6 @@ class SolveCache final : public dp::ChainSolveCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t ttl_evictions = 0;
     std::uint64_t insert_failures = 0;
     std::uint64_t bytes = 0;
   };
@@ -124,7 +119,6 @@ class SolveCache final : public dp::ChainSolveCache {
   std::size_t capacity_ = 1;
   std::size_t shard_capacity_ = 1;
   std::uint64_t shard_byte_budget_ = 0;  ///< 0 = unbounded
-  std::chrono::nanoseconds ttl_{0};
   std::vector<Shard> shards_;
 };
 

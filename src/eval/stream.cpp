@@ -270,9 +270,6 @@ StreamResult run_stream(const tech::Technology& tech,
                         const std::string& input_path,
                         const std::string& output_path,
                         const StreamOptions& options) {
-  RIP_REQUIRE(options.context.workspace == nullptr,
-              "run_stream evaluates on service threads; context.workspace "
-              "must be nullptr");
   RIP_REQUIRE(options.checkpoint_every == 0 || !options.checkpoint_path.empty(),
               "checkpoint_every > 0 requires checkpoint_path");
   RIP_REQUIRE(!options.resume || !options.checkpoint_path.empty(),

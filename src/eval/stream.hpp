@@ -123,9 +123,8 @@ struct StreamOptions {
   core::RipOptions rip;
   core::BaselineOptions baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  /// Ambient solve state (cache/backend); `context.workspace` must stay
-  /// nullptr — cases evaluate on service workers' thread-local
-  /// workspaces.
+  /// Ambient solve state (cache/backend). Each case sets its own
+  /// fault_key (its record index) and deadline on a copy.
   SolveContext context;
 };
 

@@ -128,6 +128,21 @@ ShardSpec shard_option(const CliArgs& args) {
   return spec;
 }
 
+std::vector<std::size_t> shard_case_indices(std::size_t case_count,
+                                            int shard_index,
+                                            int shard_count) {
+  RIP_REQUIRE(shard_count >= 1, "shard count must be >= 1");
+  RIP_REQUIRE(shard_index >= 0 && shard_index < shard_count,
+              "shard index out of range");
+  std::vector<std::size_t> indices;
+  const auto step = static_cast<std::size_t>(shard_count);
+  for (std::size_t i = static_cast<std::size_t>(shard_index);
+       i < case_count; i += step) {
+    indices.push_back(i);
+  }
+  return indices;
+}
+
 std::uint64_t count_option(const CliArgs& args, const std::string& name,
                            std::uint64_t fallback,
                            std::uint64_t min_value) {

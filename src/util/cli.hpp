@@ -7,6 +7,7 @@
 ///
 ///     rip_cli solve --net my.net --target-ns 2.5 --spice out.sp
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -72,6 +73,14 @@ struct ShardSpec {
 /// N (0 <= I < N). Absent means the single, unsharded shard 0/1.
 /// Throws rip::Error on a malformed spec.
 ShardSpec shard_option(const CliArgs& args);
+
+/// The point indices one shard of a round-robin split owns (point i
+/// belongs to shard i % shard_count), in ascending (input) order.
+/// Scattering each shard's results back to its indices rebuilds the
+/// unsharded sweep; `rip_cli merge` does that on the `idx` column.
+std::vector<std::size_t> shard_case_indices(std::size_t case_count,
+                                            int shard_index,
+                                            int shard_count);
 
 /// Strict unsigned-count option: digits only (no signs, spaces, or
 /// trailing garbage), value >= `min_value`; absent returns `fallback`

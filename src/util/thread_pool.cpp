@@ -11,19 +11,16 @@
 namespace rip {
 namespace {
 
-// Growth cap for the persistent pool: enough for any sane --jobs value
-// while bounding a pathological request. The calling thread always
-// participates, so jobs=N needs at most N-1 pool workers.
-constexpr int kMaxWorkers = 256;
-
 std::atomic<bool> g_scheduler_exists{false};
 
 }  // namespace
 
 int resolve_jobs(int jobs) {
-  if (jobs >= 1) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  if (jobs < 1) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    jobs = hw == 0 ? 1 : static_cast<int>(std::min(hw, unsigned{kMaxJobs}));
+  }
+  return std::min(jobs, kMaxJobs);
 }
 
 /// One parallel_for call. Shared between the caller and the pool
@@ -71,7 +68,6 @@ int Scheduler::worker_count() const {
 }
 
 void Scheduler::ensure_workers(int target) {
-  target = std::min(target, kMaxWorkers);
   std::lock_guard<std::mutex> lock(mutex_);
   while (static_cast<int>(workers_.size()) < target) {
     workers_.emplace_back([this] { worker_loop(); });

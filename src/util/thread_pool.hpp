@@ -1,10 +1,12 @@
 #pragma once
 
 /// @file thread_pool.hpp
-/// The persistent per-process scheduler behind every blocking batch
-/// evaluation path (eval::run_cases, the table runners, the bench
-/// binaries). The asynchronous eval::EvalService runs its own FIFO
-/// workers and does not use it.
+/// The persistent per-process scheduler behind every blocking sweep
+/// (rip_cli `sweep` and `compare`, the table runners, the bench
+/// binaries), each one parallel_for_indexed over its cases. The
+/// asynchronous eval::EvalService runs its own FIFO workers and does
+/// not use it; both size their threads with resolve_jobs, so one cap
+/// (kMaxJobs) bounds either pool.
 /// A lazily-initialized process-wide Scheduler keeps its workers alive
 /// across calls. Each `parallel_for_indexed` region is one shared claim
 /// counter: every participant takes the next unclaimed index until none
@@ -30,17 +32,23 @@
 
 namespace rip {
 
+/// The most threads one parallel region or one EvalService runs:
+/// enough for any sane `--jobs` value while bounding a pathological
+/// request.
+constexpr int kMaxJobs = 256;
+
 /// Resolve a user-facing `--jobs` value: N >= 1 is taken literally;
-/// 0 or negative means "one per hardware thread" (at least 1).
+/// 0 or negative means "one per hardware thread" (at least 1). Either
+/// way the result is at most kMaxJobs.
 int resolve_jobs(int jobs);
 
 /// Persistent per-process scheduler. Workers are started lazily on the
 /// first parallel region that needs them and are reused by every later
 /// call (no per-call thread spin-up); the pool only ever grows, up to
-/// the largest `jobs` requested (capped), and is joined at process
-/// exit. A region's participants claim indices one at a time from a
-/// shared atomic counter, so one giant case among many tiny ones holds
-/// up only the participant running it.
+/// the largest resolved `jobs` requested minus the calling thread, and
+/// is joined at process exit. A region's participants claim indices one
+/// at a time from a shared atomic counter, so one giant case among many
+/// tiny ones holds up only the participant running it.
 ///
 /// The calling thread always participates in its own region and keeps
 /// claiming until no index is left — nested `parallel_for_indexed`

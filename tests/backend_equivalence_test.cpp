@@ -1,31 +1,27 @@
-// Integration proof of the backend-equivalence satellite: an explicit
+// Integration proof of backend equivalence: an explicit
 // Paper2005Backend threaded through every evaluation front-end — the
-// Table 1/2 and Fig. 7 runners, the blocking batch engine, and the
-// async service — must reproduce the default (backend == nullptr) path
-// bit for bit, at jobs {1, 8}, cached and uncached. Also pins the
-// SolveContext plumbing itself: the deprecated cache knobs still reach
-// the solver, and both batch engines reject an explicit workspace.
+// Table 1/2 and Fig. 7 runners, a parallel_for_indexed sweep of
+// run_case, and the async service — must reproduce the default
+// (backend == nullptr) path bit for bit, at jobs {1, 8}, cached and
+// uncached. Also pins the SolveContext plumbing itself: the context's
+// cache reaches the solver from a sweep and from a service thunk.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "core/baseline.hpp"
 #include "core/rip.hpp"
-#include "dp/workspace.hpp"
 #include "eval/experiments.hpp"
-#include "eval/parallel.hpp"
 #include "eval/service.hpp"
 #include "eval/solve_cache.hpp"
-#include "eval/stream.hpp"
 #include "eval/workload.hpp"
 #include "net/netlist_io.hpp"
 #include "tech/objective.hpp"
 #include "test_helpers.hpp"
-#include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 namespace {
@@ -150,17 +146,23 @@ TEST(BackendEquivalence, Fig7PaperBackendMatchesDefault) {
   }
 }
 
-/// The batch cases the engine-level tests share: 2 nets x 3 targets.
-std::vector<Case> small_batch(const std::vector<WorkloadNet>& workload) {
-  const auto baseline = core::BaselineOptions::uniform_library(10.0, 40.0, 5);
-  std::vector<Case> cases;
+/// The cases the engine-level tests share: 2 nets x 3 targets, each
+/// against small_baseline().
+std::vector<net::NetlistRecord> small_batch(
+    const std::vector<WorkloadNet>& workload) {
+  std::vector<net::NetlistRecord> cases;
   for (const auto& wn : workload) {
     for (const double f : {1.2, 1.5, 1.9}) {
-      cases.push_back(
-          Case{&wn.net, f * wn.tau_min_fs, core::RipOptions{}, baseline});
+      cases.push_back({wn.net, f * wn.tau_min_fs});
     }
   }
   return cases;
+}
+
+const core::BaselineOptions& small_baseline() {
+  static const auto baseline =
+      core::BaselineOptions::uniform_library(10.0, 40.0, 5);
+  return baseline;
 }
 
 TEST(BackendEquivalence, RunCasesBackendCachedAsyncAllBitIdentical) {
@@ -170,18 +172,26 @@ TEST(BackendEquivalence, RunCasesBackendCachedAsyncAllBitIdentical) {
   const tech::Paper2005Backend backend(tech.power(), tech.device());
 
   // Reference: the serial default path (no context at all).
-  const auto reference = run_cases(tech, cases);
+  std::vector<CaseResult> reference;
+  for (const auto& c : cases) {
+    reference.push_back(
+        run_case(c.net, tech, c.tau_t_fs, {}, small_baseline()));
+  }
 
-  // Blocking engine, explicit backend, jobs x cache grid.
+  // A parallel_for_indexed sweep of run_case, explicit backend, jobs x
+  // cache grid.
   for (const int jobs : {1, 8}) {
     for (const bool cached : {false, true}) {
       SCOPED_TRACE("jobs " + std::to_string(jobs) + (cached ? " cached" : ""));
       SolveCache cache({64, 4});
-      BatchOptions options;
-      options.jobs = jobs;
-      options.context.backend = &backend;
-      if (cached) options.context.cache = &cache;
-      const auto got = run_cases(tech, cases, options);
+      SolveContext context;
+      context.backend = &backend;
+      if (cached) context.cache = &cache;
+      std::vector<CaseResult> got(cases.size());
+      parallel_for_indexed(cases.size(), jobs, [&](std::size_t i) {
+        got[i] = run_case(cases[i].net, tech, cases[i].tau_t_fs, {},
+                          small_baseline(), context);
+      });
       ASSERT_EQ(got.size(), reference.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         SCOPED_TRACE("case " + std::to_string(i));
@@ -213,7 +223,8 @@ TEST(BackendEquivalence, RunCasesBackendCachedAsyncAllBitIdentical) {
   std::vector<std::future<CaseResult>> futures;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     futures.push_back(service.submit_fn([&, i] {
-      return evaluate_case(tech, cases[i], service_context, i);
+      return run_case(cases[i].net, tech, cases[i].tau_t_fs, {},
+                      small_baseline(), service_context);
     }));
   }
   std::vector<CaseResult> async;
@@ -230,11 +241,15 @@ TEST(SolveContextPlumbing, ContextCacheReachesBothBatchEngines) {
   const auto workload = make_paper_workload(tech, 1);
   const auto cases = small_batch(workload);
 
-  // BatchOptions::context.cache attaches the cache to run_cases.
+  // context.cache attaches the cache to a sweep of run_case.
   SolveCache batch_cache({64, 4});
-  BatchOptions options;
-  options.context.cache = &batch_cache;
-  const auto via_batch = run_cases(tech, cases, options);
+  SolveContext batch_context;
+  batch_context.cache = &batch_cache;
+  std::vector<CaseResult> via_batch(cases.size());
+  parallel_for_indexed(cases.size(), 1, [&](std::size_t i) {
+    via_batch[i] = run_case(cases[i].net, tech, cases[i].tau_t_fs, {},
+                            small_baseline(), batch_context);
+  });
   EXPECT_GT(batch_cache.stats().hits, 0u);
 
   // A service thunk's context.cache likewise.
@@ -245,7 +260,8 @@ TEST(SolveContextPlumbing, ContextCacheReachesBothBatchEngines) {
     EvalService service(tech);
     for (std::size_t i = 0; i < cases.size(); ++i) {
       service.submit_fn([&, i] {
-        return evaluate_case(tech, cases[i], service_context, i);
+        return run_case(cases[i].net, tech, cases[i].tau_t_fs, {},
+                        small_baseline(), service_context);
       });
     }
   }  // the destructor drains every thunk
@@ -254,44 +270,9 @@ TEST(SolveContextPlumbing, ContextCacheReachesBothBatchEngines) {
   // Cached answers match the context-overload run_case exactly.
   SolveContext context;
   context.cache = &batch_cache;
-  const auto direct = run_case(*cases[0].net, tech, cases[0].tau_t_fs,
-                               cases[0].rip, cases[0].baseline, context);
+  const auto direct = run_case(cases[0].net, tech, cases[0].tau_t_fs, {},
+                               small_baseline(), context);
   expect_same_case(direct, via_batch[0]);
-}
-
-TEST(SolveContextPlumbing, BatchEnginesRejectAnExplicitWorkspace) {
-  const tech::Technology tech = tech::make_tech180();
-  const auto workload = make_paper_workload(tech, 1);
-  const auto cases = small_batch(workload);
-  dp::Workspace ws;
-
-  BatchOptions options;
-  options.context.workspace = &ws;
-  EXPECT_THROW(run_cases(tech, cases, options), Error);
-
-  // run_stream evaluates on service threads: it rejects one too, given
-  // an input it could otherwise stream.
-  const std::string input =
-      ::testing::TempDir() + "backend_equivalence_test_plumbing.rnl";
-  {
-    net::NetlistWriter writer(input, net::NetlistFormat::kText);
-    writer.add(*cases[0].net, cases[0].tau_t_fs);
-    writer.close();
-  }
-  StreamOptions stream_options;
-  stream_options.context.workspace = &ws;
-  EXPECT_THROW(run_stream(tech, input, input + ".csv", stream_options),
-               Error);
-  std::remove(input.c_str());
-
-  // run_case itself accepts one — that is the single-threaded contract.
-  SolveContext context;
-  context.workspace = &ws;
-  const auto direct = run_case(*cases[0].net, tech, cases[0].tau_t_fs,
-                               cases[0].rip, cases[0].baseline, context);
-  const auto reference = run_case(*cases[0].net, tech, cases[0].tau_t_fs,
-                                  cases[0].rip, cases[0].baseline);
-  expect_same_case(direct, reference);
 }
 
 }  // namespace

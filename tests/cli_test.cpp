@@ -217,7 +217,7 @@ TEST(ShardOption, RejectsEveryMalformedSpecUniformly) {
 // --------------------------------------------------------- count_option
 //
 // The strict-count companion of shard_option: every binary that takes
-// --max-pending / --every / --stop-after / --retry rejects every
+// --max-pending / --every / --stop-after / --cache-bytes rejects every
 // malformed value with the same message shape instead of silently
 // truncating through atoi.
 

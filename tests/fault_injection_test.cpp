@@ -20,9 +20,8 @@
 //     in the retired version-1 layout, degrades to `.prev`, and both
 //     unusable degrades to a clean restart — every path ending
 //     byte-identical to the golden run.
-//   - SolveCache hardening: byte-budget eviction, TTL expiry, and
-//     injected insert faults degrading to an un-stored (but still
-//     usable) frontier.
+//   - SolveCache hardening: byte-budget eviction and injected insert
+//     faults degrading to an un-stored (but still usable) frontier.
 
 #include <gtest/gtest.h>
 
@@ -34,7 +33,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dp/min_delay.hpp"
@@ -377,12 +375,7 @@ TEST(ServiceDeadline, BlownBudgetSettlesTheFutureWithoutPoisoningTheBatch) {
   const auto workload = eval::make_paper_workload(tech180(), 2, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  std::vector<eval::Case> cases;
-  for (const auto& wn : workload) {
-    cases.push_back(eval::Case{&wn.net, 1.5 * wn.tau_min_fs,
-                               core::RipOptions{}, baseline});
-  }
-  cases[0].deadline_ms = 1.0;
+  const double deadline_ms[] = {1.0, 0.0};
 
   eval::ServiceOptions options;
   options.jobs = 2;
@@ -390,9 +383,17 @@ TEST(ServiceDeadline, BlownBudgetSettlesTheFutureWithoutPoisoningTheBatch) {
   options.retry.base = std::chrono::milliseconds(0);
   eval::EvalService service(tech180(), options);
   std::vector<std::future<eval::CaseResult>> futures;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    futures.push_back(service.submit_fn([c = cases[i], i] {
-      return eval::evaluate_case(tech180(), c, {}, i);
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    // Like a stream record: slot i is the fault key, and each attempt
+    // starts a fresh deadline.
+    futures.push_back(service.submit_fn([&, i] {
+      eval::SolveContext context;
+      context.fault_key = i;
+      const Deadline deadline(deadline_ms[i]);
+      if (deadline.active()) context.deadline = &deadline;
+      return eval::run_case(workload[i].net, tech180(),
+                            1.5 * workload[i].tau_min_fs, {}, baseline,
+                            context);
     }));
   }
   for (auto& future : futures) future.wait();
@@ -666,32 +667,6 @@ TEST(SolveCacheBudget, ByteBudgetEvictsLruButKeepsTheNewestEntry) {
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   EXPECT_GT(s.evictions, 0u);
-}
-
-TEST(SolveCacheTtl, ExpiredEntriesAreLazilyDroppedOnLookup) {
-  eval::SolveCacheOptions options;
-  options.capacity = 16;
-  options.shard_count = 1;
-  options.ttl = std::chrono::nanoseconds(1);
-  eval::SolveCache cache(options);
-
-  cache.insert(1, tiny_solve(1.0));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(cache.lookup(1), nullptr);  // expired: a miss, not a hit
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.ttl_evictions, 1u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 0u);
-}
-
-TEST(SolveCacheTtl, ZeroTtlMeansEntriesNeverExpire) {
-  eval::SolveCache cache({16, 1});
-  cache.insert(1, tiny_solve(1.0));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_EQ(cache.stats().ttl_evictions, 0u);
 }
 
 TEST(SolveCacheFaults, InjectedInsertFaultDropsTheStoreNotTheCaller) {

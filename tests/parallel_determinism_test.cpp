@@ -9,9 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "eval/experiments.hpp"
-#include "eval/parallel.hpp"
 #include "eval/workload.hpp"
+#include "net/netlist_io.hpp"
 #include "tech/technology.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 namespace {
@@ -63,19 +64,21 @@ TEST(ParallelDeterminism, RunCasesMatchesSerialBitForBit) {
   const auto workload = make_paper_workload(tech, 2, 2005);
   const auto baseline = core::BaselineOptions::uniform_library(10.0, 10.0, 10);
 
-  std::vector<Case> cases;
+  std::vector<net::NetlistRecord> cases;
   for (const auto& wn : workload) {
     for (const double tau_t : timing_targets_fs(wn.tau_min_fs, 5)) {
-      cases.push_back(Case{&wn.net, tau_t, core::RipOptions{}, baseline});
+      cases.push_back({wn.net, tau_t});
     }
   }
 
-  BatchOptions serial_options;
-  serial_options.jobs = 1;
-  BatchOptions parallel_options;
-  parallel_options.jobs = 8;
-  const auto serial = run_cases(tech, cases, serial_options);
-  const auto parallel = run_cases(tech, cases, parallel_options);
+  std::vector<CaseResult> serial(cases.size());
+  std::vector<CaseResult> parallel(cases.size());
+  for (const int jobs : {1, 8}) {
+    auto& out = jobs == 1 ? serial : parallel;
+    parallel_for_indexed(cases.size(), jobs, [&](std::size_t i) {
+      out[i] = run_case(cases[i].net, tech, cases[i].tau_t_fs, {}, baseline);
+    });
+  }
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(parallel[i].tau_t_fs, serial[i].tau_t_fs) << "case " << i;

@@ -15,9 +15,10 @@
 #include <thread>
 #include <vector>
 
-#include "eval/parallel.hpp"
+#include "eval/experiments.hpp"
 #include "eval/service.hpp"
 #include "eval/workload.hpp"
+#include "net/netlist_io.hpp"
 #include "tech/technology.hpp"
 
 namespace rip::eval {
@@ -190,22 +191,20 @@ TEST(ServiceStress, ResultsAreBitIdenticalToSerialGoldensAtAnyJobCount) {
 
   // Case 0 and 1 are the exact run_case goldens golden_test.cpp pins
   // (net_1 at 1.25x and 1.85x tau_min); the rest is a normal sweep.
-  std::vector<Case> cases;
-  cases.push_back(Case{&workload[0].net, 1.25 * workload[0].tau_min_fs,
-                       core::RipOptions{}, baseline});
-  cases.push_back(Case{&workload[0].net, 1.85 * workload[0].tau_min_fs,
-                       core::RipOptions{}, baseline});
+  std::vector<net::NetlistRecord> cases;
+  cases.push_back({workload[0].net, 1.25 * workload[0].tau_min_fs});
+  cases.push_back({workload[0].net, 1.85 * workload[0].tau_min_fs});
   for (const auto& wn : workload) {
     for (const double tau_t : timing_targets_fs(wn.tau_min_fs, 5)) {
-      cases.push_back(Case{&wn.net, tau_t, core::RipOptions{}, baseline});
+      cases.push_back({wn.net, tau_t});
     }
   }
 
   // The serial golden: a plain loop, no service, no scheduler.
   std::vector<CaseResult> serial;
   serial.reserve(cases.size());
-  for (const Case& c : cases) {
-    serial.push_back(run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline));
+  for (const auto& c : cases) {
+    serial.push_back(run_case(c.net, tech, c.tau_t_fs, {}, baseline));
   }
 
   for (const int jobs : {1, 8}) {
@@ -214,8 +213,9 @@ TEST(ServiceStress, ResultsAreBitIdenticalToSerialGoldensAtAnyJobCount) {
     EvalService service(tech, options);
     std::vector<std::future<CaseResult>> futures;
     for (std::size_t i = 0; i < cases.size(); ++i) {
-      futures.push_back(service.submit_fn(
-          [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+      futures.push_back(service.submit_fn([&, i] {
+        return run_case(cases[i].net, tech, cases[i].tau_t_fs, {}, baseline);
+      }));
     }
     std::vector<CaseResult> results;
     for (auto& future : futures) results.push_back(future.get());

@@ -1,6 +1,6 @@
 // Lifecycle contract of the asynchronous evaluation service
-// (eval/service.hpp): a Case submitted as an evaluate_case thunk comes
-// back bit-identical to the direct call, FIFO workers, cooperative
+// (eval/service.hpp): a run_case thunk comes back bit-identical to the
+// direct call, FIFO workers, cooperative
 // cancellation of queued thunks, bounded-queue backpressure, failure
 // isolation, and drain-on-destruction. Timing control comes from gate
 // thunks that hold workers until released, so every ordering
@@ -18,11 +18,12 @@
 #include <thread>
 #include <vector>
 
-#include "eval/parallel.hpp"
+#include "eval/experiments.hpp"
 #include "eval/service.hpp"
 #include "eval/workload.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 namespace {
@@ -83,14 +84,13 @@ TEST(ServiceLifecycle, SubmitReturnsTheCaseResultThroughTheFuture) {
   const auto workload = make_paper_workload(tech, 1, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  const Case c{&workload[0].net, 1.25 * workload[0].tau_min_fs,
-               core::RipOptions{}, baseline};
-  const CaseResult expected =
-      run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline);
+  const net::Net& net = workload[0].net;
+  const double tau_t = 1.25 * workload[0].tau_min_fs;
+  const CaseResult expected = run_case(net, tech, tau_t, {}, baseline);
 
   EvalService service(tech);
   std::future<CaseResult> future = service.submit_fn(
-      [&tech, c] { return evaluate_case(tech, c, {}, kFaultAutoKey); });
+      [&] { return run_case(net, tech, tau_t, {}, baseline); });
   const CaseResult got = future.get();
   // Bit-identical to the direct call (and to the golden_test pins for
   // this exact case: net_1 at 1.25x tau_min).
@@ -108,24 +108,20 @@ TEST(ServiceLifecycle, BatchResultsMatchTheSerialLoopInOrder) {
   const auto workload = make_paper_workload(tech, 1, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  std::vector<Case> cases;
-  for (const double tau_t :
-       timing_targets_fs(workload[0].tau_min_fs, 4)) {
-    cases.push_back(Case{&workload[0].net, tau_t, core::RipOptions{},
-                         baseline});
-  }
+  const net::Net& net = workload[0].net;
+  const auto cases = timing_targets_fs(workload[0].tau_min_fs, 4);
   std::vector<CaseResult> serial;
-  for (const Case& c : cases) {
-    serial.push_back(run_case(*c.net, tech, c.tau_t_fs, c.rip, c.baseline));
+  for (const double tau_t : cases) {
+    serial.push_back(run_case(net, tech, tau_t, {}, baseline));
   }
 
   ServiceOptions options;
   options.jobs = 4;
   EvalService service(tech, options);
   std::vector<std::future<CaseResult>> futures;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
+  for (const double tau_t : cases) {
     futures.push_back(service.submit_fn(
-        [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+        [&, tau_t] { return run_case(net, tech, tau_t, {}, baseline); }));
   }
   std::vector<CaseResult> results;
   for (auto& future : futures) results.push_back(future.get());
@@ -301,19 +297,18 @@ TEST(ServiceLifecycle, FailingBatchCaseSparesItsNeighbours) {
   const auto workload = make_paper_workload(tech, 1, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  const Case good{&workload[0].net, 1.5 * workload[0].tau_min_fs,
-                  core::RipOptions{}, baseline};
-  // rip_insert rejects a non-positive target, so this case throws.
-  const Case bad{&workload[0].net, -1.0, core::RipOptions{}, baseline};
-  const std::vector<Case> cases{good, bad, good, good};
+  const net::Net& net = workload[0].net;
+  const double good = 1.5 * workload[0].tau_min_fs;
+  // rip_insert rejects a non-positive target, so case 1 throws.
+  const std::vector<double> cases{good, -1.0, good, good};
 
   ServiceOptions options;
   options.jobs = 2;
   EvalService service(tech, options);
   std::vector<std::future<CaseResult>> futures;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
+  for (const double tau_t : cases) {
     futures.push_back(service.submit_fn(
-        [&tech, c = cases[i], i] { return evaluate_case(tech, c, {}, i); }));
+        [&, tau_t] { return run_case(net, tech, tau_t, {}, baseline); }));
   }
   std::size_t completed = 0;
   std::size_t failed = 0;
@@ -333,23 +328,28 @@ TEST(ServiceLifecycle, FailingBatchCaseSparesItsNeighbours) {
   EXPECT_EQ(failed, 1u);
   EXPECT_EQ(cancelled, 0u);
 
-  // The blocking engine rethrows the same failure at any job count.
+  // A blocking sweep rethrows the same failure at any job count.
   for (const int jobs : {1, 4}) {
-    BatchOptions batch_options;
-    batch_options.jobs = jobs;
-    EXPECT_THROW(run_cases(tech, cases, batch_options), Error)
+    EXPECT_THROW(parallel_for_indexed(cases.size(), jobs,
+                                      [&](std::size_t i) {
+                                        run_case(net, tech, cases[i], {},
+                                                 baseline);
+                                      }),
+                 Error)
         << "jobs " << jobs;
   }
 }
 
 TEST(ServiceLifecycle, RejectsInvalidSubmissions) {
   EvalService service(technology());
+  const auto workload = make_paper_workload(technology(), 1, 2005);
   const auto baseline =
       core::BaselineOptions::uniform_library(10.0, 10.0, 10);
-  const Case no_net{nullptr, 1.0, core::RipOptions{}, baseline};
+  // A case without a positive target fails through its future.
   EXPECT_THROW(service
-                   .submit_fn([&no_net] {
-                     return evaluate_case(technology(), no_net, {}, 0);
+                   .submit_fn([&] {
+                     return run_case(workload[0].net, technology(), 0.0, {},
+                                     baseline);
                    })
                    .get(),
                Error);

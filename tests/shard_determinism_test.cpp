@@ -1,10 +1,10 @@
 // Cross-process sharding contract: the round-robin assignment puts
 // every case in exactly one shard, and for any (shard_count, jobs)
-// combo, running every shard's own cases through run_cases and
-// scattering them back reproduces the unsharded serial results bit for
-// bit — including the seed-2005 golden values pinned in
-// golden_test.cpp. This is the split rip_cli sweep/compare --shard
-// performs before rip_cli merge reassembles the shard CSVs.
+// combo, running every shard's own cases through a parallel_for_indexed
+// sweep of run_case and scattering them back reproduces the unsharded
+// serial results bit for bit — including the seed-2005 golden values
+// pinned in golden_test.cpp. This is the split rip_cli sweep/compare
+// --shard performs before rip_cli merge reassembles the shard CSVs.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "eval/experiments.hpp"
-#include "eval/parallel.hpp"
 #include "eval/workload.hpp"
+#include "net/netlist_io.hpp"
 #include "tech/technology.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rip::eval {
 namespace {
@@ -67,18 +69,19 @@ TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
 
   // Case 0 and 1 are the exact run_case goldens golden_test.cpp pins
   // (net_1 at 1.25x and 1.85x tau_min); the rest is a normal sweep.
-  std::vector<Case> cases;
-  cases.push_back(Case{&workload[0].net, 1.25 * workload[0].tau_min_fs,
-                       core::RipOptions{}, baseline});
-  cases.push_back(Case{&workload[0].net, 1.85 * workload[0].tau_min_fs,
-                       core::RipOptions{}, baseline});
+  std::vector<net::NetlistRecord> cases;
+  cases.push_back({workload[0].net, 1.25 * workload[0].tau_min_fs});
+  cases.push_back({workload[0].net, 1.85 * workload[0].tau_min_fs});
   for (const auto& wn : workload) {
     for (const double tau_t : timing_targets_fs(wn.tau_min_fs, 5)) {
-      cases.push_back(Case{&wn.net, tau_t, core::RipOptions{}, baseline});
+      cases.push_back({wn.net, tau_t});
     }
   }
 
-  const auto serial = run_cases(tech, cases, BatchOptions{});
+  std::vector<CaseResult> serial;
+  for (const auto& c : cases) {
+    serial.push_back(run_case(c.net, tech, c.tau_t_fs, {}, baseline));
+  }
   ASSERT_EQ(serial.size(), cases.size());
 
   for (const auto& [shard_count, jobs] : kShardJobCombos) {
@@ -88,11 +91,11 @@ TEST(ShardDeterminism, RunCasesShardsMergeToSerialAndGoldenValues) {
     std::size_t solved = 0;
     for (int s = 0; s < shard_count; ++s) {
       const auto owned = shard_case_indices(cases.size(), s, shard_count);
-      std::vector<Case> mine;
-      for (const std::size_t i : owned) mine.push_back(cases[i]);
-      BatchOptions options;
-      options.jobs = jobs;
-      const auto piece = run_cases(tech, mine, options);
+      std::vector<CaseResult> piece(owned.size());
+      parallel_for_indexed(owned.size(), jobs, [&](std::size_t j) {
+        const auto& c = cases[owned[j]];
+        piece[j] = run_case(c.net, tech, c.tau_t_fs, {}, baseline);
+      });
       ASSERT_EQ(piece.size(), owned.size()) << "shard " << s;
       for (std::size_t j = 0; j < owned.size(); ++j) merged[owned[j]] = piece[j];
       solved += piece.size();

@@ -13,10 +13,11 @@
 #include "dp/library.hpp"
 #include "dp/min_delay.hpp"
 #include "dp/workspace.hpp"
-#include "eval/parallel.hpp"
+#include "eval/experiments.hpp"
 #include "eval/solve_cache.hpp"
 #include "eval/workload.hpp"
 #include "net/candidates.hpp"
+#include "net/netlist_io.hpp"
 #include "tech/objective.hpp"
 #include "tech/technology.hpp"
 #include "test_helpers.hpp"
@@ -352,21 +353,26 @@ TEST(SolveCacheProperty, RunCasesBitIdenticalWithCacheAttached) {
   const tech::Technology tech = tech::make_tech180();
   const auto workload = make_paper_workload(tech, 2);
   const auto baseline = core::BaselineOptions::uniform_library(10.0, 40.0, 5);
-  std::vector<Case> cases;
+  std::vector<net::NetlistRecord> cases;
   for (const auto& wn : workload) {
     for (const double f : {1.2, 1.5, 1.9}) {
-      cases.push_back(Case{&wn.net, f * wn.tau_min_fs, core::RipOptions{},
-                           baseline});
+      cases.push_back({wn.net, f * wn.tau_min_fs});
     }
   }
-  const auto reference = run_cases(tech, cases);
+  std::vector<CaseResult> reference;
+  for (const auto& c : cases) {
+    reference.push_back(run_case(c.net, tech, c.tau_t_fs, {}, baseline));
+  }
 
   for (const int jobs : {1, 8}) {
     SolveCache cache({64, 4});
-    BatchOptions options;
-    options.jobs = jobs;
-    options.context.cache = &cache;
-    const auto cached = run_cases(tech, cases, options);
+    SolveContext context;
+    context.cache = &cache;
+    std::vector<CaseResult> cached(cases.size());
+    parallel_for_indexed(cases.size(), jobs, [&](std::size_t i) {
+      cached[i] = run_case(cases[i].net, tech, cases[i].tau_t_fs, {},
+                           baseline, context);
+    });
     ASSERT_EQ(cached.size(), reference.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
       SCOPED_TRACE("jobs " + std::to_string(jobs) + " case " +

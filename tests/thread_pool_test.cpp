@@ -35,6 +35,16 @@ TEST(ResolveJobs, ZeroAndNegativeMeanHardwareThreads) {
   EXPECT_EQ(resolve_jobs(0), resolve_jobs(-1));
 }
 
+// The scheduler and EvalService both size their threads with
+// resolve_jobs, so this one clamp bounds either pool. Only the resolved
+// count is checked: no thread is started here.
+TEST(ResolveJobs, ClampsEveryRequestToTheWorkerCap) {
+  EXPECT_EQ(resolve_jobs(kMaxJobs), kMaxJobs);
+  EXPECT_EQ(resolve_jobs(kMaxJobs + 1), kMaxJobs);
+  EXPECT_EQ(resolve_jobs(100000), kMaxJobs);
+  EXPECT_LE(resolve_jobs(0), kMaxJobs);
+}
+
 TEST(ParallelForIndexed, JobsOneRunsSeriallyOnCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;

@@ -15,7 +15,13 @@ of figure:
   matches the baseline's hardware should run with the default; shared
   CI runners are noisy and should pass a generous override (the gate
   then only catches order-of-magnitude blowups, never runner-speed
-  lottery).
+  lottery). A wall-clock failure says whether the config's counters
+  match the baseline exactly: if they do, the same work ran slower
+  (host speed, or a slower kernel); if not, the work itself changed.
+
+A configuration that ran no solves (`solves` 0) fails the gate: its
+zeroed counters and wall clock measure nothing, so they can neither
+pass nor ask for a re-baseline.
 
 Usage:
     python3 tools/perf_gate.py CURRENT.json
@@ -29,7 +35,7 @@ configuration that disappeared from the current run fails the gate (a
 silently dropped config is how a regression hides), a new configuration
 is reported and skipped. Both files' hardware blocks are printed so a
 reader can tell a slower machine from a slower kernel.
-Exit status: 0 = pass, 1 = regression or missing config, 2 =
+Exit status: 0 = pass, 1 = regression, missing or empty config, 2 =
 usage/parse error or a workload mismatch.
 """
 
@@ -103,6 +109,10 @@ def main(argv):
             print(f"  {name:<{width}}  MISSING from current run")
             failures.append(f"{name} missing")
             continue
+        if not cur.get("solves"):
+            print(f"  {name:<{width}}  ran NO solves")
+            failures.append(f"{name} ran no solves")
+            continue
         for counter in COUNTERS:
             # Printed as stored: bench_dp writes the counters' exact
             # digits, so the smallest rise shows and fails.
@@ -117,8 +127,12 @@ def main(argv):
         delta_pct = (cur_ns - base_ns) / base_ns * 100.0
         verdict = "ok"
         if delta_pct > threshold_pct:
-            verdict = "REGRESSED"
-            failures.append(f"{name} ns_per_solve {delta_pct:+.1f}%")
+            same = all(cur[c] == base[c] for c in COUNTERS)
+            work = ("counters match the baseline exactly" if same
+                    else "counters differ from the baseline")
+            verdict = f"REGRESSED ({work})"
+            failures.append(f"{name} ns_per_solve {delta_pct:+.1f}% "
+                            f"({work})")
         print(f"  {name:<{width}}  {base_ns / 1e3:10.1f} -> "
               f"{cur_ns / 1e3:10.1f} us/solve  {delta_pct:+7.1f}%  {verdict}")
     for name in sorted(set(current) - set(baseline)):
