@@ -51,7 +51,7 @@ std::vector<Variant> make_variants() {
   variants.push_back({"refine-x2", refine_x2});
 
   RipOptions zone_hop;
-  zone_hop.refine.move.allow_zone_hop = true;
+  zone_hop.refine.allow_zone_hop = true;
   variants.push_back({"zone-hop", zone_hop});
 
   RipOptions window_small;

@@ -28,25 +28,30 @@ inline int env_int(const char* name, int fallback) {
   return value == nullptr ? fallback : parse_int(value, name);
 }
 
-inline int net_count(int fallback = 20) {
-  return env_int("RIP_BENCH_NETS", fallback);
-}
-
-inline int targets_per_net(int fallback = 20) {
-  return env_int("RIP_BENCH_TARGETS", fallback);
-}
-
 inline int jobs(int fallback = 1) {
   return env_int("RIP_BENCH_JOBS", fallback);
 }
 
+/// A count read from `--name`, else environment variable `env`, else
+/// `fallback`. A value below 1 is a usage error that names the option
+/// or the variable it came from.
+inline int count_or(const CliArgs& args, const std::string& name,
+                    const char* env, int fallback) {
+  const int value = args.get_int_or(name, env_int(env, fallback));
+  if (value < 1) {
+    throw Error((args.has(name) ? "--" + name : std::string(env)) +
+                " expects an integer >= 1");
+  }
+  return value;
+}
+
 /// CLI-over-environment resolution used by every bench main().
 inline int net_count(const CliArgs& args, int fallback = 20) {
-  return args.get_int_or("nets", net_count(fallback));
+  return count_or(args, "nets", "RIP_BENCH_NETS", fallback);
 }
 
 inline int targets_per_net(const CliArgs& args, int fallback = 20) {
-  return args.get_int_or("targets", targets_per_net(fallback));
+  return count_or(args, "targets", "RIP_BENCH_TARGETS", fallback);
 }
 
 /// Resolved worker-thread count (`--jobs`, then RIP_BENCH_JOBS, then

@@ -77,7 +77,7 @@ int main() {
   report("blocked net      ", blocked_result);
 
   core::RipOptions hop;
-  hop.refine.move.allow_zone_hop = true;
+  hop.refine.allow_zone_hop = true;
   const auto hop_result = core::rip_insert(blocked_net, dev, tau_t, hop);
   report("blocked + hopping", hop_result);
 

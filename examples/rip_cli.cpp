@@ -303,7 +303,7 @@ int cmd_info(const CliArgs& args) {
 int cmd_solve(const CliArgs& args) {
   const TargetOption target = target_option(args);
   core::RipOptions options;
-  options.refine.move.allow_zone_hop = args.has("zone-hop");
+  options.refine.allow_zone_hop = args.has("zone-hop");
   options.refine_repeats = positive_int_option(args, "refine-repeats", 1);
   const tech::Technology tech = load_tech(args);
   const auto backend = backend_option(args, tech);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analytical/stage_quantities.hpp"
+#include "analytical/width_solver.hpp"
+#include "rc/buffered_chain.hpp"
 #include "util/error.hpp"
 
 namespace rip::analytical {
@@ -12,21 +13,20 @@ std::vector<LocationDerivatives> location_derivatives(
     const net::Net& net, const tech::RepeaterDevice& device,
     const std::vector<double>& positions_um,
     const std::vector<double>& widths_u) {
-  RIP_REQUIRE(positions_um.size() == widths_u.size(),
-              "positions/widths size mismatch");
-  const StageQuantities stage = stage_quantities(net, positions_um);
+  const rc::BufferedChain chain(net, repeaters_at(positions_um, widths_u),
+                                device);
+  const auto& stages = chain.stages();
   const double rs = device.rs_ohm;
   const double co = device.co_ff;
-  const std::size_t n = positions_um.size();
 
-  std::vector<LocationDerivatives> derivs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = widths_u[i];
-    const double w_prev = (i == 0) ? net.driver_width_u() : widths_u[i - 1];
-    const double w_next =
-        (i + 1 == n) ? net.receiver_width_u() : widths_u[i + 1];
-    const double r_up_total = stage.stage_r_ohm[i];      // R_{i-1}
-    const double c_down_total = stage.stage_c_ff[i + 1]; // C_i
+  std::vector<LocationDerivatives> derivs(positions_um.size());
+  for (std::size_t i = 0; i < derivs.size(); ++i) {
+    // Repeater i loads stage i and drives stage i+1.
+    const double w = stages[i].load_width_u;
+    const double w_prev = stages[i].driver_width_u;
+    const double w_next = stages[i + 1].load_width_u;
+    const double r_up_total = stages[i].wire_resistance_ohm;        // R_{i-1}
+    const double c_down_total = stages[i + 1].wire_capacitance_ff;  // C_i
 
     // Eq. (17)/(18): same expression, evaluated with the per-unit-length
     // wire parameters just downstream (right) vs. just upstream (left)
@@ -47,6 +47,8 @@ std::vector<LocationDerivatives> location_derivatives(
 
 namespace {
 
+constexpr double kMinSeparationUm = 1.0;  // keep repeaters apart, off pins
+
 /// Resolve a proposed move target against forbidden zones. Returns true
 /// if the (possibly adjusted) target is usable.
 bool resolve_zone(const net::Net& net, bool moving_downstream,
@@ -65,9 +67,9 @@ bool resolve_zone(const net::Net& net, bool moving_downstream,
 
 int move_repeaters(const net::Net& net, const tech::RepeaterDevice& device,
                    std::vector<double>& positions_um,
-                   const std::vector<double>& widths_u,
-                   const MoveOptions& options) {
-  RIP_REQUIRE(options.step_um > 0, "movement step must be positive");
+                   const std::vector<double>& widths_u, double step_um,
+                   bool allow_zone_hop) {
+  RIP_REQUIRE(step_um > 0, "movement step must be positive");
   const auto derivs =
       location_derivatives(net, device, positions_um, widths_u);
   const double total = net.total_length_um();
@@ -87,17 +89,15 @@ int move_repeaters(const net::Net& net, const tech::RepeaterDevice& device,
       downstream = want_down;
     }
 
-    double target =
-        positions_um[i] + (downstream ? options.step_um : -options.step_um);
+    double target = positions_um[i] + (downstream ? step_um : -step_um);
     // Keep inside the net and away from the neighbours. The upstream
     // neighbour has already moved this pass; the downstream one has not.
     const double lo_bound =
-        (i == 0 ? 0.0 : positions_um[i - 1]) + options.min_separation_um;
+        (i == 0 ? 0.0 : positions_um[i - 1]) + kMinSeparationUm;
     const double hi_bound =
-        (i + 1 == n ? total : positions_um[i + 1]) -
-        options.min_separation_um;
+        (i + 1 == n ? total : positions_um[i + 1]) - kMinSeparationUm;
     target = std::clamp(target, lo_bound, hi_bound);
-    if (!resolve_zone(net, downstream, options.allow_zone_hop, target))
+    if (!resolve_zone(net, downstream, allow_zone_hop, target))
       continue;  // the paper's rule: skip moves into forbidden zones
     target = std::clamp(target, lo_bound, hi_bound);
     if (net.in_forbidden_zone(target)) continue;  // clamp re-entered a zone

@@ -24,30 +24,25 @@ struct LocationDerivatives {
   double left = 0;   ///< (d tau / d x_i)-, Eq. (18)
 };
 
-/// Evaluate Eqs. (17)/(18) for every repeater at the given placement.
+/// Evaluate Eqs. (17)/(18) for every repeater at the given placement,
+/// from the stage totals of its rc::BufferedChain. Positions must be
+/// sorted, strictly inside (0, L).
 std::vector<LocationDerivatives> location_derivatives(
     const net::Net& net, const tech::RepeaterDevice& device,
     const std::vector<double>& positions_um,
     const std::vector<double>& widths_u);
 
-/// Movement policy knobs.
-struct MoveOptions {
-  double step_um = 50.0;     ///< the paper's "preselected distance"
-  double min_separation_um = 1.0;  ///< keep repeaters apart and off pins
-  /// Section 7 extension: allow a move that lands inside a forbidden
-  /// zone to hop to the zone's far boundary instead of being skipped.
-  bool allow_zone_hop = false;
-};
-
-/// Apply one movement pass, mutating `positions_um`. A repeater moves
-/// downstream if its right derivative is negative, upstream if its left
-/// derivative is positive (the larger violation wins when both), and
-/// stays put when the move would enter a forbidden zone (unless hopping
-/// is enabled), cross a neighbour, or leave the net. Returns how many
-/// repeaters moved.
+/// Apply one movement pass of `step_um` (> 0), mutating `positions_um`.
+/// A repeater moves downstream if its right derivative is negative,
+/// upstream if its left derivative is positive (the larger violation
+/// wins when both), and stays put when the move would cross a
+/// neighbour, leave the net, or enter a forbidden zone — unless
+/// `allow_zone_hop` (the Section 7 extension), which lands such a move
+/// on the zone's far boundary instead. Repeaters keep 1 um from each
+/// other and from the pins. Returns how many repeaters moved.
 int move_repeaters(const net::Net& net, const tech::RepeaterDevice& device,
                    std::vector<double>& positions_um,
-                   const std::vector<double>& widths_u,
-                   const MoveOptions& options);
+                   const std::vector<double>& widths_u, double step_um,
+                   bool allow_zone_hop);
 
 }  // namespace rip::analytical

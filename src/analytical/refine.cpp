@@ -2,17 +2,23 @@
 
 #include <cmath>
 
+#include "analytical/movement.hpp"
+#include "analytical/width_solver.hpp"
 #include "rc/buffered_chain.hpp"
 #include "util/error.hpp"
 
 namespace rip::analytical {
 
+namespace {
+
+constexpr double kEpsilon0 = 1e-3;  // relative width improvement threshold
+constexpr double kBaseStepUm = 50.0;  // the paper's "preselected distance"
+constexpr double kStepScales[] = {8.0, 4.0, 2.0, 1.0};
+
+}  // namespace
+
 net::RepeaterSolution RefineResult::solution() const {
-  std::vector<net::Repeater> reps;
-  reps.reserve(positions_um.size());
-  for (std::size_t i = 0; i < positions_um.size(); ++i)
-    reps.push_back(net::Repeater{positions_um[i], widths_u[i]});
-  return net::RepeaterSolution(std::move(reps));
+  return repeaters_at(positions_um, widths_u);
 }
 
 RefineResult refine(const net::Net& net, const tech::RepeaterDevice& device,
@@ -33,8 +39,8 @@ RefineResult refine(const net::Net& net, const tech::RepeaterDevice& device,
   }
 
   // Line 1: optimal continuous widths and lambda for the DP placement.
-  WidthSolveResult ws = solve_widths(net, device, result.positions_um,
-                                     tau_t_fs, options.width_solve);
+  WidthSolveResult ws =
+      solve_widths(net, device, result.positions_um, tau_t_fs);
   if (!ws.converged) {
     result.width_solve_ok = false;
     return result;  // caller falls back to the DP solution
@@ -47,23 +53,21 @@ RefineResult refine(const net::Net& net, const tech::RepeaterDevice& device,
   result.width_history_u.push_back(ws.total_width_u);
 
   // Lines 3-9: move repeaters, re-solve widths, until the improvement
-  // stalls. Movement runs coarse-to-fine over step_scales; state reverts
+  // stalls. Movement runs coarse-to-fine over kStepScales; state reverts
   // if a step fails to improve, which keeps the width history monotone.
   double w_total = ws.total_width_u;
   int iterations = 0;
-  for (const double scale : options.step_scales) {
-    MoveOptions move = options.move;
-    move.step_um *= scale;
+  for (const double scale : kStepScales) {
+    const double step_um = kBaseStepUm * scale;
     while (iterations < options.max_iterations) {
       std::vector<double> trial_positions = result.positions_um;
-      const int moved = move_repeaters(net, device, trial_positions,
-                                       result.widths_u, move);
+      const int moved =
+          move_repeaters(net, device, trial_positions, result.widths_u,
+                         step_um, options.allow_zone_hop);
       if (moved == 0) break;
 
-      WidthSolveOptions ws_options = options.width_solve;
-      ws_options.lambda_hint = result.lambda;
       WidthSolveResult trial = solve_widths(net, device, trial_positions,
-                                            tau_t_fs, ws_options);
+                                            tau_t_fs, result.lambda);
       if (!trial.converged || trial.total_width_u > w_total) {
         break;  // movement overshot at this scale: try a finer step
       }
@@ -78,7 +82,7 @@ RefineResult refine(const net::Net& net, const tech::RepeaterDevice& device,
 
       const double eps = (w_total - trial.total_width_u) / w_total;
       w_total = trial.total_width_u;
-      if (eps < options.epsilon0) break;
+      if (eps < kEpsilon0) break;
     }
   }
   return result;

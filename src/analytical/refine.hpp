@@ -4,7 +4,10 @@
 /// Algorithm REFINE (Fig. 5 of the paper): iteratively re-solve the
 /// optimal continuous widths (width_solver.hpp) and move repeaters along
 /// the net (movement.hpp) until the total-width improvement per
-/// iteration drops below epsilon_0.
+/// iteration drops below epsilon_0 = 1e-3. Movement runs coarse-to-fine:
+/// steps of 8, 4, 2 and then 1 times the paper's preselected distance
+/// (50 um), each iterated until it stops paying; large early steps
+/// escape shallow basins.
 ///
 /// REFINE assumes the repeater count and ordering of the initial solution
 /// (from the coarse DP) and treats widths as continuous; RIP then rounds
@@ -12,25 +15,19 @@
 
 #include <vector>
 
-#include "analytical/movement.hpp"
-#include "analytical/width_solver.hpp"
 #include "net/net.hpp"
 #include "net/solution.hpp"
 #include "tech/technology.hpp"
 
 namespace rip::analytical {
 
-/// REFINE knobs (paper defaults where specified).
+/// REFINE knobs.
 struct RefineOptions {
-  double epsilon0 = 1e-3;  ///< relative total-width improvement threshold
-  int max_iterations = 120;  ///< movement iterations across all scales
-  /// Movement runs coarse-to-fine: the base step is multiplied by each
-  /// scale in turn and iterated to convergence before dropping to the
-  /// next. Large early steps escape shallow basins; the final scale is
-  /// the paper's preselected distance.
-  std::vector<double> step_scales = {8.0, 4.0, 2.0, 1.0};
-  MoveOptions move;
-  WidthSolveOptions width_solve;
+  /// Movement iterations across all step scales (0 = width solve only).
+  int max_iterations = 120;
+  /// Section 7 extension: a move into a forbidden zone hops to the
+  /// zone's far boundary instead of being skipped.
+  bool allow_zone_hop = false;
 };
 
 /// Result of a REFINE run.

@@ -16,27 +16,18 @@
 /// objective p + lambda*tau is a posynomial in w, so the fixed point is
 /// the global minimizer and tau(lambda) is monotone decreasing — the
 /// outer loop is a robust log-space bisection on lambda.
+///
+/// One rc::BufferedChain per position set is the stage model: the sweep
+/// reads its stage totals R_{i-1} and C_i, and each lambda probe
+/// re-sizes it in place and reads its Elmore delay.
 
 #include <vector>
 
 #include "net/net.hpp"
+#include "net/solution.hpp"
 #include "tech/technology.hpp"
 
 namespace rip::analytical {
-
-/// Solver knobs.
-struct WidthSolveOptions {
-  double min_width_u = 1e-3;   ///< width floor during iteration
-  double gs_tol = 1e-12;       ///< Gauss–Seidel relative convergence
-  int gs_max_sweeps = 500;
-  double delay_rel_tol = 1e-9; ///< |tau - tau_t| / tau_t convergence
-  int lambda_max_iters = 200;
-  double lambda_min = 1e-15;   ///< bracket lower bound [u/fs]
-  double lambda_max = 1e9;     ///< bracket growth limit [u/fs]
-  /// Warm start: a lambda expected to be near the solution (e.g. from
-  /// the previous REFINE movement iteration). 0 disables.
-  double lambda_hint = 0;
-};
 
 /// Solution of the KKT system.
 struct WidthSolveResult {
@@ -48,15 +39,22 @@ struct WidthSolveResult {
                                  ///< this repeater count and placement
 };
 
+/// The placement REFINE works on as a solution: repeaters of `widths_u`
+/// at `positions_um`, which must be sorted (a RepeaterSolution would
+/// reorder them silently).
+net::RepeaterSolution repeaters_at(const std::vector<double>& positions_um,
+                                   const std::vector<double>& widths_u);
+
 /// Solve for the optimal continuous widths at fixed positions.
 /// Positions must be sorted, strictly inside (0, L). With n == 0 the
 /// result has no widths and reports the unbuffered delay; it converges
-/// iff that delay already meets tau_t.
+/// iff that delay already meets tau_t. `lambda_hint` > 0 warm-starts the
+/// lambda bracket near an expected multiplier (REFINE passes the one of
+/// its previous placement).
 WidthSolveResult solve_widths(const net::Net& net,
                               const tech::RepeaterDevice& device,
                               const std::vector<double>& positions_um,
-                              double tau_t_fs,
-                              const WidthSolveOptions& options = {});
+                              double tau_t_fs, double lambda_hint = 0);
 
 /// Residuals of Eq. (8) at (widths, lambda) — near zero at a converged
 /// solution. Exposed for the property tests.

@@ -1,5 +1,6 @@
 #include "eval/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -11,6 +12,12 @@
 #include "util/thread_pool.hpp"
 
 namespace rip::eval {
+
+std::chrono::milliseconds RetryPolicy::delay_after(int attempt) const {
+  const int doublings = std::clamp(attempt - 1, 0, kMaxDoublings);
+  return base * (std::int64_t{1} << doublings);
+}
+
 namespace detail {
 
 /// One queued evaluation: a thunk and the promise its future reads.
@@ -50,8 +57,7 @@ CaseResult solve_with_retry(ServiceState& service, QueueEntry& entry) {
       if (attempt >= retry.max_attempts) throw;
       service.retries.fetch_add(1, std::memory_order_relaxed);
       if (retry.base.count() > 0) {
-        std::this_thread::sleep_for(retry.base * (std::int64_t{1}
-                                                  << (attempt - 1)));
+        std::this_thread::sleep_for(retry.delay_after(attempt));
       }
     }
   }
@@ -121,6 +127,10 @@ EvalService::EvalService(const tech::Technology& /*tech*/,
       state_(std::make_shared<detail::ServiceState>()) {
   RIP_REQUIRE(options.retry.max_attempts >= 1,
               "ServiceOptions::retry.max_attempts must be >= 1");
+  RIP_REQUIRE(options.retry.base.count() <=
+                  std::chrono::milliseconds::max().count() >>
+                      RetryPolicy::kMaxDoublings,
+              "ServiceOptions::retry.base is too long to double");
   state_->retry = options.retry;
   const int jobs = resolve_jobs(options.jobs);
   try {

@@ -46,15 +46,22 @@ namespace rip::eval {
 
 /// Transient-failure retry policy. An evaluation that throws a
 /// util::TransientError (flaky I/O, an injected 'err' fault) is re-run
-/// up to max_attempts times total, sleeping base * 2^(attempt-1)
+/// up to max_attempts times total, sleeping delay_after(attempt)
 /// between attempts — deterministic backoff, no jitter, so test runs
 /// are reproducible. Non-transient errors (including DeadlineExceeded
 /// and injected 'fail' faults) are never retried.
 struct RetryPolicy {
+  /// The backoff stops doubling after this many doublings.
+  static constexpr int kMaxDoublings = 10;
+
   /// Total attempts per thunk, including the first (>= 1; 1 = no retry).
   int max_attempts = 1;
-  /// Backoff unit: sleep base * 2^(attempt-1) after failed attempt N.
+  /// Backoff unit (at most milliseconds::max() >> kMaxDoublings).
   std::chrono::milliseconds base{1};
+
+  /// The sleep after failed attempt `attempt` (>= 1):
+  /// base * 2^min(attempt - 1, kMaxDoublings).
+  std::chrono::milliseconds delay_after(int attempt) const;
 };
 
 /// Knobs of the async service.

@@ -37,6 +37,15 @@ BufferedChain::BufferedChain(const net::Net& net,
   }
 }
 
+void BufferedChain::set_widths(const std::vector<double>& widths_u) {
+  RIP_REQUIRE(widths_u.size() + 1 == stages_.size(),
+              "one width per repeater");
+  for (std::size_t i = 0; i < widths_u.size(); ++i) {
+    stages_[i].load_width_u = widths_u[i];
+    stages_[i + 1].driver_width_u = widths_u[i];
+  }
+}
+
 double BufferedChain::stage_delay_fs(std::size_t i) const {
   RIP_REQUIRE(i < stages_.size(), "stage index out of range");
   const Stage& s = stages_[i];

@@ -6,8 +6,10 @@
 ///
 /// This evaluator is deliberately *independent* of the DP engine's
 /// incremental delay bookkeeping: tests use it to cross-check every DP
-/// and RIP solution, and REFINE uses its per-stage wire totals
-/// (R_i, C_i in the paper's notation).
+/// and RIP solution. It is also REFINE's stage model: the width solve
+/// and the location derivatives read its per-stage wire totals (R_i,
+/// C_i in the paper's notation), and each lambda probe re-sizes one
+/// chain in place (set_widths) instead of decomposing the net again.
 
 #include <vector>
 
@@ -42,6 +44,11 @@ class BufferedChain {
 
   /// Stage list; size() == solution.size() + 1.
   const std::vector<Stage>& stages() const { return stages_; }
+
+  /// Re-size the repeaters in place, keeping positions and wire pieces:
+  /// repeater i (stage i's load, stage i+1's driver) gets widths_u[i].
+  /// Throws rip::Error unless there is one width per repeater.
+  void set_widths(const std::vector<double>& widths_u);
 
   /// Elmore delay of stage `i` per Eq. (1) [fs].
   double stage_delay_fs(std::size_t i) const;

@@ -1,98 +1,8 @@
 #include "util/solver.hpp"
 
-#include <cmath>
-#include <utility>
-
 #include "util/error.hpp"
 
 namespace rip {
-
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, const BisectOptions& opts) {
-  RIP_REQUIRE(lo <= hi, "bisect: bracket out of order");
-  double flo = f(lo);
-  double fhi = f(hi);
-  RootResult r;
-  if (flo == 0.0) {
-    r = {lo, 0.0, 0, true};
-    return r;
-  }
-  if (fhi == 0.0) {
-    r = {hi, 0.0, 0, true};
-    return r;
-  }
-  RIP_REQUIRE(std::signbit(flo) != std::signbit(fhi),
-              "bisect: f(lo) and f(hi) must differ in sign");
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    ++r.iterations;
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-      fhi = fmid;
-    }
-    r.x = 0.5 * (lo + hi);
-    r.fx = fmid;
-    const double scale = std::max({std::abs(lo), std::abs(hi), 1.0});
-    if (hi - lo <= opts.x_tol * scale ||
-        (opts.f_tol > 0.0 && std::abs(fmid) <= opts.f_tol)) {
-      r.converged = true;
-      return r;
-    }
-  }
-  return r;
-}
-
-RootResult newton_raphson(
-    const std::function<std::pair<double, double>(double)>& fdf, double x0,
-    const NewtonOptions& opts) {
-  RootResult r;
-  double x = x0;
-  double lo = opts.lo;
-  double hi = opts.hi;
-  const bool bracketed = lo <= hi;
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    auto [fx, dfx] = fdf(x);
-    r.x = x;
-    r.fx = fx;
-    r.iterations = it + 1;
-    if (std::abs(fx) <= opts.f_tol) {
-      r.converged = true;
-      return r;
-    }
-    double step;
-    if (dfx != 0.0 && std::isfinite(dfx)) {
-      step = -fx / dfx;
-    } else if (bracketed) {
-      step = 0.5 * (lo + hi) - x;  // degenerate derivative: bisect
-    } else {
-      return r;  // cannot make progress
-    }
-    double xn = x + step;
-    if (bracketed) {
-      // Keep the bracket tight using the sign of f at x.
-      auto [flo, unused_dlo] = fdf(lo);
-      (void)unused_dlo;
-      if (std::signbit(fx) == std::signbit(flo)) {
-        lo = x;
-      } else {
-        hi = x;
-      }
-      if (xn < lo || xn > hi) xn = 0.5 * (lo + hi);
-    }
-    if (std::abs(xn - x) <=
-        opts.x_tol * std::max(std::abs(x), 1.0)) {
-      r.x = xn;
-      r.converged = true;
-      return r;
-    }
-    x = xn;
-  }
-  return r;
-}
 
 std::vector<double> solve_tridiagonal(std::vector<double> lower,
                                       std::vector<double> diag,

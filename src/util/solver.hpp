@@ -1,58 +1,20 @@
 #pragma once
 
 /// @file solver.hpp
-/// Scalar root finding and small linear-system solvers used by the
-/// analytical repeater-width solver (REFINE) and the transient simulator.
+/// The tridiagonal solve of the backward-Euler transient simulator
+/// (sim/transient.hpp), its only user. REFINE's lambda search is its own
+/// log-space bisection (analytical/width_solver.cpp).
 
-#include <functional>
 #include <vector>
 
 namespace rip {
-
-/// Result of a scalar root search.
-struct RootResult {
-  double x = 0.0;        ///< Final abscissa.
-  double fx = 0.0;       ///< Residual f(x) at the final abscissa.
-  int iterations = 0;    ///< Iterations consumed.
-  bool converged = false;
-};
-
-/// Options for `bisect`.
-struct BisectOptions {
-  double x_tol = 1e-12;   ///< Stop when the bracket is narrower than this (relative).
-  double f_tol = 0.0;     ///< Stop when |f| <= f_tol (0 disables).
-  int max_iterations = 200;
-};
-
-/// Find a root of `f` in [lo, hi] by bisection. Requires f(lo) and f(hi)
-/// to have opposite signs (or one of them to be zero). Monotonicity is not
-/// required, but with a monotone f the returned root is unique.
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, const BisectOptions& opts = {});
-
-/// Options for `newton_raphson`.
-struct NewtonOptions {
-  double x_tol = 1e-12;
-  double f_tol = 1e-12;
-  int max_iterations = 100;
-  /// If the Newton step leaves [lo, hi], fall back to bisecting the
-  /// bracket. lo > hi disables the safeguard.
-  double lo = 1.0;
-  double hi = 0.0;
-};
-
-/// Safeguarded Newton–Raphson on a scalar function with analytic
-/// derivative. `fdf(x)` returns {f(x), f'(x)}.
-RootResult newton_raphson(
-    const std::function<std::pair<double, double>(double)>& fdf, double x0,
-    const NewtonOptions& opts = {});
 
 /// Solve a tridiagonal system in place via the Thomas algorithm.
 ///
 /// The system is: lower[i] * x[i-1] + diag[i] * x[i] + upper[i] * x[i+1]
 /// = rhs[i], with lower[0] and upper[n-1] ignored. Returns the solution
 /// vector. Throws rip::Error on size mismatch or a (numerically) singular
-/// pivot. Used by the backward-Euler transient simulator on RC ladders.
+/// pivot.
 std::vector<double> solve_tridiagonal(std::vector<double> lower,
                                       std::vector<double> diag,
                                       std::vector<double> upper,

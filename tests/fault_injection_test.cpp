@@ -364,6 +364,29 @@ TEST(ServiceRetry, MaxAttemptsBelowOneIsRejected) {
   EXPECT_THROW(eval::EvalService(tech180(), options), Error);
 }
 
+TEST(ServiceRetry, BackoffStopsDoublingAtTheCap) {
+  // The sleeps are computed, never slept, so the extremes (--retry 70,
+  // the largest --retry-base-ms) run under UBSan in no time.
+  using std::chrono::milliseconds;
+  constexpr int cap = eval::RetryPolicy::kMaxDoublings;
+  for (const std::int64_t base : {std::int64_t{1}, std::int64_t{2147483647}}) {
+    eval::RetryPolicy retry;
+    retry.base = milliseconds(base);
+    EXPECT_EQ(retry.delay_after(1), milliseconds(base));
+    EXPECT_EQ(retry.delay_after(2), milliseconds(base * 2));
+    EXPECT_EQ(retry.delay_after(cap), milliseconds(base << (cap - 1)));
+    EXPECT_EQ(retry.delay_after(cap + 1), milliseconds(base << cap));
+    EXPECT_EQ(retry.delay_after(cap + 2), milliseconds(base << cap));
+    EXPECT_EQ(retry.delay_after(70), milliseconds(base << cap));
+  }
+}
+
+TEST(ServiceRetry, BaseTooLongToDoubleIsRejected) {
+  eval::ServiceOptions options;
+  options.retry.base = std::chrono::milliseconds::max();
+  EXPECT_THROW(eval::EvalService(tech180(), options), Error);
+}
+
 // ---------------------------------------------- service: case deadlines
 
 TEST(ServiceDeadline, BlownBudgetSettlesTheFutureWithoutPoisoningTheBatch) {

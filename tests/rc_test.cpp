@@ -126,6 +126,32 @@ TEST(BufferedChain, StageGeometryFieldsAreConsistent) {
                    n.capacitance_between_ff(800, 1500));
 }
 
+TEST(BufferedChain, ResizedInPlaceMatchesAFreshChain) {
+  // REFINE re-sizes one chain per lambda probe, so its delay must be
+  // bit-identical to a chain decomposed afresh at the new widths. The
+  // stages cross the zone [400, 700] and the segment boundary at 1000.
+  const auto device = test::simple_device();
+  const auto n = test::two_segment_net_with_zone();
+  BufferedChain chain(
+      n, net::RepeaterSolution({{300.0, 1.0}, {800.0, 1.0}, {1500.0, 1.0}}),
+      device);
+  chain.set_widths({7.3, 3.9, 12.7});
+  const BufferedChain fresh(
+      n, net::RepeaterSolution({{300.0, 7.3}, {800.0, 3.9}, {1500.0, 12.7}}),
+      device);
+  ASSERT_EQ(chain.stages().size(), fresh.stages().size());
+  for (std::size_t i = 0; i < fresh.stages().size(); ++i) {
+    EXPECT_EQ(chain.stages()[i].driver_width_u,
+              fresh.stages()[i].driver_width_u);
+    EXPECT_EQ(chain.stages()[i].load_width_u, fresh.stages()[i].load_width_u);
+    EXPECT_EQ(chain.stage_delay_fs(i), fresh.stage_delay_fs(i));
+  }
+  EXPECT_EQ(chain.total_delay_fs(), fresh.total_delay_fs());
+  // One width per repeater, no more and no fewer.
+  EXPECT_THROW(chain.set_widths({7.3, 3.9}), Error);
+  EXPECT_THROW(chain.set_widths({7.3, 3.9, 12.7, 1.0}), Error);
+}
+
 TEST(BufferedChain, RepeaterAtEndThrows) {
   const auto device = test::simple_device();
   const auto n = test::single_segment_net();

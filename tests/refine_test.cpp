@@ -1,17 +1,20 @@
 // Tests for the analytical module: the KKT width solver (Eqs. 5 and 8),
 // the one-sided location derivatives (Eqs. 17/18 — validated against
 // numeric differentiation of the independent Elmore evaluator), the
-// movement policy, and the full REFINE loop (Fig. 5).
+// movement policy, and the full REFINE loop (Fig. 5), whose output on
+// seed-2005 paper nets is pinned by a golden.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "analytical/bakoglu.hpp"
 #include "analytical/movement.hpp"
 #include "analytical/refine.hpp"
-#include "analytical/stage_quantities.hpp"
 #include "analytical/width_solver.hpp"
+#include "core/rip.hpp"
+#include "eval/workload.hpp"
 #include "rc/buffered_chain.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -36,24 +39,6 @@ double delay_at(const net::Net& n, const tech::RepeaterDevice& device,
     reps.push_back(net::Repeater{pos[i], w[i]});
   return rc::elmore_delay_fs(n, net::RepeaterSolution(std::move(reps)),
                              device);
-}
-
-// ------------------------------------------------------ stage quantities
-
-TEST(StageQuantities, MatchesNetIntegrals) {
-  const auto n = test::two_segment_net_with_zone();
-  const auto q = stage_quantities(n, {800.0, 2000.0});
-  ASSERT_EQ(q.stage_r_ohm.size(), 3u);
-  EXPECT_DOUBLE_EQ(q.stage_r_ohm[0], n.resistance_between_ohm(0, 800));
-  EXPECT_DOUBLE_EQ(q.stage_r_ohm[1], n.resistance_between_ohm(800, 2000));
-  EXPECT_DOUBLE_EQ(q.stage_c_ff[2], n.capacitance_between_ff(2000, 3000));
-}
-
-TEST(StageQuantities, RejectsBadPositions) {
-  const auto n = test::single_segment_net();
-  EXPECT_THROW(stage_quantities(n, {600.0, 400.0}), Error);
-  EXPECT_THROW(stage_quantities(n, {0.0}), Error);
-  EXPECT_THROW(stage_quantities(n, {1000.0}), Error);
 }
 
 // ----------------------------------------------------------- width solve
@@ -140,15 +125,21 @@ TEST(WidthSolver, EmptyPlacementReportsUnbufferedDelay) {
   EXPECT_FALSE(tight.converged);
 }
 
+TEST(WidthSolver, RejectsBadPositions) {
+  const auto device = test::simple_device();
+  const auto n = test::single_segment_net();
+  EXPECT_THROW(solve_widths(n, device, {600.0, 400.0}, 1000.0), Error);
+  EXPECT_THROW(solve_widths(n, device, {0.0}, 1000.0), Error);
+  EXPECT_THROW(solve_widths(n, device, {1000.0}, 1000.0), Error);
+}
+
 TEST(WidthSolver, WarmStartAgreesWithColdStart) {
   const auto device = test::simple_device();
   const auto n = long_uniform_net();
   const std::vector<double> pos{2500.0, 5000.0, 7500.0};
   const double tau_t = delay_at(n, device, {}, {}) * 0.4;
   const auto cold = solve_widths(n, device, pos, tau_t);
-  WidthSolveOptions warm_opts;
-  warm_opts.lambda_hint = cold.lambda;
-  const auto warm = solve_widths(n, device, pos, tau_t, warm_opts);
+  const auto warm = solve_widths(n, device, pos, tau_t, cold.lambda);
   ASSERT_TRUE(cold.converged);
   ASSERT_TRUE(warm.converged);
   EXPECT_NEAR(warm.total_width_u, cold.total_width_u,
@@ -215,6 +206,15 @@ TEST(Derivatives, OneSidedValuesDifferAtLayerBoundary) {
   EXPECT_NE(derivs[0].right, derivs[0].left);
 }
 
+TEST(Derivatives, RejectsBadPositions) {
+  const auto device = test::simple_device();
+  const auto n = test::single_segment_net();
+  EXPECT_THROW(location_derivatives(n, device, {600.0, 400.0}, {5.0, 5.0}),
+               Error);
+  EXPECT_THROW(location_derivatives(n, device, {0.0}, {5.0}), Error);
+  EXPECT_THROW(location_derivatives(n, device, {1000.0}, {5.0}), Error);
+}
+
 // --------------------------------------------------------------- movement
 
 TEST(Movement, MovesDownhillAndReducesWidthAfterResolve) {
@@ -229,9 +229,8 @@ TEST(Movement, MovesDownhillAndReducesWidthAfterResolve) {
   ASSERT_TRUE(ws.converged);
   const double before = ws.total_width_u;
 
-  MoveOptions opts;
-  opts.step_um = 200.0;
-  const int moved = move_repeaters(n, device, pos, ws.widths_u, opts);
+  const int moved = move_repeaters(n, device, pos, ws.widths_u, 200.0,
+                                   /*allow_zone_hop=*/false);
   EXPECT_EQ(moved, 1);
   EXPECT_NE(pos[0], 1500.0);
   const auto ws2 = solve_widths(n, device, pos, tau_t);
@@ -247,10 +246,8 @@ TEST(Movement, SkipsMovesIntoForbiddenZones) {
   std::vector<double> pos{380.0};
   std::vector<double> widths{10.0};
   const auto derivs = location_derivatives(n, device, pos, widths);
-  MoveOptions opts;
-  opts.step_um = 100.0;
-  opts.allow_zone_hop = false;
-  const int moved = move_repeaters(n, device, pos, widths, opts);
+  const int moved = move_repeaters(n, device, pos, widths, 100.0,
+                                   /*allow_zone_hop=*/false);
   if (derivs[0].right < 0) {
     EXPECT_EQ(moved, 0);
     EXPECT_DOUBLE_EQ(pos[0], 380.0);
@@ -264,10 +261,8 @@ TEST(Movement, ZoneHopJumpsToFarBoundary) {
   std::vector<double> widths{10.0};
   const auto derivs = location_derivatives(n, device, pos, widths);
   if (derivs[0].right < 0) {  // wants to go downstream
-    MoveOptions opts;
-    opts.step_um = 100.0;
-    opts.allow_zone_hop = true;
-    const int moved = move_repeaters(n, device, pos, widths, opts);
+    const int moved = move_repeaters(n, device, pos, widths, 100.0,
+                                     /*allow_zone_hop=*/true);
     EXPECT_EQ(moved, 1);
     EXPECT_DOUBLE_EQ(pos[0], 700.0);  // far boundary of [400, 700]
   }
@@ -278,9 +273,7 @@ TEST(Movement, PreservesOrderingAndBounds) {
   const auto n = long_uniform_net();
   std::vector<double> pos{4900.0, 5000.0, 5100.0};
   std::vector<double> widths{20.0, 20.0, 20.0};
-  MoveOptions opts;
-  opts.step_um = 500.0;
-  move_repeaters(n, device, pos, widths, opts);
+  move_repeaters(n, device, pos, widths, 500.0, /*allow_zone_hop=*/false);
   EXPECT_LT(pos[0], pos[1]);
   EXPECT_LT(pos[1], pos[2]);
   EXPECT_GT(pos[0], 0.0);
@@ -374,6 +367,65 @@ TEST(Refine, SolutionAccessorRoundTrips) {
   const auto sol = r.solution();
   ASSERT_EQ(sol.size(), 2u);
   EXPECT_NEAR(sol.total_width_u(), r.total_width_u, 1e-9);
+}
+
+// ---------------------------------------------------------------- golden
+
+TEST(RefineGolden, Seed2005PaperNetsArePinned) {
+  // REFINE's continuous output inside RIP on seed-2005 paper nets: the
+  // iteration count and width-solve flag exactly, the placement, widths,
+  // multiplier and delay to 1e-12 relative.
+  struct Case {
+    int net;
+    double factor;  ///< timing target = factor * tau_min
+    int iterations;
+    double lambda;
+    double delay_fs;
+    std::vector<double> positions_um;
+    std::vector<double> widths_u;
+  };
+  const Case cases[] = {
+      {0, 1.05, 6, 0.0014839072036236516, 2406973.3695311835,
+       {700, 4350, 5800, 7200, 8800},
+       {202.20502498149543, 107.33602464784398, 124.27812476242055,
+        136.098976348413, 134.0323933772585}},
+      {0, 1.30, 6, 0.00030144249769228215, 2980062.2808501748,
+       {4350, 6100, 8300},
+       {67.725052019822897, 81.719279169135248, 81.842971889883572}},
+      {1, 1.50, 5, 9.5749963436766219e-05, 4550403.4844696242,
+       {4000, 5900, 10800},
+       {44.743522598103887, 70.002203945221837, 44.214052058370136}},
+      {1, 2.20, 1, 1.3634887849751308e-05, 6673925.1170959966,
+       {5900},
+       {32.344390041160139}},
+      {2, 1.05, 4, 0.0018289578823684413, 2978922.5221990691,
+       {1800, 3400, 5300, 6750, 10800, 11600},
+       {134.21933524447391, 149.47015347277116, 135.68835371328996,
+        206.74136718180984, 91.000258471623169, 135.18701789575559}},
+  };
+  const auto tech = tech::make_tech180();
+  const auto workload = eval::make_paper_workload(tech, 3, 2005);
+  const auto expect_close = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-12 * std::abs(want));
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("net " + std::to_string(c.net) + " x" +
+                 std::to_string(c.factor));
+    const auto& w = workload[static_cast<std::size_t>(c.net)];
+    const RefineResult r =
+        core::rip_insert(w.net, tech.device(), c.factor * w.tau_min_fs)
+            .refined;
+    EXPECT_TRUE(r.width_solve_ok);
+    EXPECT_EQ(r.iterations, c.iterations);
+    expect_close(r.lambda, c.lambda);
+    expect_close(r.delay_fs, c.delay_fs);
+    ASSERT_EQ(r.positions_um.size(), c.positions_um.size());
+    ASSERT_EQ(r.widths_u.size(), c.widths_u.size());
+    for (std::size_t i = 0; i < c.positions_um.size(); ++i) {
+      expect_close(r.positions_um[i], c.positions_um[i]);
+      expect_close(r.widths_u[i], c.widths_u[i]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- bakoglu

@@ -1,5 +1,5 @@
-// Unit tests for the util module: RNG, statistics, solvers, strings,
-// tables, deadlines.
+// Unit tests for the util module: RNG, statistics, the tridiagonal
+// solver, strings, tables, deadlines.
 
 #include <cmath>
 #include <limits>
@@ -142,52 +142,7 @@ TEST(Percentile, EmptyAndBadQThrow) {
   EXPECT_THROW(percentile({1.0}, 1.1), Error);
 }
 
-// -------------------------------------------------------------- solvers
-
-TEST(Bisect, FindsSqrtTwo) {
-  const auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisect, HandlesExactRootAtBound) {
-  const auto r = bisect([](double x) { return x - 1.0; }, 1.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.x, 1.0);
-}
-
-TEST(Bisect, RequiresSignChange) {
-  EXPECT_THROW(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               Error);
-}
-
-TEST(NewtonRaphson, QuadraticConvergence) {
-  const auto r = newton_raphson(
-      [](double x) {
-        return std::make_pair(x * x - 9.0, 2.0 * x);
-      },
-      5.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 3.0, 1e-9);
-  EXPECT_LT(r.iterations, 10);
-}
-
-TEST(NewtonRaphson, SafeguardedByBracket) {
-  // Start far away with a bracket; the safeguard must keep iterates in
-  // [0, 10] and still converge to the root of a stiff function.
-  NewtonOptions opts;
-  opts.lo = 0.0;
-  opts.hi = 10.0;
-  const auto r = newton_raphson(
-      [](double x) {
-        const double f = std::tanh(x - 4.0);
-        const double c = std::cosh(x - 4.0);
-        return std::make_pair(f, 1.0 / (c * c));
-      },
-      9.9, opts);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 4.0, 1e-6);
-}
+// ---------------------------------------------------- tridiagonal solve
 
 TEST(Tridiagonal, SolvesKnownSystem) {
   // [2 1 0; 1 2 1; 0 1 2] x = [4 8 8] -> x = [1 2 3]
