@@ -28,10 +28,6 @@ inline int env_int(const char* name, int fallback) {
   return value == nullptr ? fallback : parse_int(value, name);
 }
 
-inline int jobs(int fallback = 1) {
-  return env_int("RIP_BENCH_JOBS", fallback);
-}
-
 /// A count read from `--name`, else environment variable `env`, else
 /// `fallback`. A value below 1 is a usage error that names the option
 /// or the variable it came from.
@@ -55,9 +51,14 @@ inline int targets_per_net(const CliArgs& args, int fallback = 20) {
 }
 
 /// Resolved worker-thread count (`--jobs`, then RIP_BENCH_JOBS, then
-/// `fallback`; 0 = all hardware threads).
+/// `fallback`; 0 = all hardware threads). A negative value is a usage
+/// error that names the option or the variable it came from.
 inline int jobs(const CliArgs& args, int fallback = 1) {
-  return parallel_jobs(args, jobs(fallback));
+  const int env = env_int("RIP_BENCH_JOBS", fallback);
+  if (!args.has("jobs") && env < 0) {
+    throw Error("RIP_BENCH_JOBS must be >= 0 (0 = all hardware threads)");
+  }
+  return parallel_jobs(args, env);
 }
 
 /// Every bench declares `--help` as a boolean flag; main() answers it

@@ -1,7 +1,10 @@
 # Sanitizer toggles, each gated behind a cache option so the `asan` /
 # `tsan` presets are one variable away from any configuration.
 #
-#   RIP_SANITIZE         AddressSanitizer + UndefinedBehaviorSanitizer
+#   RIP_SANITIZE         AddressSanitizer + UndefinedBehaviorSanitizer,
+#                        plus libstdc++'s _GLIBCXX_ASSERTIONS so an
+#                        out-of-contract library call (std::clamp with
+#                        lo > hi, operator[] past the end) aborts
 #   RIP_SANITIZE_THREAD  ThreadSanitizer (for the persistent scheduler
 #                        and the parallel/sharded sweep tests)
 #
@@ -18,6 +21,7 @@ endif()
 
 if(RIP_SANITIZE)
   add_compile_options(-fsanitize=address,undefined -fno-omit-frame-pointer)
+  add_compile_definitions(_GLIBCXX_ASSERTIONS)
   add_link_options(-fsanitize=address,undefined)
 endif()
 

@@ -96,6 +96,8 @@ int move_repeaters(const net::Net& net, const tech::RepeaterDevice& device,
         (i == 0 ? 0.0 : positions_um[i - 1]) + kMinSeparationUm;
     const double hi_bound =
         (i + 1 == n ? total : positions_um[i + 1]) - kMinSeparationUm;
+    // Neighbours (or pins) under 2 um apart leave no legal spot.
+    if (lo_bound > hi_bound) continue;
     target = std::clamp(target, lo_bound, hi_bound);
     if (!resolve_zone(net, downstream, allow_zone_hop, target))
       continue;  // the paper's rule: skip moves into forbidden zones

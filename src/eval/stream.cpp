@@ -44,11 +44,12 @@ struct Checkpoint {
   std::uint64_t quarantined = 0;   ///< records quarantined so far
 };
 
-std::uint64_t parse_u64(const std::string& s, const std::string& context) {
+std::uint64_t parse_u64(std::string_view s, const std::string& context) {
   std::uint64_t v = 0;
   const auto res = std::from_chars(s.data(), s.data() + s.size(), v);
   RIP_REQUIRE(res.ec == std::errc() && res.ptr == s.data() + s.size(),
-              context + ": malformed unsigned integer '" + s + "'");
+              context + ": malformed unsigned integer '" + std::string(s) +
+                  "'");
   return v;
 }
 
@@ -104,14 +105,14 @@ Checkpoint read_checkpoint(const std::string& path) {
        have_output = false;
   std::istringstream lines(body);
   std::string line;
+  std::vector<std::string_view> tokens;
   std::getline(lines, line);  // the magic line
   while (std::getline(lines, line)) {
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tokens = split_ws(t);
+    split_ws(line, tokens);
+    if (tokens.empty() || tokens[0].front() == '#') continue;
     RIP_REQUIRE(tokens.size() == 2,
-                path + ": malformed checkpoint line '" + t + "'");
-    const std::string context = path + " " + tokens[0];
+                path + ": malformed checkpoint line '" + trim(line) + "'");
+    const std::string context = path + " " + std::string(tokens[0]);
     if (tokens[0] == "input_bytes") {
       ck.input_bytes = parse_u64(tokens[1], context);
       have_input_bytes = true;
@@ -129,7 +130,8 @@ Checkpoint read_checkpoint(const std::string& path) {
     } else if (tokens[0] == "quarantined") {
       ck.quarantined = parse_u64(tokens[1], context);
     } else {
-      throw Error(path + ": unknown checkpoint key '" + tokens[0] + "'");
+      throw Error(path + ": unknown checkpoint key '" + std::string(tokens[0]) +
+                  "'");
     }
   }
   RIP_REQUIRE(have_input_bytes && have_offset && have_index && have_output,

@@ -1,5 +1,6 @@
 #include "net/netlist_io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -26,19 +27,18 @@ std::string render(const std::string& path, std::int64_t record_index,
   return msg + detail;
 }
 
-struct RawSegment {
-  double length_um = 0;
-  double r_ohm_per_um = 0;
-  double c_ff_per_um = 0;
-  std::string layer;
-};
+/// Net and layer names are text tokens in both encodings: a name with
+/// ASCII whitespace could not be written as text and read back.
+bool has_space(const std::string& name) {
+  return std::any_of(name.begin(), name.end(), is_space);
+}
 
 struct RawRecord {
   std::string name;
   double driver_width_u = 0;
   double receiver_width_u = 0;
   double tau_t_fs = 0;
-  std::vector<RawSegment> segments;
+  std::vector<Segment> segments;
   std::vector<ForbiddenZone> zones;
 };
 
@@ -57,30 +57,37 @@ NetlistRecord finish_record(RawRecord&& raw, const std::string& label,
                        NetlistErrorKind::kMalformed, /*recoverable=*/true,
                        raw.name);
   };
-  const auto check = [&](double v, const std::string& what) {
-    if (!std::isfinite(v) || v <= 0) {
-      fail(what + " must be finite and positive, got " +
-           format_double_exact(v));
-    }
+  // This runs for every record, so a message is built only once its
+  // check has failed. `segment` < 0: the value is not a segment's.
+  const auto check = [&](double v, const char* what,
+                         std::int64_t segment = -1) {
+    if (std::isfinite(v) && v > 0) return;
+    const std::string at =
+        segment < 0 ? "" : "segment " + std::to_string(segment) + " ";
+    fail(at + what + " must be finite and positive, got " +
+         format_double_exact(v));
   };
   if (raw.name.empty()) fail("record has an empty net name");
+  if (has_space(raw.name)) fail("net name contains whitespace");
   check(raw.driver_width_u, "driver width");
   check(raw.receiver_width_u, "receiver width");
   if (!std::isfinite(raw.tau_t_fs) || raw.tau_t_fs < 0) {
     fail("timing target must be finite and >= 0 (0 = unset), got " +
          format_double_exact(raw.tau_t_fs));
   }
+  // Zero means unset whatever its sign; keep +0, which is what the text
+  // encoding (it omits an unset target) reads back for either.
+  if (raw.tau_t_fs == 0) raw.tau_t_fs = 0;
   if (raw.segments.empty()) fail("record has no segments");
-  std::vector<Segment> segments;
-  segments.reserve(raw.segments.size());
   for (std::size_t i = 0; i < raw.segments.size(); ++i) {
-    const RawSegment& s = raw.segments[i];
-    const std::string at = "segment " + std::to_string(i) + " ";
-    check(s.length_um, at + "length (len_um)");
-    check(s.r_ohm_per_um, at + "resistance (r_ohm_per_um)");
-    check(s.c_ff_per_um, at + "capacitance (c_ff_per_um)");
-    segments.push_back(
-        Segment{s.length_um, s.r_ohm_per_um, s.c_ff_per_um, s.layer});
+    const Segment& s = raw.segments[i];
+    const auto at = static_cast<std::int64_t>(i);
+    check(s.length_um, "length (len_um)", at);
+    check(s.r_ohm_per_um, "resistance (r_ohm_per_um)", at);
+    check(s.c_ff_per_um, "capacitance (c_ff_per_um)", at);
+    if (has_space(s.layer)) {
+      fail("segment " + std::to_string(i) + " layer contains whitespace");
+    }
   }
   for (const ForbiddenZone& z : raw.zones) {
     if (!std::isfinite(z.start_um) || !std::isfinite(z.end_um)) {
@@ -90,7 +97,7 @@ NetlistRecord finish_record(RawRecord&& raw, const std::string& label,
   std::string name = raw.name;  // keep for errors after the move below
   try {
     return NetlistRecord{Net(std::move(raw.name), raw.driver_width_u,
-                             raw.receiver_width_u, std::move(segments),
+                             raw.receiver_width_u, std::move(raw.segments),
                              std::move(raw.zones)),
                          raw.tau_t_fs};
   } catch (const NetlistError&) {
@@ -279,22 +286,29 @@ void NetlistReader::read_header() {
   // Text path: rewind and take the header line whole.
   is_->clear();
   is_->seekg(0);
-  std::string line;
-  if (!std::getline(*is_, line)) {
+  std::uint64_t header_bytes = 0;
+  if (!read_line(header_bytes)) {
     throw NetlistError(label_, -1, "empty netlist file (missing header)");
   }
-  const auto tokens = split_ws(trim(line));
-  if (tokens.empty() || tokens[0] != kTextMagic) {
+  split_ws(line_, tokens_);
+  if (tokens_.empty() || tokens_[0] != kTextMagic) {
     throw NetlistError(label_, -1,
                        "bad netlist magic (expected 'ripnetlist 1' or "
                        "binary 'RNLB')");
   }
-  if (tokens.size() != 2 || tokens[1] != "1") {
+  if (tokens_.size() != 2 || tokens_[1] != "1") {
     throw NetlistError(label_, -1, "unsupported ripnetlist version");
   }
   format_ = NetlistFormat::kText;
-  offset_ = static_cast<std::uint64_t>(is_->tellg());
+  offset_ = header_bytes;
   header_end_ = offset_;
+}
+
+bool NetlistReader::read_line(std::uint64_t& bytes) {
+  if (!std::getline(*is_, line_)) return false;
+  // getline sets eofbit only when the line ran into EOF before a '\n'.
+  bytes += line_.size() + (is_->eof() ? 0 : 1);
+  return true;
 }
 
 void NetlistReader::seek(std::uint64_t offset, std::uint64_t record_index) {
@@ -337,13 +351,11 @@ void NetlistReader::seek(std::uint64_t offset, std::uint64_t record_index) {
       }
       if (!plausible) reject("does not address a record boundary");
     } else {
-      std::string line;
       bool at_boundary = true;
-      while (std::getline(*is_, line)) {
-        const std::string t = trim(line);
-        if (t.empty() || t[0] == '#') continue;
-        const auto tokens = split_ws(t);
-        at_boundary = tokens[0] == "net";
+      while (std::getline(*is_, line_)) {
+        split_ws(line_, tokens_);
+        if (tokens_.empty() || tokens_[0].front() == '#') continue;
+        at_boundary = tokens_[0] == "net";
         break;
       }
       if (!at_boundary) reject("does not address a record boundary");
@@ -361,7 +373,6 @@ std::optional<NetlistRecord> NetlistReader::next() {
   auto record = format_ == NetlistFormat::kBinary ? next_binary()
                                                   : next_text();
   if (record.has_value()) {
-    advance_boundary();
     // The injected I/O fault fires after the parse advanced the reader,
     // so an 'err' here is recoverable by construction: the record is
     // lost but the stream is intact. A 'fail' or 'crash' propagates raw.
@@ -376,20 +387,19 @@ std::optional<NetlistRecord> NetlistReader::next() {
   return record;
 }
 
-/// One record was fully consumed (successfully or not): move index_ and
-/// offset_ to the boundary the stream now sits on.
-void NetlistReader::advance_boundary() {
+/// One record, `record_bytes` long from offset_, was fully consumed
+/// (successfully or not): move index_ and offset_ to the boundary the
+/// stream now sits on. Counting the bytes instead of asking tellg()
+/// saves a seek per record and stays right when the last line has no
+/// '\n' (tellg() fails once EOF was hit).
+void NetlistReader::advance_boundary(std::uint64_t record_bytes) {
   ++index_;
-  const auto pos = is_->tellg();
-  // tellg legitimately fails once EOF has been hit (the last record
-  // may end exactly at EOF); keep the last good boundary then.
-  if (pos != std::streampos(-1)) {
-    offset_ = static_cast<std::uint64_t>(pos);
-  }
+  offset_ += record_bytes;
 }
 
 std::optional<NetlistRecord> NetlistReader::next_text() {
   const std::uint64_t record_index = index_;
+  std::uint64_t bytes = 0;  // consumed by this record so far
   RawRecord raw;
   bool in_record = false;
   bool done = false;
@@ -406,12 +416,11 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
     skipping = true;
   };
 
-  std::string line;
-  while (!done && std::getline(*is_, line)) {
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tokens = split_ws(t);
-    const std::string& kind = tokens[0];
+  const std::vector<std::string_view>& tokens = tokens_;
+  while (!done && read_line(bytes)) {
+    split_ws(line_, tokens_);
+    if (tokens.empty() || tokens[0].front() == '#') continue;
+    const std::string_view kind = tokens[0];
     if (kind == "end") {
       if (!in_record && !skipping) {
         soft_fail("expected 'net <name>' at a record boundary, got 'end'");
@@ -424,8 +433,8 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
     if (skipping) continue;
     if (!in_record) {
       if (kind != "net") {
-        soft_fail("expected 'net <name>' at a record boundary, got '" + kind +
-                  "'");
+        soft_fail("expected 'net <name>' at a record boundary, got '" +
+                  std::string(kind) + "'");
         continue;
       }
       if (tokens.size() != 2) {
@@ -460,10 +469,10 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
         if ((tokens.size() - 1) % 2 != 0) {
           body_fail("odd segment key/value list");
         }
-        RawSegment s;
+        Segment s;
         bool have_len = false, have_r = false, have_c = false;
         for (std::size_t i = 1; i + 1 < tokens.size(); i += 2) {
-          const std::string& key = tokens[i];
+          const std::string_view key = tokens[i];
           if (key == "len_um") {
             s.length_um = parse_double(tokens[i + 1], key);
             have_len = true;
@@ -476,7 +485,7 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
           } else if (key == "layer") {
             s.layer = tokens[i + 1];
           } else {
-            body_fail("unknown segment key '" + key + "'");
+            body_fail("unknown segment key '" + std::string(key) + "'");
           }
         }
         if (!have_len || !have_r || !have_c) {
@@ -489,7 +498,7 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
             ForbiddenZone{parse_double(tokens[1], "zone start"),
                           parse_double(tokens[2], "zone end")});
       } else {
-        body_fail("unknown directive '" + kind + "'");
+        body_fail("unknown directive '" + std::string(kind) + "'");
       }
     } catch (const Error& e) {
       soft_fail(e.what());
@@ -503,6 +512,9 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
     }
     return std::nullopt;  // clean EOF at a record boundary
   }
+  // Every line of the record is consumed, whatever the checks below
+  // decide.
+  advance_boundary(bytes);
   if (!done && deferred.empty()) {
     deferred = "unexpected EOF inside record (missing 'end')";
   }
@@ -513,17 +525,11 @@ std::optional<NetlistRecord> NetlistReader::next_text() {
     deferred = "record is missing a 'receiver' line";
   }
   if (!deferred.empty()) {
-    advance_boundary();
     throw NetlistError(label_, static_cast<std::int64_t>(record_index),
                        deferred, NetlistErrorKind::kMalformed,
                        /*recoverable=*/done, raw.name);
   }
-  try {
-    return finish_record(std::move(raw), label_, record_index);
-  } catch (const NetlistError&) {
-    advance_boundary();  // validation failed at the boundary: skippable
-    throw;
-  }
+  return finish_record(std::move(raw), label_, record_index);
 }
 
 std::optional<NetlistRecord> NetlistReader::next_binary() {
@@ -549,54 +555,50 @@ std::optional<NetlistRecord> NetlistReader::next_binary() {
   // a content failure of THIS record and recoverable — the next length
   // prefix is still trustworthy, so a caller may skip and read on.
   const std::uint64_t record_index = index_;
-  try {
-    PayloadCursor cur(payload, label_, record_index);
-    RawRecord raw;
-    const auto fail_record = [&](const std::string& detail) -> void {
-      throw NetlistError(label_, static_cast<std::int64_t>(record_index),
-                         detail, NetlistErrorKind::kMalformed,
-                         /*recoverable=*/true, raw.name);
-    };
-    raw.name = cur.str(cur.u16("name length"), "record name");
-    raw.driver_width_u = cur.f64("driver width");
-    raw.receiver_width_u = cur.f64("receiver width");
-    raw.tau_t_fs = cur.f64("timing target");
-    const std::uint32_t segment_count = cur.u32("segment count");
-    // A segment encodes to at least 26 bytes; a count the payload cannot
-    // possibly hold is rejected up front instead of cursor-tripping later.
-    if (segment_count > payload_bytes / 26) {
-      fail_record("segment count " + std::to_string(segment_count) +
-                  " exceeds record payload");
-    }
-    raw.segments.reserve(segment_count);
-    for (std::uint32_t i = 0; i < segment_count; ++i) {
-      RawSegment s;
-      s.length_um = cur.f64("segment length");
-      s.r_ohm_per_um = cur.f64("segment resistance");
-      s.c_ff_per_um = cur.f64("segment capacitance");
-      s.layer = cur.str(cur.u16("layer length"), "segment layer");
-      raw.segments.push_back(std::move(s));
-    }
-    const std::uint32_t zone_count = cur.u32("zone count");
-    if (zone_count > payload_bytes / 16) {
-      fail_record("zone count " + std::to_string(zone_count) +
-                  " exceeds record payload");
-    }
-    raw.zones.reserve(zone_count);
-    for (std::uint32_t i = 0; i < zone_count; ++i) {
-      const double start = cur.f64("zone start");
-      const double end = cur.f64("zone end");
-      raw.zones.push_back(ForbiddenZone{start, end});
-    }
-    if (cur.remaining() != 0) {
-      fail_record("record payload has " + std::to_string(cur.remaining()) +
-                  " trailing bytes");
-    }
-    return finish_record(std::move(raw), label_, record_index);
-  } catch (const NetlistError&) {
-    advance_boundary();  // the stream already sits on the next prefix
-    throw;
+  advance_boundary(4 + std::uint64_t{payload_bytes});
+  PayloadCursor cur(payload, label_, record_index);
+  RawRecord raw;
+  const auto fail_record = [&](const std::string& detail) -> void {
+    throw NetlistError(label_, static_cast<std::int64_t>(record_index),
+                       detail, NetlistErrorKind::kMalformed,
+                       /*recoverable=*/true, raw.name);
+  };
+  raw.name = cur.str(cur.u16("name length"), "record name");
+  raw.driver_width_u = cur.f64("driver width");
+  raw.receiver_width_u = cur.f64("receiver width");
+  raw.tau_t_fs = cur.f64("timing target");
+  const std::uint32_t segment_count = cur.u32("segment count");
+  // A segment encodes to at least 26 bytes; a count the payload cannot
+  // possibly hold is rejected up front instead of cursor-tripping later.
+  if (segment_count > payload_bytes / 26) {
+    fail_record("segment count " + std::to_string(segment_count) +
+                " exceeds record payload");
   }
+  raw.segments.reserve(segment_count);
+  for (std::uint32_t i = 0; i < segment_count; ++i) {
+    Segment s;
+    s.length_um = cur.f64("segment length");
+    s.r_ohm_per_um = cur.f64("segment resistance");
+    s.c_ff_per_um = cur.f64("segment capacitance");
+    s.layer = cur.str(cur.u16("layer length"), "segment layer");
+    raw.segments.push_back(std::move(s));
+  }
+  const std::uint32_t zone_count = cur.u32("zone count");
+  if (zone_count > payload_bytes / 16) {
+    fail_record("zone count " + std::to_string(zone_count) +
+                " exceeds record payload");
+  }
+  raw.zones.reserve(zone_count);
+  for (std::uint32_t i = 0; i < zone_count; ++i) {
+    const double start = cur.f64("zone start");
+    const double end = cur.f64("zone end");
+    raw.zones.push_back(ForbiddenZone{start, end});
+  }
+  if (cur.remaining() != 0) {
+    fail_record("record payload has " + std::to_string(cur.remaining()) +
+                " trailing bytes");
+  }
+  return finish_record(std::move(raw), label_, record_index);
 }
 
 // ------------------------------------------------------------- writer
@@ -641,6 +643,10 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
   }
   if (!std::isfinite(tau_t_fs) || tau_t_fs < 0) {
     fail("timing target must be finite and >= 0 (0 = unset)");
+  }
+  if (has_space(net.name())) fail("net name contains whitespace");
+  for (const auto& s : net.segments()) {
+    if (has_space(s.layer)) fail("layer name contains whitespace");
   }
   if (format_ == NetlistFormat::kText) {
     *os_ << "net " << net.name() << "\n";

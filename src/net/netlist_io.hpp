@@ -9,7 +9,10 @@
 /// reader yields one record at a time and never loads the file, and
 /// every record boundary has a byte offset that a checkpoint can store
 /// and seek back to (eval/stream.hpp builds its resume protocol on
-/// exactly that).
+/// exactly that). The reader counts those offsets from the bytes each
+/// record consumed (a text line and its '\n', which the file's last
+/// line may lack; a binary length prefix and its payload); it never
+/// asks the stream for its position per record.
 ///
 /// A record is a net plus an optional per-net timing target in
 /// femtoseconds (0 = unset; the stream driver then derives one), so a
@@ -30,9 +33,12 @@
 ///     ...
 ///     end
 ///
-/// Lines beginning with '#' are comments. Doubles are written in
-/// shortest-round-trip form (std::to_chars), so text -> parse -> text
-/// reproduces the file byte for byte.
+/// Lines beginning with '#' are comments. Tokens are separated by ASCII
+/// whitespace, and a line may end in "\r\n". Doubles are written in
+/// shortest-round-trip form (std::to_chars) and read with
+/// rip::parse_double (std::from_chars, independent of the locale), so
+/// text -> parse -> text reproduces the file byte for byte, subnormal
+/// values included.
 ///
 /// Binary format — magic "RNLB", u32 little-endian version (= 1), then
 /// length-prefixed records until EOF:
@@ -49,6 +55,10 @@
 ///
 /// All integers and IEEE-754 doubles are little-endian. EOF is valid
 /// only at a record boundary.
+///
+/// Net and layer names are text tokens in both encodings (no ASCII
+/// whitespace), and a stored target of -0 reads as 0 (unset), so every
+/// record converts to the other encoding and back exactly.
 ///
 /// Every malformed input — truncated file, bad magic or version, an
 /// oversized length prefix, NaN or non-positive RC values, EOF in the
@@ -68,6 +78,8 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "net/net.hpp"
 #include "util/error.hpp"
@@ -176,7 +188,9 @@ class NetlistReader {
  private:
   [[noreturn]] void fail(const std::string& detail) const;
   void read_header();
-  void advance_boundary();
+  /// getline into line_, adding the bytes it consumed to `bytes`.
+  bool read_line(std::uint64_t& bytes);
+  void advance_boundary(std::uint64_t record_bytes);
   std::optional<NetlistRecord> next_text();
   std::optional<NetlistRecord> next_binary();
 
@@ -187,6 +201,9 @@ class NetlistReader {
   std::uint64_t index_ = 0;
   std::uint64_t offset_ = 0;
   std::uint64_t header_end_ = 0;  ///< first byte past the header
+  // Text buffers reused across records; tokens_ views into line_.
+  std::string line_;
+  std::vector<std::string_view> tokens_;
 };
 
 /// Incremental netlist writer: header on construction, one record per

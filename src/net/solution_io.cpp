@@ -28,12 +28,12 @@ ParsedSolution read_solution(std::istream& is) {
   std::string net_name;
   std::vector<Repeater> repeaters;
 
+  std::vector<std::string_view> tokens;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tokens = split_ws(t);
-    const std::string& kind = tokens[0];
+    split_ws(line, tokens);
+    if (tokens.empty() || tokens[0].front() == '#') continue;
+    const std::string_view kind = tokens[0];
     if (kind == "ripsol") {
       expect(tokens.size() == 2 && tokens[1] == "1",
              "unsupported ripsol version at line " + std::to_string(line_no));
@@ -54,7 +54,7 @@ ParsedSolution read_solution(std::istream& is) {
                  std::to_string(line_no));
       repeaters.push_back(r);
     } else {
-      throw Error("unknown directive '" + kind + "' at line " +
+      throw Error("unknown directive '" + std::string(kind) + "' at line " +
                   std::to_string(line_no));
     }
   }

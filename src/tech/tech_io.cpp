@@ -12,19 +12,21 @@ namespace rip::tech {
 
 namespace {
 
-/// Parse "key value key value ..." token pairs into a map.
-std::map<std::string, std::string> kv_pairs(
-    const std::vector<std::string>& tokens, std::size_t from, int line_no) {
+/// "key value key value ..." token pairs; views into the parsed line.
+using KeyValues = std::map<std::string_view, std::string_view>;
+
+KeyValues kv_pairs(const std::vector<std::string_view>& tokens,
+                   std::size_t from, int line_no) {
   RIP_REQUIRE((tokens.size() - from) % 2 == 0,
               "odd key/value list at line " + std::to_string(line_no));
-  std::map<std::string, std::string> kv;
+  KeyValues kv;
   for (std::size_t i = from; i + 1 < tokens.size(); i += 2)
     kv[tokens[i]] = tokens[i + 1];
   return kv;
 }
 
-double need_double(const std::map<std::string, std::string>& kv,
-                   const std::string& key, int line_no) {
+double need_double(const KeyValues& kv, const std::string& key,
+                   int line_no) {
   const auto it = kv.find(key);
   RIP_REQUIRE(it != kv.end(),
               "missing key '" + key + "' at line " + std::to_string(line_no));
@@ -43,12 +45,12 @@ Technology read_technology(std::istream& is) {
   std::vector<MetalLayer> layers;
   PowerModel power;
 
+  std::vector<std::string_view> tokens;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tokens = split_ws(t);
-    const std::string& kind = tokens[0];
+    split_ws(line, tokens);
+    if (tokens.empty() || tokens[0].front() == '#') continue;
+    const std::string_view kind = tokens[0];
     if (kind == "riptech") {
       RIP_REQUIRE(tokens.size() == 2 && tokens[1] == "1",
                   "unsupported riptech version at line " +
@@ -82,7 +84,7 @@ Technology read_technology(std::istream& is) {
       power.freq_ghz = need_double(kv, "freq_ghz", line_no);
       power.beta_nw_per_u = need_double(kv, "beta_nw_per_u", line_no);
     } else {
-      throw Error("unknown directive '" + kind + "' at line " +
+      throw Error("unknown directive '" + std::string(kind) + "' at line " +
                   std::to_string(line_no));
     }
   }

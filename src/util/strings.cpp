@@ -1,8 +1,9 @@
 #include "util/strings.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -18,25 +19,24 @@ std::string fmt_unit(double v, int decimals, const std::string& unit) {
   return fmt_f(v, decimals) + " " + unit;
 }
 
-std::string trim(const std::string& s) {
+std::string trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return std::string(s.substr(b, e - b));
 }
 
-std::vector<std::string> split_ws(const std::string& s) {
-  std::vector<std::string> out;
+void split_ws(std::string_view s, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && is_space(s[i])) ++i;
     std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
+    while (j < s.size() && !is_space(s[j])) ++j;
     if (j > i) out.push_back(s.substr(i, j - i));
     i = j;
   }
-  return out;
 }
 
 std::vector<std::string> split_on(const std::string& s, char delim) {
@@ -59,17 +59,25 @@ bool starts_with(const std::string& s, const std::string& prefix) {
 }
 
 // Trailing characters ("5x") are malformed input like any other, so they
-// get the same plain message as a value stod/stoi cannot start on.
-double parse_double(const std::string& s, const std::string& context) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos == s.size()) return v;
-  } catch (const std::invalid_argument&) {
-  } catch (const std::out_of_range&) {
-    throw Error("number out of range: '" + s + "' (" + context + ")");
+// get the same plain message as a value from_chars cannot start on. An
+// overflow is out of range even when junk follows it ("1e999x").
+double parse_double(std::string_view s, std::string_view context) {
+  const bool plus = !s.empty() && s.front() == '+';
+  const std::string_view body = plus ? s.substr(1) : s;
+  // from_chars takes a '-' but no '+'; after an explicit '+' it must not
+  // be handed a second sign.
+  if (!(plus && !body.empty() && body.front() == '-')) {
+    double v = 0;
+    const char* end = body.data() + body.size();
+    const auto [ptr, ec] = std::from_chars(body.data(), end, v);
+    if (ec == std::errc() && ptr == end) return v;
+    if (ec == std::errc::result_out_of_range) {
+      throw Error("number out of range: '" + std::string(s) + "' (" +
+                  std::string(context) + ")");
+    }
   }
-  throw Error("expected a number, got '" + s + "' (" + context + ")");
+  throw Error("expected a number, got '" + std::string(s) + "' (" +
+              std::string(context) + ")");
 }
 
 int parse_int(const std::string& s, const std::string& context) {

@@ -9,17 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "net/netlist_io.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -444,6 +448,77 @@ TEST(NetlistRoundTrip, FormatDoubleExactRoundTrips) {
   }
 }
 
+/// Every value a record carries, bit for bit, with its strings
+/// (length-prefixed, so distinct records never render alike).
+std::string record_bits(const NetlistRecord& r) {
+  const auto str = [](const std::string& v) {
+    return le32(static_cast<std::uint32_t>(v.size())) + v;
+  };
+  std::string out = str(r.net.name()) + lef64(r.net.driver_width_u()) +
+                    lef64(r.net.receiver_width_u()) + lef64(r.tau_t_fs);
+  for (const auto& s : r.net.segments()) {
+    out += lef64(s.length_um) + lef64(s.r_ohm_per_um) +
+           lef64(s.c_ff_per_um) + str(s.layer);
+  }
+  for (const auto& z : r.net.zones()) {
+    out += lef64(z.start_um) + lef64(z.end_um);
+  }
+  return out;
+}
+
+// The writer renders a subnormal with to_chars ("5e-324"); the reader
+// must take it back exactly. std::stod reports ERANGE for every
+// subnormal, so a reader built on it refuses the writer's own output.
+TEST(NetlistRoundTrip, SubnormalZoneStartRoundTripsThroughBothEncodings) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<NetlistRecord> records{NetlistRecord{
+      net::Net("sub", 120.0, 60.0, {net::Segment{1000.0, 0.1, 0.2, "metal4"}},
+               {net::ForbiddenZone{tiny, 100.0}}),
+      0.0}};
+  const std::string text = write_all(records, NetlistFormat::kText);
+  ASSERT_NE(text.find("\nzone 5e-324 100\n"), std::string::npos) << text;
+  const auto via_text = read_all(text, NetlistFormat::kText);
+  ASSERT_EQ(via_text.size(), 1u);
+  const auto via_binary = read_all(write_all(via_text, NetlistFormat::kBinary),
+                                   NetlistFormat::kBinary);
+  ASSERT_EQ(via_binary.size(), 1u);
+  EXPECT_EQ(write_all(via_binary, NetlistFormat::kText), text);
+  EXPECT_EQ(record_bits(via_binary[0]), record_bits(records[0]));
+}
+
+// Numbers are read with from_chars, which ignores LC_NUMERIC: under a
+// locale whose decimal point is ',' the text file reads the same.
+TEST(NetlistRoundTrip, CommaDecimalLocaleReadsTheSameRecords) {
+  const auto records = random_records(10, 46);
+  const std::string text = write_all(records, NetlistFormat::kText);
+  const std::string saved = std::setlocale(LC_NUMERIC, nullptr);
+  const char* comma_locale = nullptr;
+  for (const char* name : {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",
+                           "fr_FR.utf8", "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8",
+                           "es_ES.UTF-8", "it_IT.UTF-8"}) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr &&
+        std::localeconv()->decimal_point[0] == ',') {
+      comma_locale = name;
+      break;
+    }
+  }
+  if (comma_locale == nullptr) {
+    std::setlocale(LC_NUMERIC, saved.c_str());
+    GTEST_SKIP() << "no comma-decimal LC_NUMERIC locale is installed";
+  }
+  std::vector<NetlistRecord> under_comma;
+  try {
+    under_comma = read_all(text, NetlistFormat::kText);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "under " << comma_locale << ": " << e.what();
+  }
+  std::setlocale(LC_NUMERIC, saved.c_str());
+  ASSERT_EQ(under_comma.size(), records.size()) << comma_locale;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(record_bits(under_comma[i]), record_bits(records[i])) << i;
+  }
+}
+
 // ----------------------------------------------------- offsets and seek
 
 class NetlistSeekTest : public ::testing::TestWithParam<NetlistFormat> {};
@@ -587,6 +662,44 @@ TEST(NetlistRecoverableRead, FramingDamageIsNeverRecoverable) {
   }
 }
 
+// Names are text tokens in both encodings, so every record converts
+// either way: the writer refuses a net or layer name with whitespace,
+// and the binary reader rejects one as a malformed record.
+TEST(NetlistRecoverableRead, NameWithWhitespaceIsMalformed) {
+  const std::string bad =
+      framed(forge_payload("a\rb", 120.0, 60.0, 0.0, {ForgedSegment{}}));
+  const std::string good =
+      framed(forge_payload("good", 120.0, 60.0, 0.0, {ForgedSegment{}}));
+  std::istringstream is(binary_header() + bad + good);
+  NetlistReader reader(is, "mem");
+  try {
+    reader.next();
+    FAIL() << "a name with whitespace was accepted";
+  } catch (const NetlistError& e) {
+    EXPECT_NE(std::string(e.what()).find("net name contains whitespace"),
+              std::string::npos)
+        << e.what();
+    EXPECT_TRUE(e.recoverable());
+  }
+  const auto next = reader.next();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->net.name(), "good");
+}
+
+// A stored target of zero means unset whatever its sign, so a binary -0
+// reads as the +0 that the text encoding (which omits it) reads back.
+TEST(NetlistRoundTrip, NegativeZeroTargetReadsAsUnset) {
+  const auto records = read_all(
+      binary_header() +
+          framed(forge_payload("x", 100.0, 50.0, -0.0, {ForgedSegment{}})),
+      NetlistFormat::kBinary);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(record_bits(records[0]),
+            record_bits(read_all(write_all(records, NetlistFormat::kText),
+                                 NetlistFormat::kText)[0]));
+  EXPECT_FALSE(std::signbit(records[0].tau_t_fs));
+}
+
 // ------------------------------------------------------------ writer API
 
 TEST(NetlistWriter, AddAfterCloseThrows) {
@@ -596,6 +709,22 @@ TEST(NetlistWriter, AddAfterCloseThrows) {
   EXPECT_EQ(writer.count(), 1u);
   writer.close();
   EXPECT_THROW(writer.add(tiny_net()), NetlistError);
+}
+
+TEST(NetlistWriter, RejectsNamesTheTextEncodingCannotCarry) {
+  for (const NetlistFormat format :
+       {NetlistFormat::kText, NetlistFormat::kBinary}) {
+    std::ostringstream os;
+    NetlistWriter writer(os, format, "mem");
+    const std::size_t header_bytes = os.str().size();
+    EXPECT_THROW(writer.add(tiny_net("a b")), NetlistError);
+    EXPECT_THROW(writer.add(net::Net("n", 120.0, 60.0,
+                                     {net::Segment{1000.0, 0.1, 0.2,
+                                                   "metal\t4"}})),
+                 NetlistError);
+    EXPECT_EQ(writer.count(), 0u);
+    EXPECT_EQ(os.str().size(), header_bytes);
+  }
 }
 
 TEST(NetlistWriter, RejectsBadTarget) {
@@ -663,6 +792,191 @@ TEST(NetlistErrorFormat, HeaderAndRecordRenderings) {
             "big.rnlb: record 17: bad segment");
   EXPECT_EQ(record_error.path(), "big.rnlb");
   EXPECT_EQ(record_error.record_index(), 17);
+}
+
+// ------------------------------------------------------------- fuzzing
+//
+// A seeded in-process mutation fuzzer over both encodings (gcc ships no
+// libFuzzer). Each case mutates NetlistWriter output of a few generated
+// nets (with zones and stored targets) and reads it to the end:
+//   - only NetlistError escapes the reader;
+//   - a recoverable error advanced index() by exactly one, and reading
+//     goes on after it;
+//   - every returned record, re-written in either encoding, reads back
+//     with identical value bits;
+//   - after every returned record, a fresh reader seek()ed to offset()
+//     and index() has the same next step (record, error or EOF) and
+//     ends it at the same offset, so the counted offsets are the
+//     stream's true record boundaries.
+
+/// One next() call: "eof", "record <bits>" or "error <what>", plus
+/// whether an error was recoverable.
+struct ReadStep {
+  std::string kind;  ///< "eof", "record" or "error"
+  std::string detail;
+  bool recoverable = false;
+  std::optional<NetlistRecord> record;
+};
+
+ReadStep read_step(NetlistReader& reader) {
+  ReadStep step;
+  try {
+    step.record = reader.next();
+    step.kind = step.record ? "record" : "eof";
+    if (step.record) step.detail = record_bits(*step.record);
+  } catch (const NetlistError& e) {
+    step.kind = "error";
+    step.detail = e.what();
+    step.recoverable = e.recoverable();
+  }
+  return step;
+}
+
+void expect_rewrites_exactly(const NetlistRecord& record,
+                             const std::string& where) {
+  for (const NetlistFormat format :
+       {NetlistFormat::kText, NetlistFormat::kBinary}) {
+    std::ostringstream os;
+    NetlistWriter writer(os, format, "rewrite");
+    writer.add(record.net, record.tau_t_fs);
+    writer.close();
+    std::istringstream is(os.str());
+    NetlistReader back(is, "rewrite");
+    const auto again = back.next();
+    ASSERT_TRUE(again.has_value()) << where;
+    EXPECT_EQ(record_bits(*again), record_bits(record))
+        << where << ", re-written as "
+        << (format == NetlistFormat::kText ? "text:\n" : "binary:\n")
+        << (format == NetlistFormat::kText ? os.str() : "");
+  }
+}
+
+/// Read `bytes` to the end, checking the properties above.
+void fuzz_read(const std::string& bytes, const std::string& where) {
+  std::istringstream is(bytes);
+  std::optional<NetlistReader> reader;
+  try {
+    reader.emplace(is, "fuzz");
+  } catch (const NetlistError&) {
+    return;  // header damage: typed, nothing more to read
+  }
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> resume;
+  for (int steps = 0; steps < 10000; ++steps) {
+    const std::uint64_t index = reader->index();
+    const ReadStep step = read_step(*reader);
+    if (resume) {
+      std::istringstream again(bytes);
+      NetlistReader fresh(again, "fuzz");
+      bool seek_ok = true;
+      try {
+        fresh.seek(resume->first, resume->second);
+      } catch (const NetlistError&) {
+        seek_ok = false;  // a damaged record may not look like one
+      }
+      if (seek_ok) {
+        const ReadStep resumed = read_step(fresh);
+        EXPECT_EQ(resumed.kind + " " + resumed.detail,
+                  step.kind + " " + step.detail)
+            << where << ", resumed at offset " << resume->first;
+        if (step.kind != "eof" && step.kind == resumed.kind) {
+          EXPECT_EQ(fresh.offset(), reader->offset()) << where;
+          EXPECT_EQ(fresh.index(), reader->index()) << where;
+        }
+      } else {
+        EXPECT_EQ(step.kind, "error")
+            << where << ": seek refused the boundary at offset "
+            << resume->first;
+      }
+      resume.reset();
+    }
+    if (step.kind == "eof") return;
+    if (step.kind == "error" && !step.recoverable) return;
+    EXPECT_EQ(reader->index(), index + 1) << where << ": " << step.detail;
+    if (step.kind == "record") {
+      expect_rewrites_exactly(*step.record, where);
+      resume.emplace(reader->offset(), reader->index());
+    }
+  }
+  ADD_FAILURE() << where << ": the reader never reached EOF";
+}
+
+std::string fuzz_mutate(std::string bytes, Rng& rng) {
+  static const std::string kTokens[] = {
+      "net", "end", "nan", "1e999", "5e-324", "+1", std::string(10240, '7')};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  // [begin, end) of the '\n'-terminated line holding byte `at`.
+  const auto line_at = [&](std::size_t at) {
+    std::size_t begin = bytes.rfind('\n', at == 0 ? 0 : at - 1);
+    begin = begin == std::string::npos || at == 0 ? 0 : begin + 1;
+    std::size_t end = bytes.find('\n', at);
+    end = end == std::string::npos ? bytes.size() : end + 1;
+    return std::pair{begin, end};
+  };
+  const int mutations = rng.uniform_int(1, 3);
+  for (int m = 0; m < mutations && !bytes.empty(); ++m) {
+    const std::size_t at = pick(bytes.size());
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // byte flip
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 + pick(255)));
+        break;
+      case 1:  // truncation
+        bytes.resize(at);
+        break;
+      case 2: {  // delete a line
+        const auto [begin, end] = line_at(at);
+        bytes.erase(begin, end - begin);
+        break;
+      }
+      case 3: {  // duplicate a line in place
+        const auto [begin, end] = line_at(at);
+        bytes.insert(begin, bytes.substr(begin, end - begin));
+        break;
+      }
+      case 4: {  // insert a copy of some line before another
+        const auto [begin, end] = line_at(at);
+        const std::string copy = bytes.substr(begin, end - begin);
+        bytes.insert(line_at(pick(bytes.size())).first, copy);
+        break;
+      }
+      default: {  // swap the token around `at` for a hostile one
+        std::size_t begin = at, end = at;
+        while (begin > 0 && !is_space(bytes[begin - 1])) --begin;
+        while (end < bytes.size() && !is_space(bytes[end])) ++end;
+        bytes.replace(begin, end - begin, kTokens[pick(std::size(kTokens))]);
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+TEST(NetlistFuzz, MutatedInputsKeepTheReaderContract) {
+  std::vector<std::string> seeds;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    const auto records = random_records(4, 60 + k);
+    seeds.push_back(write_all(records, NetlistFormat::kText));
+    seeds.push_back(write_all(records, NetlistFormat::kBinary));
+  }
+  Rng rng(2005);
+  constexpr int kCases = 15000;
+  for (int i = 0; i < kCases; ++i) {
+    const std::size_t seed = static_cast<std::size_t>(i) % seeds.size();
+    const std::string bytes = fuzz_mutate(seeds[seed], rng);
+    const std::string where = "case " + std::to_string(i) + " (" +
+                              (seed % 2 == 0 ? "text" : "binary") + ")";
+    try {
+      fuzz_read(bytes, where);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << ": " << e.what() << " escaped the reader";
+    }
+    if (HasFailure()) {
+      ADD_FAILURE() << where << " input (" << bytes.size() << " bytes):\n"
+                    << bytes.substr(0, 2000);
+      break;
+    }
+  }
 }
 
 }  // namespace

@@ -280,6 +280,29 @@ TEST(Movement, PreservesOrderingAndBounds) {
   EXPECT_LT(pos[2], n.total_length_um());
 }
 
+TEST(Movement, RepeaterWithoutRoomBetweenNeighboursStaysPut) {
+  // The middle repeater's neighbours sit 0.5 um away, so no spot keeps
+  // 1 um from both; the zones block the outer repeaters' own moves.
+  const auto device = test::simple_device();
+  const auto n = net::NetBuilder("crowded")
+                     .driver(20.0)
+                     .receiver(10.0)
+                     .segment(10000.0, 0.1, 0.2)
+                     .zone(4000.0, 4999.0)
+                     .zone(5002.0, 6000.0)
+                     .build();
+  const std::vector<double> start{5000.0, 5000.5, 5001.0};
+  const std::vector<double> widths{5.0, 10.0, 20.0};
+  const auto derivs = location_derivatives(n, device, start, widths);
+  ASSERT_TRUE(derivs[1].right < 0 || derivs[1].left > 0)
+      << "the middle repeater must want to move";
+  std::vector<double> pos = start;
+  EXPECT_EQ(move_repeaters(n, device, pos, widths, 50.0,
+                           /*allow_zone_hop=*/false),
+            0);
+  EXPECT_EQ(pos, start);
+}
+
 // ----------------------------------------------------------------- refine
 
 TEST(Refine, WidthHistoryIsMonotoneNonIncreasing) {

@@ -185,7 +185,8 @@ TEST(Strings, TrimAndSplit) {
   EXPECT_EQ(trim("  abc \t"), "abc");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
-  const auto tokens = split_ws("  a  bb\tccc ");
+  std::vector<std::string_view> tokens;
+  split_ws("  a  bb\tccc ", tokens);
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0], "a");
   EXPECT_EQ(tokens[1], "bb");
@@ -201,6 +202,30 @@ TEST(Strings, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("2.5", "t"), 2.5);
   EXPECT_THROW(parse_double("abc", "t"), Error);
   EXPECT_THROW(parse_double("1.5x", "t"), Error);
+}
+
+// The number grammar: std::from_chars' general format plus a leading
+// '+'. Subnormals parse exactly; hex floats and surrounding whitespace,
+// which strtod took, are refused.
+TEST(Strings, ParseDoubleGrammar) {
+  const auto outcome = [](const char* text) -> std::string {
+    try {
+      return "parsed " + std::to_string(parse_double(text, "t"));
+    } catch (const Error& e) {
+      return e.what();
+    }
+  };
+  EXPECT_EQ(parse_double("+2.5", "t"), 2.5);
+  EXPECT_EQ(parse_double("5e-324", "t"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(outcome("1e999"), "number out of range: '1e999' (t)");
+  EXPECT_EQ(outcome("1e-400"), "number out of range: '1e-400' (t)");
+  EXPECT_EQ(outcome("0x1p3"), "expected a number, got '0x1p3' (t)");
+  EXPECT_EQ(outcome(" 1.5"), "expected a number, got ' 1.5' (t)");
+  EXPECT_EQ(outcome("\t1.5"), "expected a number, got '\t1.5' (t)");
+  EXPECT_EQ(outcome("1.5 "), "expected a number, got '1.5 ' (t)");
+  EXPECT_EQ(outcome("+-1"), "expected a number, got '+-1' (t)");
+  EXPECT_EQ(outcome("+"), "expected a number, got '+' (t)");
 }
 
 TEST(Strings, ParseInt) {
