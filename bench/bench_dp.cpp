@@ -11,7 +11,9 @@
 //   - rip-final: RIP's stage 3, the bounded chain DP
 //     (dp::run_chain_dp_bounded), on the chain configs' nets x targets.
 //     Each case's inputs come from core::fine_problem over a rip_insert
-//     run outside the measured region, with stage 1's cost as incumbent.
+//     run outside the measured region, bounded as rip_insert bounds it:
+//     the cheaper of stage 1's cost and core::round_refine's as the
+//     incumbent, and REFINE's lambda as the cost floor's delay price.
 //
 // Per configuration the bench reports mean us/solve, labels/second,
 // prune ratio, arena peaks, and (at --jobs 1) the per-solve heap
@@ -481,7 +483,7 @@ int main(int argc, char** argv) try {
     const core::RipOptions rip_options;
     struct FinalCase {
       const net::Net* net;
-      double tau_t_fs, incumbent_cost;
+      double tau_t_fs, incumbent_cost, lambda;
       core::FineProblem problem;
     };
     std::vector<FinalCase> finals;
@@ -493,9 +495,17 @@ int main(int argc, char** argv) try {
             rip.coarse.solution.empty() || !rip.refined.width_solve_ok) {
           continue;
         }
-        finals.push_back(
-            {&wn.net, tau, rip.coarse.objective_cost,
-             core::fine_problem(wn.net, rip.refined, rip_options)});
+        FinalCase c{&wn.net, tau, 0, rip.refined.lambda,
+                    core::fine_problem(wn.net, rip.refined, rip_options)};
+        dp::ChainDpOptions options;
+        options.timing_target_fs = tau;
+        options.allowed_buffers = &c.problem.allowed;
+        c.incumbent_cost =
+            std::min(core::round_refine(wn.net, tech.device(), c.problem,
+                                        options, dp::Workspace::local())
+                         .objective_cost,
+                     rip.coarse.objective_cost);
+        finals.push_back(std::move(c));
       }
     }
     ConfigReport report;
@@ -513,7 +523,7 @@ int main(int argc, char** argv) try {
           return dp::run_chain_dp_bounded(
                      *c.net, tech.device(), c.problem.library,
                      c.problem.candidates_um, options, c.incumbent_cost,
-                     dp::Workspace::local())
+                     dp::Workspace::local(), c.lambda)
               .stats;
         },
         steady_state_clean, alloc_parity_clean);

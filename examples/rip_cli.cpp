@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -613,12 +614,21 @@ int cmd_netlist_convert(const CliArgs& args) {
       format_option(args, reader.format() == net::NetlistFormat::kText
                               ? net::NetlistFormat::kBinary
                               : net::NetlistFormat::kText);
-  net::NetlistWriter writer(out_path, out_format);
-  while (auto record = reader.next()) {
-    writer.add(record->net, record->tau_t_fs);
+  // A failed conversion leaves no partial output behind.
+  std::optional<net::NetlistWriter> writer(std::in_place, out_path,
+                                           out_format);
+  try {
+    while (auto record = reader.next()) {
+      writer->add(record->net, record->tau_t_fs);
+    }
+    writer->close();
+  } catch (...) {
+    writer.reset();
+    std::error_code ec;
+    std::filesystem::remove(out_path, ec);
+    throw;
   }
-  writer.close();
-  std::cout << "converted " << writer.count() << " nets: " << in_path
+  std::cout << "converted " << writer->count() << " nets: " << in_path
             << " ("
             << (reader.format() == net::NetlistFormat::kText ? "text"
                                                              : "binary")

@@ -35,6 +35,9 @@ FineProblem fine_problem(const net::Net& net,
                 net::window_candidates(net, refined.positions_um,
                                        options.window_half,
                                        options.window_pitch_um),
+                {},
+                {},
+                {},
                 {}};
   const double window_span =
       options.window_half * options.window_pitch_um + 1e-6;
@@ -58,18 +61,66 @@ FineProblem fine_problem(const net::Net& net,
     const std::int16_t lo_idx = library_index(lo);
     const std::int16_t hi_idx = library_index(hi);
     const double center = refined.positions_um[ri];
+    std::int32_t centre_ci = -1;
     for (std::size_t ci = 0; ci < p.candidates_um.size(); ++ci) {
-      if (std::abs(p.candidates_um[ci] - center) <= window_span) {
+      const double off = std::abs(p.candidates_um[ci] - center);
+      if (off <= window_span) {
         p.allowed[ci].push_back(lo_idx);
         if (hi_idx != lo_idx) p.allowed[ci].push_back(hi_idx);
+        // The window's centre: the candidate that stands for the REFINE
+        // position after window_candidates' dedup.
+        if (off < net::kWindowDedupTolUm && centre_ci < 0) {
+          centre_ci = static_cast<std::int32_t>(ci);
+        }
       }
     }
+    p.centre.push_back(centre_ci);
+    p.lo.push_back(lo_idx);
+    p.hi.push_back(hi_idx);
   }
   for (auto& a : p.allowed) {
     std::sort(a.begin(), a.end());
     a.erase(std::unique(a.begin(), a.end()), a.end());
   }
   return p;
+}
+
+RoundedRefine round_refine(const net::Net& net,
+                           const tech::RepeaterDevice& device,
+                           const FineProblem& fine,
+                           const dp::ChainDpOptions& options,
+                           dp::Workspace& ws) {
+  RoundedRefine out;
+  std::vector<std::int16_t>& at = out.buffer_at;
+  at.assign(fine.candidates_um.size(), -1);
+  for (std::size_t ri = 0; ri < fine.centre.size(); ++ri) {
+    const std::int32_t ci = fine.centre[ri];
+    // A missing centre, or two repeaters on one candidate, is no labeling.
+    if (ci < 0 || at[static_cast<std::size_t>(ci)] >= 0) {
+      at.clear();
+      return out;
+    }
+    at[static_cast<std::size_t>(ci)] = fine.hi[ri];
+  }
+  auto score = [&] {
+    return dp::score_labeling(net, device, fine.library, fine.candidates_um,
+                              options, at, ws)
+        .objective_cost;
+  };
+  out.objective_cost = score();
+  if (!std::isfinite(out.objective_cost)) return out;
+  for (std::size_t ri = 0; ri < fine.centre.size(); ++ri) {
+    if (fine.lo[ri] == fine.hi[ri]) continue;
+    std::int16_t& b = at[static_cast<std::size_t>(fine.centre[ri])];
+    b = fine.lo[ri];
+    const double cost = score();
+    if (std::isfinite(cost)) {
+      out.objective_cost = cost;
+    } else {
+      b = fine.hi[ri];
+    }
+  }
+  return out;
 }
 
 RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
@@ -137,15 +188,20 @@ RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
   }
 
   // ---- Stage 3: fine DP over the refined library and locations
-  //      (Fig. 6, lines 3-4), bounded by stage 1's cost: only a stage-3
-  //      answer that costs no more is kept below. ----
+  //      (Fig. 6, lines 3-4), bounded by the cheaper of stage 1's cost
+  //      and the rounded REFINE answer's, and by a cost floor priced at
+  //      REFINE's multiplier: only a stage-3 answer that costs no more
+  //      than stage 1's is kept below. ----
   stage_timer.reset();
   const FineProblem fine = fine_problem(net, result.refined, options);
   dp::ChainDpOptions final_options = dp_options;
   final_options.allowed_buffers = &fine.allowed;
+  const double incumbent = std::min(
+      round_refine(net, device, fine, final_options, workspace).objective_cost,
+      result.coarse.objective_cost);
   result.final_dp = dp::run_chain_dp_bounded(
-      net, device, fine.library, fine.candidates_um, final_options,
-      result.coarse.objective_cost, workspace);
+      net, device, fine.library, fine.candidates_um, final_options, incumbent,
+      workspace, result.refined.lambda);
   result.final_s = stage_timer.seconds();
 
   // Best feasible of {stage 3, stage 1}: RIP never loses to its own

@@ -11,17 +11,24 @@
 ///   3. Build a concise library B (REFINE widths rounded to 10u) and a
 ///      small location set S (each REFINE location ±10 positions at
 ///      50 um) and re-run the DP restricted to B and S, as an exact
-///      branch-and-bound against stage 1's cost (run_chain_dp_bounded):
-///      a label is dropped once it costs more than stage 1's answer, or
-///      once its slack, less the least delay any buffering of the path
-///      from the driver to it could add (a lookahead floor from one
-///      driver-to-receiver sweep), misses the target.
+///      branch-and-bound (run_chain_dp_bounded). Its incumbent is the
+///      cheaper of stage 1's answer and REFINE's answer rounded into B
+///      and S (round_refine), scored in the DP's own label arithmetic. A
+///      label is dropped once it costs more than the incumbent; once its
+///      slack, less the least delay any buffering of the path from the
+///      driver to it could add (a lookahead floor from one
+///      driver-to-receiver sweep), misses the target; or once its cost
+///      plus the least cost + lambda * delay of any such buffering, less
+///      lambda * (its slack + the target), exceeds the incumbent (a
+///      Lagrangian floor from the same sweep, priced at REFINE's
+///      multiplier lambda).
 ///
 /// Guarantee: the returned solution is the best feasible of stage 3 and
 /// stage 1, so RIP is feasible whenever the coarse DP is, and never worse
 /// than it.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analytical/refine.hpp"
@@ -71,7 +78,8 @@ struct RipResult {
   analytical::RefineResult refined;    ///< stage 2 (last repeat)
   /// Stage 3, as swept by the branch-and-bound: min_delay_* and stats
   /// describe the bounded sweep, and status is also kInfeasible when no
-  /// labeling meets the target at a cost <= stage 1's.
+  /// labeling meets the target at a cost <= the incumbent (the cheaper of
+  /// stage 1's answer and the rounded REFINE answer).
   dp::ChainDpResult final_dp;
   bool used_fallback = false;          ///< final answer came from stage 1
 
@@ -85,15 +93,46 @@ struct RipResult {
 /// B (REFINE widths rounded to the fine grid), location set S (each REFINE
 /// location ±window_half positions), and allowed lists that offer each
 /// window only its own REFINE repeater's bracketed widths (for
-/// ChainDpOptions::allowed_buffers).
+/// ChainDpOptions::allowed_buffers). Per REFINE repeater, driver to
+/// receiver, it also records the candidate at the repeater's own position
+/// (its window's centre, within the candidates' 1e-6 um dedup tolerance;
+/// -1 when that position is not a legal candidate) and the library
+/// indices of its width rounded down and up, both allowed there.
 struct FineProblem {
   dp::RepeaterLibrary library;
   std::vector<double> candidates_um;
   std::vector<std::vector<std::int16_t>> allowed;
+  std::vector<std::int32_t> centre;
+  std::vector<std::int16_t> lo;
+  std::vector<std::int16_t> hi;
 };
 FineProblem fine_problem(const net::Net& net,
                          const analytical::RefineResult& refined,
                          const RipOptions& options);
+
+/// REFINE's answer as a labeling of stage 3's search space, and its score.
+struct RoundedRefine {
+  /// Library index per candidate, -1 = none; empty when some REFINE
+  /// repeater has no centre candidate.
+  std::vector<std::int16_t> buffer_at;
+  /// Its objective cost in the DP's label arithmetic
+  /// (dp::score_labeling); +inf when no labeling was built or it misses
+  /// the target.
+  double objective_cost = std::numeric_limits<double>::infinity();
+};
+
+/// Round REFINE's answer into `fine`'s search space: every repeater at its
+/// centre candidate with its rounded-up width, then, one repeater at a
+/// time from the driver on, its rounded-down width wherever the labeling
+/// still meets the target. `options` are stage 3's (kMinPower, the
+/// target, the backend, allowed_buffers = &fine.allowed). The stage-3
+/// optimum never costs more than the result: RIP passes the cheaper of it
+/// and stage 1's cost to run_chain_dp_bounded as the incumbent.
+RoundedRefine round_refine(const net::Net& net,
+                           const tech::RepeaterDevice& device,
+                           const FineProblem& fine,
+                           const dp::ChainDpOptions& options,
+                           dp::Workspace& ws);
 
 /// Run Algorithm RIP on a net with timing target `tau_t_fs`. Its DP
 /// stages reuse the arenas of `workspace` (by default this thread's

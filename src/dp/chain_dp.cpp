@@ -1,6 +1,7 @@
 #include "dp/chain_dp.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -143,6 +144,21 @@ void carry_width_order(const std::vector<std::int32_t>& order,
               fresh.end());
 }
 
+/// The per-solve terms the sweep reads, into `ws`: the library's device
+/// and cost terms, the whole-library allowed list, and the wire maps.
+void fill_sweep_terms(const net::Net& net, const tech::RepeaterDevice& device,
+                      const RepeaterLibrary& library,
+                      const std::vector<double>& candidates_um,
+                      const tech::ChainCost& cost, Workspace& ws) {
+  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
+  library.fill_cost_terms(cost, ws.lib_cost);
+  const std::size_t lib_n = library.size();
+  ws.all_buffers.resize(lib_n);
+  for (std::size_t b = 0; b < lib_n; ++b)
+    ws.all_buffers[b] = static_cast<std::int16_t>(b);
+  kernel::fill_wire_affines(net, candidates_um, ws);
+}
+
 /// The whole sweep on `ws`, receiver to driver; fills `stats`' sweep
 /// counters and returns the finished frontier, whose q_fs[i] is label
 /// i's target-relative final slack (driver gate applied; the realized
@@ -157,8 +173,9 @@ void carry_width_order(const std::vector<std::int32_t>& order,
 /// depend on the target: they drop labels from the pass-through frontier
 /// after each wire run and from each buffer group before its sweep. With
 /// bounds the sweep first fills the lookahead floor
-/// (kernel::fill_lookahead_floor) and charges each candidate's labels
-/// their floor there.
+/// (kernel::fill_lookahead_floor), and with a positive delay price the
+/// Lagrangian cost floor from the same sweep, and charges each
+/// candidate's labels their floors there.
 ///
 /// Invariant entering each candidate step: the frontier is sorted by
 /// (C asc, q desc, w asc). Wire propagation preserves it: C order
@@ -185,21 +202,23 @@ const ChainFrontier& sweep_chain(const net::Net& net,
                                  const tech::ChainCost& cost,
                                  const kernel::LabelBounds* bounds,
                                  Workspace& ws, DpStats& stats) {
-  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
-  library.fill_cost_terms(cost, ws.lib_cost);
-  const std::size_t lib_n = library.size();
-  ws.all_buffers.resize(lib_n);
-  for (std::size_t b = 0; b < lib_n; ++b)
-    ws.all_buffers[b] = static_cast<std::int16_t>(b);
-  kernel::fill_wire_affines(net, candidates_um, ws);
+  fill_sweep_terms(net, device, library, candidates_um, cost, ws);
   const double intrinsic_fs = device.rs_ohm * device.cp_ff;
   const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
   // The bounds at the candidate being swept: *bounds plus its floor.
   kernel::LabelBounds at{};
+  const bool cost_floor = bounds != nullptr && bounds->lambda > 0;
   if (bounds != nullptr) {
     at = *bounds;
     kernel::fill_lookahead_floor(ws, cost, options.allowed_buffers,
-                                 driver_rs_over_w, intrinsic_fs);
+                                 driver_rs_over_w, intrinsic_fs, 1.0, nullptr,
+                                 ws.floor_d0, ws.floor_rmin, ws.floor_group);
+  }
+  if (cost_floor) {
+    kernel::fill_lookahead_floor(
+        ws, cost, options.allowed_buffers, driver_rs_over_w, intrinsic_fs,
+        bounds->lambda, ws.lib_cost.data(), ws.cost_floor_v0,
+        ws.cost_floor_rmin, ws.cost_floor_group);
   }
 
   ChainFrontier* front = &ws.chain_front;
@@ -229,6 +248,12 @@ const ChainFrontier& sweep_chain(const net::Net& net,
       at.pass_floor_fs = ws.floor_d0[ci];
       at.pass_floor_ohm = ws.floor_rmin[ci];
       at.group_floor_fs = ws.floor_group.data() + ws.floor_group_at[ci];
+      if (cost_floor) {
+        at.pass_cost_floor = ws.cost_floor_v0[ci];
+        at.pass_cost_per_ff = at.lambda * ws.cost_floor_rmin[ci];
+        at.group_cost_floor =
+            ws.cost_floor_group.data() + ws.floor_group_at[ci];
+      }
       stats.labels_pruned +=
           kernel::retain_admitted(*front, at, *order, ws.order_map);
     }
@@ -537,13 +562,67 @@ ChainDpResult run_chain_dp_bounded(const net::Net& net,
                                    const RepeaterLibrary& library,
                                    const std::vector<double>& candidates_um,
                                    const ChainDpOptions& options,
-                                   double incumbent_cost, Workspace& ws) {
+                                   double incumbent_cost, Workspace& ws,
+                                   double lambda) {
   RIP_REQUIRE(options.mode == Mode::kMinPower,
               "the bounded chain DP is kMinPower only");
-  const kernel::LabelBounds bounds{options.timing_target_fs,
-                                   options.slack_tolerance_fs, incumbent_cost};
+  RIP_REQUIRE(std::isfinite(lambda) && lambda >= 0,
+              "the delay price must be finite and non-negative");
+  kernel::LabelBounds bounds{options.timing_target_fs,
+                             options.slack_tolerance_fs, incumbent_cost};
+  // lambda prices delay in repeater width; the cost floor prices it in
+  // the objective's cost, which charges width_weight per unit of width.
+  bounds.price_delay(lambda * resolve_cost(net, options).width_weight);
   return solve_and_select(net, device, library, candidates_um, options,
                           &bounds, ws);
+}
+
+LabelingScore score_labeling(const net::Net& net,
+                             const tech::RepeaterDevice& device,
+                             const RepeaterLibrary& library,
+                             const std::vector<double>& candidates_um,
+                             const ChainDpOptions& options,
+                             const std::vector<std::int16_t>& buffer_at,
+                             Workspace& ws) {
+  RIP_REQUIRE(options.mode == Mode::kMinPower,
+              "labelings are scored in kMinPower mode only");
+  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
+  RIP_REQUIRE(buffer_at.size() == candidates_um.size(),
+              "a labeling names one buffer, or -1, per candidate");
+  const tech::ChainCost cost = resolve_cost(net, options);
+  fill_sweep_terms(net, device, library, candidates_um, cost, ws);
+  const double intrinsic_fs = device.rs_ohm * device.cp_ff;
+  const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
+
+  // sweep_chain's seed, and its steps for this one label: the wire map of
+  // propagate_frontier, expand_candidate's repeater expression, and the
+  // driver gate.
+  double cap = device.co_ff * net.receiver_width_u();
+  double q = kernel::seed_q_fs(cost);
+  double w = 0.0;
+  const auto cross = [&](const WireAffine& wire) {
+    if (wire.r_tot == 0 && wire.c_tot == 0) return;
+    q -= wire.r_tot * cap + wire.k;
+    cap += wire.c_tot;
+  };
+  for (std::size_t ci = candidates_um.size(); ci-- > 0;) {
+    cross(ws.wire[ci + 1]);
+    const std::int16_t b = buffer_at[ci];
+    if (b < 0) continue;
+    const std::vector<std::int16_t>& allowed =
+        kernel::allowed_at(cost, options.allowed_buffers, ws, ci);
+    RIP_REQUIRE(std::binary_search(allowed.begin(), allowed.end(), b),
+                "the labeling inserts a width its candidate does not allow");
+    const auto bi = static_cast<std::size_t>(b);
+    q = q - (intrinsic_fs + ws.lib_rs_over_w[bi] * cap);
+    w = w + ws.lib_cost[bi];
+    cap = ws.lib_load_ff[bi];
+  }
+  cross(ws.wire[0]);
+  q = q - (intrinsic_fs + driver_rs_over_w * cap);
+  const bool feasible = kernel::meets_target(q, options.timing_target_fs,
+                                             options.slack_tolerance_fs);
+  return {feasible ? w : std::numeric_limits<double>::infinity(), q};
 }
 
 ChainFrontierSolve solve_chain_frontier(

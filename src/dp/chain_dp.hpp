@@ -149,7 +149,14 @@ ChainDpResult run_chain_dp(const net::Net& net,
 /// only, uncached) minus every label that can no longer meet the target,
 /// even on the fastest path to the driver it could still get (a lookahead
 /// floor from one driver-to-receiver sweep), or already costs more than
-/// `incumbent_cost` (kernel::LabelBounds).
+/// `incumbent_cost`, or whose cost plus the least price of any
+/// completion (its cost + lambda' * its delay, a Lagrangian floor from the
+/// same sweep), less lambda' * (its slack + the target), exceeds
+/// `incumbent_cost` (kernel::LabelBounds). `lambda` is the price of a
+/// femtosecond in repeater width, finite and >= 0, as REFINE's multiplier
+/// is (RIP passes that one); lambda' is it in the objective's cost,
+/// lambda times the backend's width weight. Any such price keeps the
+/// answer, and 0 applies no cost floor.
 /// If the unbounded optimum meets the target at a cost <= incumbent_cost,
 /// status, solution, delay, width and cost are bit-identical to it;
 /// otherwise the status is kInfeasible (with an empty min_delay_solution
@@ -161,7 +168,33 @@ ChainDpResult run_chain_dp_bounded(const net::Net& net,
                                    const RepeaterLibrary& library,
                                    const std::vector<double>& candidates_um,
                                    const ChainDpOptions& options,
-                                   double incumbent_cost, Workspace& ws);
+                                   double incumbent_cost, Workspace& ws,
+                                   double lambda = 0);
+
+/// The label the chain sweep builds for one labeling, at the driver.
+struct LabelingScore {
+  /// Objective cost; +inf when the labeling misses the target.
+  double objective_cost;
+  /// Target-relative final slack, driver gate applied: the labeling's
+  /// delay is -slack_fs.
+  double slack_fs;
+};
+
+/// Score a labeling of (library, candidates_um) — `buffer_at[i]` is the
+/// library index inserted at candidate i, or -1 for none, and must be in
+/// the candidate's allowed list — with the kMinPower sweep's own label
+/// arithmetic: the same wire maps, expansion expression, driver gate and
+/// feasibility test, so the result is bit for bit the label the sweep
+/// builds for that labeling. A feasible labeling's cost is therefore an
+/// incumbent the DP's optimum never exceeds, with no rounding margin.
+/// Uses `ws`'s library and wire terms as scratch.
+LabelingScore score_labeling(const net::Net& net,
+                             const tech::RepeaterDevice& device,
+                             const RepeaterLibrary& library,
+                             const std::vector<double>& candidates_um,
+                             const ChainDpOptions& options,
+                             const std::vector<std::int16_t>& buffer_at,
+                             Workspace& ws);
 
 // ---------------------------------------------------------------------------
 // Target-independent frontier solves (the solve-cache substrate)

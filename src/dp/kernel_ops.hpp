@@ -82,10 +82,11 @@ inline constexpr double kFloorMargin = 1e-9;
 
 /// The exact branch-and-bound cuts of RIP's stage 3
 /// (dp::run_chain_dp_bounded): a label is admitted while it can still
-/// meet the target, its cost does not exceed the incumbent (stage 1's
-/// cost, which a kept stage-3 answer must not exceed), and its slack
-/// minus its lookahead floor can still meet the target. The first two
-/// are exact:
+/// meet the target, its cost does not exceed the incumbent (the cost of a
+/// known feasible answer, which a kept stage-3 answer must not exceed),
+/// its slack minus its lookahead floor can still meet the target, and its
+/// cost plus its Lagrangian cost floor does not exceed the incumbent. The
+/// first two are exact:
 ///  - all terms are nonnegative (wire R, C and K, load times driving
 ///    resistance, intrinsic delay, cost coefficients): the Technology, Net
 ///    and RepeaterLibrary constructors and checked_chain_cost reject
@@ -96,21 +97,45 @@ inline constexpr double kFloorMargin = 1e-9;
 ///    bounded sweep keeps exactly the unbounded sweep's admitted labels
 ///    and selects the same answer whenever that answer is admitted.
 /// The lookahead cut is exact too:
-///  - the floor (fill_lookahead_floor) is, in exact arithmetic, a lower
-///    bound on the delay that every completion of the label adds between
-///    the driver and the label, and the cut's margin (kFloorMargin)
-///    exceeds the rounding of both the floor and q, so a cut label has no
-///    completion that final selection would accept;
+///  - the floor (fill_lookahead_floor at weight 1 and zero costs) is, in
+///    exact arithmetic, a lower bound on the delay that every completion
+///    of the label adds between the driver and the label, and the cut's
+///    margin (kFloorMargin) exceeds the rounding of both the floor and q,
+///    so a cut label has no completion that final selection would accept;
 ///  - a label with no feasible completion can neither be selected nor
 ///    dominate a label that has one: whatever dominates a label gets, by
 ///    monotone rounding, at least its slack under every completion;
 ///  - so the labels with a feasible completion, and the answer chosen
 ///    among them, are the unbounded sweep's, bit for bit.
+/// So is the cost floor, at any price lambda >= 0 of a femtosecond in cost:
+///  - take a label (C, q, cost) and a completion of it from the driver,
+///    with resistance R from the last gate upstream to the label, delay t
+///    into the label at no load, and cost c. If the completion meets the
+///    target, t + R*C - q <= target + tolerance, so its total cost
+///    cost + c is at least cost + (c + lambda*(t + R*C))
+///    - lambda*(q + target + tolerance);
+///  - the floor (fill_lookahead_floor at weight lambda and the cost table)
+///    is, in exact arithmetic, the least c + lambda*(t + R*C) over every
+///    completion of a repeater label, and at most it for a pass-through
+///    label (V0 + lambda*Rmin*C: V0 and Rmin are separate minima);
+///  - where the cut decides, cost is at most the incumbent, lambda*|q| at
+///    most lambda*(target + tolerance), and the floor at most their sum
+///    (else the label has no completion within the incumbent), each a sum
+///    of at most a few hundred nonnegative terms. So every term lies
+///    within about 1e-13 * (incumbent + lambda*target) of its exact
+///    value, and the cut's margin, kFloorMargin times that, exceeds it by
+///    orders of magnitude: a cut label has no completion that final
+///    selection would accept at a cost <= the incumbent;
+///  - a label with no such completion can neither be selected nor
+///    dominate a label that has one (monotone rounding again: the
+///    dominating label's cost also stays within the incumbent), so the
+///    answer is the unbounded sweep's whenever it costs no more than the
+///    incumbent. lambda only decides how much is cut; at 0 nothing is.
 /// The floor fields describe the candidate being swept (the chain sweep
 /// sets them per candidate). A LabelBounds built from its first three
 /// fields has a zero floor, whose cut at a positive target (the margin
 /// widening the tolerance) is weaker than the slack cut: it applies no
-/// floor.
+/// floor, and no cost floor (cost_ceiling is +inf).
 struct LabelBounds {
   double target_fs;
   double slack_tolerance_fs;
@@ -120,17 +145,40 @@ struct LabelBounds {
   /// F of each allowed width at this candidate, parallel to the allowed
   /// list [fs]; nullptr = 0 for every group.
   const double* group_floor_fs = nullptr;
+  /// The cost floor's price of a femtosecond [cost/fs]; 0 = no cost floor.
+  double lambda = 0;
+  /// The cost floor's cut line: max_cost + lambda*(target + tolerance)
+  /// plus the margin kFloorMargin * (max_cost + lambda*target).
+  double cost_ceiling = std::numeric_limits<double>::infinity();
+  double pass_cost_floor = 0;   ///< V0 at this candidate [cost]
+  double pass_cost_per_ff = 0;  ///< lambda*Rmin at this candidate [cost/fF]
+  /// G of each allowed width at this candidate, parallel to the allowed
+  /// list [cost]; nullptr = 0 for every group.
+  const double* group_cost_floor = nullptr;
+
+  /// Price delay at `price` (>= 0, finite): set lambda and cost_ceiling.
+  void price_delay(double price) {
+    lambda = price;
+    cost_ceiling =
+        price == 0 ? std::numeric_limits<double>::infinity()
+                   : max_cost + price * (target_fs + slack_tolerance_fs) +
+                         kFloorMargin * (max_cost + price * target_fs);
+  }
 
   bool admits(double q_rel_fs, double cost) const {
     return meets_target(q_rel_fs, target_fs, slack_tolerance_fs) &&
            cost <= max_cost;
   }
-  /// admits(), and the lookahead cut of a label every completion of
-  /// which adds at least `floor_fs` of delay upstream.
-  bool admits(double q_rel_fs, double cost, double floor_fs) const {
+  /// admits(), the lookahead cut of a label every completion of which
+  /// adds at least `floor_fs` of delay upstream, and the cost floor's cut
+  /// of one every completion of which has c + lambda*(t + R*C) of at
+  /// least `floor_cost`.
+  bool admits(double q_rel_fs, double cost, double floor_fs,
+              double floor_cost) const {
     return admits(q_rel_fs, cost) &&
            meets_target(q_rel_fs - floor_fs, target_fs,
-                        slack_tolerance_fs + kFloorMargin * target_fs);
+                        slack_tolerance_fs + kFloorMargin * target_fs) &&
+           cost + floor_cost - lambda * q_rel_fs <= cost_ceiling;
   }
 };
 
@@ -148,9 +196,9 @@ inline void remap_order(std::vector<std::int32_t>& order,
 }
 
 /// Drop in place, in order, every pass-through label the bounds reject,
-/// the lookahead cut charging label (q, C) the floor D0 + Rmin * C;
-/// return how many. The frontier's width `order` is compacted along with
-/// it (`remap` is scratch).
+/// the lookahead cut charging label (q, C) the floor D0 + Rmin * C and
+/// the cost floor V0 + lambda*Rmin * C; return how many. The frontier's
+/// width `order` is compacted along with it (`remap` is scratch).
 inline std::size_t retain_admitted(ChainFrontier& front,
                                    const LabelBounds& bounds,
                                    std::vector<std::int32_t>& order,
@@ -161,7 +209,10 @@ inline std::size_t retain_admitted(ChainFrontier& front,
   for (std::size_t i = 0; i < n; ++i) {
     const double floor_fs =
         bounds.pass_floor_fs + bounds.pass_floor_ohm * front.cap_ff[i];
-    if (!bounds.admits(front.q_fs[i], front.width_u[i], floor_fs)) {
+    const double floor_cost =
+        bounds.pass_cost_floor + bounds.pass_cost_per_ff * front.cap_ff[i];
+    if (!bounds.admits(front.q_fs[i], front.width_u[i], floor_fs,
+                       floor_cost)) {
       remap[i] = -1;
       continue;
     }
@@ -263,84 +314,97 @@ inline const std::vector<std::int16_t>& allowed_at(
                                     : ws.all_buffers;
 }
 
-/// Append `p` to an (R, t) Pareto set built in R-ascending order, unless
-/// the last pair dominates it; a pair at the last pair's R and a lower t
-/// replaces it. So the set keeps t strictly falling.
+/// Append `p` to an (R, v) Pareto set built in R-ascending order, unless
+/// the last pair dominates it; a pair at the last pair's R and a lower v
+/// replaces it. So the set keeps v strictly falling.
 inline void pareto_push(std::vector<ForwardPair>& set, ForwardPair p) {
-  if (!set.empty() && p.t_fs >= set.back().t_fs) return;
+  if (!set.empty() && p.v >= set.back().v) return;
   if (!set.empty() && p.r_ohm == set.back().r_ohm) set.pop_back();
   set.push_back(p);
 }
 
-/// The lookahead floor of RIP's stage 3 (LabelBounds), from one sweep
-/// driver to receiver over the chain sweep's candidates, allowed widths
-/// and wire maps (ws.wire, after fill_wire_affines). The sweep keeps the
-/// Pareto set of (R, t) pairs (ForwardPair), R ascending and t strictly
-/// falling:
-///  - the seed at the driver is (rs/w_d, rs*cp);
-///  - an interval maps t += R*C_tot + K, then R += R_tot (the backward
-///    map's K: sum r_k * (downstream caps + c_k/2) equals
+/// The floors of RIP's stage 3 (LabelBounds), from one sweep driver to
+/// receiver over the chain sweep's candidates, allowed widths and wire
+/// maps (ws.wire, after fill_wire_affines). A completion of a label is
+/// priced v = c + weight*t: its repeaters' cost c (width b costs
+/// width_cost[b]; nullptr = 0) plus `weight` times its delay t. The sweep
+/// keeps the Pareto set of (R, v) pairs (ForwardPair), R ascending and v
+/// strictly falling:
+///  - the seed at the driver is (rs/w_d, weight*rs*cp);
+///  - an interval maps v += weight*(R*C_tot + K), then R += R_tot (the
+///    backward map's K: sum r_k * (downstream caps + c_k/2) equals
 ///    sum c_k * (upstream resistances + r_k/2));
 ///  - width b at candidate i has F(i, b) = min over the set of
-///    t + R*co*w_b, the least delay from the driver into that repeater,
-///    and adds (rs/w_b, F(i, b) + rs*cp) to the set.
-/// Candidate i records F(i, b) for each allowed width, into floor_group,
-/// and D0(i) and Rmin(i), the least t and the least R of the set after
-/// its insertions. Every completion of a label of group b at i adds at
-/// least F(i, b) of delay upstream; every completion of a pass-through
-/// label with load C at i, with or without a repeater at i, adds at least
-/// D0(i) + Rmin(i)*C. Both maps are monotone, so dropping a dominated
-/// pair loses no minimum. Reads ws.lib_load_ff and ws.lib_rs_over_w.
+///    v + weight*(R*co*w_b), the least price into that repeater, and adds
+///    (rs/w_b, F(i, b) + weight*rs*cp + width_cost[b]) to the set.
+/// Candidate i records F(i, b) for each allowed width, into `group` from
+/// ws.floor_group_at[i], and the least v and the least R of the set after
+/// its insertions, into least[i] and rmin[i]. Every completion of a label
+/// of group b at i is priced at least F(i, b); every completion of a
+/// pass-through label with load C at i, with or without a repeater at i,
+/// at least least[i] + weight*rmin[i]*C. Both maps are monotone, so
+/// dropping a dominated pair loses no minimum. Reads ws.lib_load_ff and
+/// ws.lib_rs_over_w.
+///
+/// At weight 1 and zero costs, v is the delay: the lookahead floor D0,
+/// Rmin and F (ws.floor_d0, floor_rmin, floor_group), whose arithmetic
+/// that call keeps bit for bit (x*1.0 and x+0.0 are exact). At weight
+/// lambda and the cost table it is the Lagrangian cost floor V0, Rmin and
+/// G (ws.cost_floor_*). Both calls write the same ws.floor_group_at.
 inline void fill_lookahead_floor(
     Workspace& ws, const tech::ChainCost& cost,
     const std::vector<std::vector<std::int16_t>>* allowed_buffers,
-    double driver_rs_over_w, double intrinsic_fs) {
+    double driver_rs_over_w, double intrinsic_fs, double weight,
+    const double* width_cost, std::vector<double>& least,
+    std::vector<double>& rmin, std::vector<double>& group) {
   const std::size_t n = ws.wire.size() - 1;
-  ws.floor_d0.resize(n);
-  ws.floor_rmin.resize(n);
+  least.resize(n);
+  rmin.resize(n);
   ws.floor_group_at.resize(n);
-  ws.floor_group.clear();
+  group.clear();
   // The set and its scratch ping-pong through local pointers, so each
   // buffer serves the same steps on every solve of the same shape.
   std::vector<ForwardPair>* set = &ws.fwd;
   std::vector<ForwardPair>* next = &ws.fwd_next;
-  set->assign(1, ForwardPair{driver_rs_over_w, intrinsic_fs});
+  const double gate_v = weight * intrinsic_fs;
+  set->assign(1, ForwardPair{driver_rs_over_w, gate_v});
   for (std::size_t i = 0; i < n; ++i) {
-    // Cross the interval. R keeps its order; t may lose its own, and
+    // Cross the interval. R keeps its order; v may lose its own, and
     // what that leaves dominated is dropped.
     const WireAffine& wire = ws.wire[i];
     next->clear();
     for (const ForwardPair& p : *set) {
       pareto_push(*next, {p.r_ohm + wire.r_tot,
-                          p.t_fs + (p.r_ohm * wire.c_tot + wire.k)});
+                          p.v + weight * (p.r_ohm * wire.c_tot + wire.k)});
     }
     std::swap(set, next);
 
     const std::vector<std::int16_t>& allowed =
         allowed_at(cost, allowed_buffers, ws, i);
-    ws.floor_group_at[i] = ws.floor_group.size();
+    ws.floor_group_at[i] = group.size();
     for (const std::int16_t b : allowed) {
       const double load = ws.lib_load_ff[static_cast<std::size_t>(b)];
       double f = std::numeric_limits<double>::infinity();
       for (const ForwardPair& p : *set) {
-        f = std::min(f, p.t_fs + p.r_ohm * load);
+        f = std::min(f, p.v + weight * (p.r_ohm * load));
       }
-      ws.floor_group.push_back(f);
+      group.push_back(f);
     }
     if (!allowed.empty()) {
-      // Merge the new repeater pairs into the set in (R, t) ascending
+      // Merge the new repeater pairs into the set in (R, v) ascending
       // order. The allowed list ascends in width, so its R = rs/w_b
       // descends: walk it from the back.
-      const double* f = ws.floor_group.data() + ws.floor_group_at[i];
+      const double* f = group.data() + ws.floor_group_at[i];
       next->clear();
       std::size_t k = 0;
       for (std::size_t g = allowed.size(); g-- > 0;) {
+        const auto bi = static_cast<std::size_t>(allowed[g]);
         const ForwardPair fresh{
-            ws.lib_rs_over_w[static_cast<std::size_t>(allowed[g])],
-            f[g] + intrinsic_fs};
+            ws.lib_rs_over_w[bi],
+            (f[g] + gate_v) + (width_cost != nullptr ? width_cost[bi] : 0.0)};
         for (; k < set->size() && ((*set)[k].r_ohm < fresh.r_ohm ||
                                    ((*set)[k].r_ohm == fresh.r_ohm &&
-                                    (*set)[k].t_fs <= fresh.t_fs));
+                                    (*set)[k].v <= fresh.v));
              ++k) {
           pareto_push(*next, (*set)[k]);
         }
@@ -349,8 +413,8 @@ inline void fill_lookahead_floor(
       for (; k < set->size(); ++k) pareto_push(*next, (*set)[k]);
       std::swap(set, next);
     }
-    ws.floor_rmin[i] = set->front().r_ohm;
-    ws.floor_d0[i] = set->back().t_fs;
+    rmin[i] = set->front().r_ohm;
+    least[i] = set->back().v;
   }
 }
 
@@ -413,8 +477,12 @@ inline void fill_lookahead_floor(
 /// order. So which of two equal labels survives never depends on the
 /// rest of the group, nor on the order of labels inside a run. Delay
 /// mode (no width dimension) is expand_max_q and does not read `order`.
-/// `bounds` (power mode; nullptr = none) cut before the sweep, the
-/// lookahead cut charging group k the floor bounds->group_floor_fs[k].
+/// `bounds` (power mode; nullptr = none) admit labels, the lookahead cut
+/// charging group k the floor bounds->group_floor_fs[k] and the cost
+/// floor bounds->group_cost_floor[k]. At one cost (a run) and one group,
+/// every cut only admits more as q rises (IEEE arithmetic is monotone and
+/// lambda >= 0), so a run's best admitted label is its best label if that
+/// is admitted, and none otherwise: the bounds are tested once per run.
 inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
                              const std::vector<std::int32_t>& order,
                              const std::vector<std::int16_t>& allowed,
@@ -450,8 +518,14 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
         bounds != nullptr && bounds->group_floor_fs != nullptr
             ? bounds->group_floor_fs[g]
             : 0.0;
-    // The run's best is selected without branches: which label wins is
-    // data-dependent, so a branch there would mispredict often.
+    const double floor_cost =
+        bounds != nullptr && bounds->group_cost_floor != nullptr
+            ? bounds->group_cost_floor[g]
+            : 0.0;
+    // The run's best is selected without a branch on the larger q (a
+    // max): which label wins is data-dependent, so a branch there would
+    // mispredict often. Only an exact tie, which the lower index wins,
+    // branches; it is rare.
     const std::size_t first = ws.expanded.size();
     constexpr std::int32_t kNone = std::numeric_limits<std::int32_t>::max();
     bool any = false;  // a narrower run has survived
@@ -464,12 +538,18 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
       do {
         const std::int32_t i = ord[k];
         const double up_q = q[i] - (intrinsic_fs + rs_over_w * cap[i]);
-        const bool take =
-            (bounds == nullptr || bounds->admits(up_q, run_w, floor_fs)) &
-            ((up_q > run_q) | ((up_q == run_q) & (i < run_i)));
-        run_q = take ? up_q : run_q;
-        run_i = take ? i : run_i;
+        if ((up_q == run_q) & (i < run_i)) {
+          run_q = up_q;
+          run_i = i;
+        } else {
+          run_i = up_q > run_q ? i : run_i;
+          run_q = up_q > run_q ? up_q : run_q;
+        }
       } while (++k < fn && w[ord[k]] + wb == run_w);
+      if (bounds != nullptr &&
+          !bounds->admits(run_q, run_w, floor_fs, floor_cost)) {
+        continue;
+      }
       if (run_i != kNone && (!any || run_q > top_q)) {
         any = true;
         top_q = run_q;

@@ -96,11 +96,13 @@ struct WireAffine {
   double k = 0;      ///< label-independent Elmore term [fs]
 };
 
-/// A point of the lookahead floor's forward sweep: R, the resistance from
-/// the driving gate to here, and t, the delay so far with no load here.
+/// A point of the stage-3 floors' forward sweep
+/// (kernel::fill_lookahead_floor): R, the resistance from the driving gate
+/// to here, and v, the price so far with no load here: the delay itself
+/// for the lookahead floor, cost + lambda * delay for the cost floor.
 struct ForwardPair {
   double r_ohm;
-  double t_fs;
+  double v;
 };
 
 /// A group survivor after the within-group dominance filter, tagged
@@ -182,12 +184,17 @@ class Workspace {
 
   // ---- RIP's stage 3: the lookahead floor (kernel::fill_lookahead_floor).
   // Per candidate i, floor_d0[i] and floor_rmin[i]; per allowed width k
-  // of candidate i, floor_group[floor_group_at[i] + k]. The forward
-  // sweep's Pareto set double-buffers through fwd and fwd_next.
+  // of candidate i, floor_group[floor_group_at[i] + k]. The Lagrangian
+  // cost floor, from the same sweep at the delay price: cost_floor_v0[i],
+  // cost_floor_rmin[i] and cost_floor_group[floor_group_at[i] + k]. The
+  // forward sweep's Pareto set double-buffers through fwd and fwd_next.
   std::vector<double> floor_d0;
   std::vector<double> floor_rmin;
   std::vector<double> floor_group;
   std::vector<std::size_t> floor_group_at;
+  std::vector<double> cost_floor_v0;
+  std::vector<double> cost_floor_rmin;
+  std::vector<double> cost_floor_group;
   std::vector<ForwardPair> fwd;
   std::vector<ForwardPair> fwd_next;
 

@@ -47,9 +47,10 @@ struct Checkpoint {
 std::uint64_t parse_u64(std::string_view s, const std::string& context) {
   std::uint64_t v = 0;
   const auto res = std::from_chars(s.data(), s.data() + s.size(), v);
-  RIP_REQUIRE(res.ec == std::errc() && res.ptr == s.data() + s.size(),
-              context + ": malformed unsigned integer '" + std::string(s) +
-                  "'");
+  if (res.ec != std::errc() || res.ptr != s.data() + s.size()) {
+    throw Error(context + ": malformed unsigned integer '" + std::string(s) +
+                "'");
+  }
   return v;
 }
 
@@ -73,31 +74,38 @@ std::string crc32_hex(std::uint32_t crc) {
 }
 
 /// Parse and verify a checkpoint file: `ripckpt 2` with a CRC trailer.
-/// Throws rip::Error on anything unreadable, malformed, or
-/// CRC-corrupt — the caller decides whether that is fatal or a
-/// degradation to the `.prev` checkpoint.
+/// Throws rip::Error, with a message for the user (no source location),
+/// on anything unreadable, malformed, or CRC-corrupt — the caller
+/// decides whether that is fatal or a degradation to the `.prev`
+/// checkpoint.
 Checkpoint read_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  RIP_REQUIRE(in.good(), "cannot open checkpoint file: " + path);
+  if (!in.good()) throw Error("cannot open checkpoint file: " + path);
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string content = buffer.str();
 
   const std::size_t eol = content.find('\n');
-  RIP_REQUIRE(eol != std::string::npos, path + ": truncated checkpoint file");
-  RIP_REQUIRE(trim(content.substr(0, eol)) == kCheckpointMagic,
-              path + ": not a ripckpt 2 checkpoint file");
+  if (eol == std::string::npos) {
+    throw Error(path + ": truncated checkpoint file");
+  }
+  if (trim(content.substr(0, eol)) != kCheckpointMagic) {
+    throw Error(path + ": not a ripckpt 2 checkpoint file");
+  }
 
   // The last line must be `crc32 <hex>` and it must verify over every
   // preceding byte — a torn temp file or a bit flip fails here.
   const std::size_t crc_pos = content.rfind("crc32 ");
-  RIP_REQUIRE(crc_pos != std::string::npos && crc_pos > 0 &&
-                  content[crc_pos - 1] == '\n',
-              path + ": checkpoint is missing its crc32 trailer");
+  if (crc_pos == std::string::npos || crc_pos == 0 ||
+      content[crc_pos - 1] != '\n') {
+    throw Error(path + ": checkpoint is missing its crc32 trailer");
+  }
   const std::string stored = trim(content.substr(crc_pos + 6));
   const std::string computed = crc32_hex(crc32(content.data(), crc_pos));
-  RIP_REQUIRE(stored == computed, path + ": checkpoint CRC mismatch (stored " +
-                                      stored + ", computed " + computed + ")");
+  if (stored != computed) {
+    throw Error(path + ": checkpoint CRC mismatch (stored " + stored +
+                ", computed " + computed + ")");
+  }
   const std::string body = content.substr(0, crc_pos);
 
   Checkpoint ck;
@@ -110,8 +118,9 @@ Checkpoint read_checkpoint(const std::string& path) {
   while (std::getline(lines, line)) {
     split_ws(line, tokens);
     if (tokens.empty() || tokens[0].front() == '#') continue;
-    RIP_REQUIRE(tokens.size() == 2,
-                path + ": malformed checkpoint line '" + trim(line) + "'");
+    if (tokens.size() != 2) {
+      throw Error(path + ": malformed checkpoint line '" + trim(line) + "'");
+    }
     const std::string context = path + " " + std::string(tokens[0]);
     if (tokens[0] == "input_bytes") {
       ck.input_bytes = parse_u64(tokens[1], context);
@@ -134,8 +143,9 @@ Checkpoint read_checkpoint(const std::string& path) {
                   "'");
     }
   }
-  RIP_REQUIRE(have_input_bytes && have_offset && have_index && have_output,
-              path + ": checkpoint is missing required keys");
+  if (!(have_input_bytes && have_offset && have_index && have_output)) {
+    throw Error(path + ": checkpoint is missing required keys");
+  }
   return ck;
 }
 
@@ -199,7 +209,7 @@ void write_checkpoint(const std::string& path, const Checkpoint& ck,
 std::uint64_t file_size_of(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  RIP_REQUIRE(!ec, "cannot stat " + path + ": " + ec.message());
+  if (ec) throw Error("cannot stat " + path + ": " + ec.message());
   return static_cast<std::uint64_t>(size);
 }
 
@@ -315,23 +325,29 @@ StreamResult run_stream(const tech::Technology& tech,
     }
   }
   if (ck.has_value()) {
-    RIP_REQUIRE(ck->input_bytes == input_bytes,
-                "checkpoint " + options.checkpoint_path + " was taken on a " +
-                    std::to_string(ck->input_bytes) + "-byte input, but " +
-                    input_path + " is " + std::to_string(input_bytes) +
-                    " bytes");
-    RIP_REQUIRE(std::filesystem::exists(output_path),
-                "resume: output file " + output_path + " does not exist");
+    // User-facing refusals: typed errors without a source location.
+    if (ck->input_bytes != input_bytes) {
+      throw Error("checkpoint " + options.checkpoint_path + " was taken on a " +
+                  std::to_string(ck->input_bytes) + "-byte input, but " +
+                  input_path + " is " + std::to_string(input_bytes) +
+                  " bytes");
+    }
+    if (!std::filesystem::exists(output_path)) {
+      throw Error("resume: output file " + output_path + " does not exist");
+    }
     const std::uint64_t have = file_size_of(output_path);
-    RIP_REQUIRE(have >= ck->output_bytes,
-                "resume: output file " + output_path + " (" +
-                    std::to_string(have) + " bytes) is shorter than the "
-                    "checkpoint's " + std::to_string(ck->output_bytes) +
-                    " bytes — wrong file?");
+    if (have < ck->output_bytes) {
+      throw Error("resume: output file " + output_path + " (" +
+                  std::to_string(have) + " bytes) is shorter than the "
+                  "checkpoint's " + std::to_string(ck->output_bytes) +
+                  " bytes — wrong file?");
+    }
     std::error_code ec;
     std::filesystem::resize_file(output_path, ck->output_bytes, ec);
-    RIP_REQUIRE(!ec, "resume: cannot truncate " + output_path + ": " +
-                         ec.message());
+    if (ec) {
+      throw Error("resume: cannot truncate " + output_path + ": " +
+                  ec.message());
+    }
     reader.seek(ck->input_offset, ck->next_index);
     result.resumed_from = ck->next_index;
     output_bytes = ck->output_bytes;
@@ -359,8 +375,10 @@ StreamResult run_stream(const tech::Technology& tech,
         file_size_of(options.errors_path) >= ck->errors_bytes) {
       std::error_code ec;
       std::filesystem::resize_file(options.errors_path, ck->errors_bytes, ec);
-      RIP_REQUIRE(!ec, "resume: cannot truncate " + options.errors_path +
-                           ": " + ec.message());
+      if (ec) {
+        throw Error("resume: cannot truncate " + options.errors_path + ": " +
+                    ec.message());
+      }
       errors_bytes = ck->errors_bytes;
       err_fresh = false;
     }

@@ -43,10 +43,9 @@ std::vector<double> window_candidates(const Net& net,
     }
   }
   std::sort(out.begin(), out.end());
-  constexpr double kDedupTolUm = 1e-6;
   out.erase(std::unique(out.begin(), out.end(),
                         [](double a, double b) {
-                          return std::abs(a - b) < kDedupTolUm;
+                          return std::abs(a - b) < kWindowDedupTolUm;
                         }),
             out.end());
   return out;

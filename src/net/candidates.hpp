@@ -27,11 +27,15 @@ inline constexpr std::size_t kMaxCandidates = 32767;
 /// kMaxCandidates or is not finite (segment lengths that sum to inf).
 std::vector<double> uniform_candidates(const Net& net, double pitch_um);
 
+/// Positions closer than this are one window candidate [um].
+inline constexpr double kWindowDedupTolUm = 1e-6;
+
 /// For each center c, the positions c + j * pitch for j in
 /// [-half_window, +half_window], clipped to (0, L), excluding forbidden
-/// zones, merged over all centers, deduplicated (within 1e-6 um) and
-/// sorted ascending. This is the "locations derived by REFINE plus N
-/// locations before and after" set of RIP's final stage.
+/// zones, merged over all centers, deduplicated (within
+/// kWindowDedupTolUm) and sorted ascending. This is the "locations
+/// derived by REFINE plus N locations before and after" set of RIP's
+/// final stage.
 std::vector<double> window_candidates(const Net& net,
                                       const std::vector<double>& centers_um,
                                       int half_window, double pitch_um);

@@ -33,6 +33,9 @@ bool has_space(const std::string& name) {
   return std::any_of(name.begin(), name.end(), is_space);
 }
 
+constexpr const char* kNameTooLong = "net name longer than 65535 bytes";
+constexpr const char* kLayerTooLong = "layer name longer than 65535 bytes";
+
 struct RawRecord {
   std::string name;
   double driver_width_u = 0;
@@ -69,6 +72,7 @@ NetlistRecord finish_record(RawRecord&& raw, const std::string& label,
   };
   if (raw.name.empty()) fail("record has an empty net name");
   if (has_space(raw.name)) fail("net name contains whitespace");
+  if (raw.name.size() > kMaxNetlistNameBytes) fail(kNameTooLong);
   check(raw.driver_width_u, "driver width");
   check(raw.receiver_width_u, "receiver width");
   if (!std::isfinite(raw.tau_t_fs) || raw.tau_t_fs < 0) {
@@ -87,6 +91,9 @@ NetlistRecord finish_record(RawRecord&& raw, const std::string& label,
     check(s.c_ff_per_um, "capacitance (c_ff_per_um)", at);
     if (has_space(s.layer)) {
       fail("segment " + std::to_string(i) + " layer contains whitespace");
+    }
+    if (s.layer.size() > kMaxNetlistNameBytes) {
+      fail("segment " + std::to_string(i) + " " + kLayerTooLong);
     }
   }
   for (const ForbiddenZone& z : raw.zones) {
@@ -335,37 +342,90 @@ void NetlistReader::seek(std::uint64_t offset, std::uint64_t record_index) {
     reject("cannot seek to checkpoint offset");
   }
   if (offset < file_size) {
-    // Boundary probe (position restored below). Binary: the next four
-    // bytes must be a plausible length prefix whose payload fits the
-    // file. Text: the next non-blank, non-comment line must open a
-    // record.
-    if (format_ == NetlistFormat::kBinary) {
-      char prefix[4];
-      is_->read(prefix, 4);
-      bool plausible = is_->gcount() == 4;
-      if (plausible) {
-        const std::uint32_t payload_bytes = get_u32(prefix);
-        plausible = payload_bytes > 0 &&
-                    payload_bytes <= kMaxNetlistRecordBytes &&
-                    offset + 4 + payload_bytes <= file_size;
-      }
-      if (!plausible) reject("does not address a record boundary");
-    } else {
-      bool at_boundary = true;
-      while (std::getline(*is_, line_)) {
-        split_ws(line_, tokens_);
-        if (tokens_.empty() || tokens_[0].front() == '#') continue;
-        at_boundary = tokens_[0] == "net";
-        break;
-      }
-      if (!at_boundary) reject("does not address a record boundary");
-    }
+    // Boundary probe (position restored below): every boundary the
+    // reader reports must pass, whatever record follows it, damaged or
+    // not.
+    const bool boundary = format_ == NetlistFormat::kBinary
+                              ? on_binary_boundary(offset, file_size)
+                              : follows_record_end(offset);
+    if (!boundary) reject("does not address a record boundary");
     is_->clear();
     is_->seekg(static_cast<std::streamoff>(offset));
     if (!is_->good()) reject("cannot seek to checkpoint offset");
   }
   offset_ = offset;
   index_ = record_index;
+}
+
+bool NetlistReader::on_binary_boundary(std::uint64_t offset,
+                                       std::uint64_t file_size) {
+  // The payload length of a plausible length prefix at `at`: nonzero,
+  // within the limit, its payload inside the file. The reader consumes
+  // exactly such records and stops for good at any other.
+  const auto payload_at =
+      [&](std::uint64_t at) -> std::optional<std::uint64_t> {
+    char prefix[4];
+    is_->clear();
+    is_->seekg(static_cast<std::streamoff>(at));
+    is_->read(prefix, 4);
+    if (is_->gcount() != 4) return std::nullopt;
+    const std::uint32_t payload_bytes = get_u32(prefix);
+    if (payload_bytes == 0 || payload_bytes > kMaxNetlistRecordBytes ||
+        at + 4 + payload_bytes > file_size) {
+      return std::nullopt;
+    }
+    return payload_bytes;
+  };
+  // A plausible prefix at the offset is the cheap case. Behind a damaged
+  // one (an uninterrupted read fails there too), walk the prefixes from
+  // the header: the offset is a boundary iff the walk lands on it.
+  if (payload_at(offset)) return true;
+  std::uint64_t at = header_end_;
+  while (at < offset) {
+    const auto payload_bytes = payload_at(at);
+    if (!payload_bytes) return false;
+    at += 4 + *payload_bytes;
+  }
+  return at == offset;
+}
+
+bool NetlistReader::follows_record_end(std::uint64_t offset) {
+  // Scan back from the offset block by block, collecting each line last
+  // byte first, until a line decides.
+  const auto decides = [&](std::string& reversed) -> std::optional<bool> {
+    line_.assign(reversed.rbegin(), reversed.rend());
+    reversed.clear();
+    split_ws(line_, tokens_);
+    if (tokens_.empty() || tokens_[0].front() == '#') return std::nullopt;
+    return tokens_[0] == "end";
+  };
+  std::string reversed;
+  char block[4096];
+  bool at_line_start = offset == header_end_;
+  for (std::uint64_t end = offset; end > header_end_;) {
+    const std::uint64_t begin =
+        end - std::min<std::uint64_t>(end - header_end_, sizeof block);
+    is_->clear();
+    is_->seekg(static_cast<std::streamoff>(begin));
+    is_->read(block, static_cast<std::streamsize>(end - begin));
+    if (is_->gcount() != static_cast<std::streamsize>(end - begin)) {
+      return false;
+    }
+    for (std::uint64_t k = end - begin; k-- > 0;) {
+      if (!at_line_start) {
+        if (block[k] != '\n') return false;  // mid-line
+        at_line_start = true;
+      } else if (block[k] != '\n') {
+        reversed.push_back(block[k]);
+      } else if (const auto verdict = decides(reversed)) {
+        return *verdict;
+      }
+    }
+    end = begin;
+  }
+  // At the header: the first line after it decides, and if it is blank
+  // or a comment, nothing but the header precedes the offset.
+  return decides(reversed).value_or(true);
 }
 
 std::optional<NetlistRecord> NetlistReader::next() {
@@ -645,8 +705,10 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
     fail("timing target must be finite and >= 0 (0 = unset)");
   }
   if (has_space(net.name())) fail("net name contains whitespace");
+  if (net.name().size() > kMaxNetlistNameBytes) fail(kNameTooLong);
   for (const auto& s : net.segments()) {
     if (has_space(s.layer)) fail("layer name contains whitespace");
+    if (s.layer.size() > kMaxNetlistNameBytes) fail(kLayerTooLong);
   }
   if (format_ == NetlistFormat::kText) {
     *os_ << "net " << net.name() << "\n";
@@ -671,7 +733,6 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
   } else {
     std::string payload;
     payload.reserve(128 + net.segments().size() * 40);
-    if (net.name().size() > 0xffff) fail("net name longer than 65535 bytes");
     put_u16(payload, static_cast<std::uint16_t>(net.name().size()));
     payload += net.name();
     put_f64(payload, net.driver_width_u());
@@ -682,7 +743,6 @@ void NetlistWriter::add(const Net& net, double tau_t_fs) {
       put_f64(payload, s.length_um);
       put_f64(payload, s.r_ohm_per_um);
       put_f64(payload, s.c_ff_per_um);
-      if (s.layer.size() > 0xffff) fail("layer name longer than 65535 bytes");
       put_u16(payload, static_cast<std::uint16_t>(s.layer.size()));
       payload += s.layer;
     }

@@ -96,6 +96,12 @@ enum class NetlistFormat { kText, kBinary };
 /// not OOM the reader.
 inline constexpr std::uint32_t kMaxNetlistRecordBytes = 1u << 20;
 
+/// Longest net or layer name either encoding carries (the binary
+/// encoding stores its length in 16 bits). The reader refuses a longer
+/// text name as a malformed record and the writer refuses to write one,
+/// so both encodings accept the same records.
+inline constexpr std::size_t kMaxNetlistNameBytes = 0xffff;
+
 /// Failure classes of the netlist layer, used by quarantine sidecars
 /// to label bad records.
 enum class NetlistErrorKind {
@@ -179,7 +185,9 @@ class NetlistReader {
   /// a record boundary of this same file: an offset past EOF, inside
   /// the header, or landing mid-record is rejected with a typed
   /// NetlistError up front (not as a confusing parse error on the next
-  /// read).
+  /// read). Every offset the reader reports is accepted, also one just
+  /// before a damaged record, which the resumed read then reports as
+  /// the uninterrupted read did.
   void seek(std::uint64_t offset, std::uint64_t record_index);
 
   NetlistFormat format() const { return format_; }
@@ -191,6 +199,13 @@ class NetlistReader {
   /// getline into line_, adding the bytes it consumed to `bytes`.
   bool read_line(std::uint64_t& bytes);
   void advance_boundary(std::uint64_t record_bytes);
+  /// seek()'s boundary probes; both move the stream. Binary: a
+  /// plausible length prefix starts at `offset`, or the chain of length
+  /// prefixes from the header lands on it. Text: `offset` starts a line,
+  /// and the last non-blank, non-comment line between the header and it
+  /// is an 'end' line, or there is none.
+  bool on_binary_boundary(std::uint64_t offset, std::uint64_t file_size);
+  bool follows_record_end(std::uint64_t offset);
   std::optional<NetlistRecord> next_text();
   std::optional<NetlistRecord> next_binary();
 

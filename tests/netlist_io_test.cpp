@@ -804,10 +804,11 @@ TEST(NetlistErrorFormat, HeaderAndRecordRenderings) {
 //     goes on after it;
 //   - every returned record, re-written in either encoding, reads back
 //     with identical value bits;
-//   - after every returned record, a fresh reader seek()ed to offset()
-//     and index() has the same next step (record, error or EOF) and
-//     ends it at the same offset, so the counted offsets are the
-//     stream's true record boundaries.
+//   - at the first boundary, and after every record returned or
+//     recoverably refused, seek() accepts offset() and index(), and a
+//     fresh reader seek()ed there has the same next step (record, error
+//     or EOF) and ends it at the same offset, so the counted offsets are
+//     the stream's true record boundaries, each a valid resume cut.
 
 /// One next() call: "eof", "record <bits>" or "error <what>", plus
 /// whether an error was recoverable.
@@ -860,42 +861,38 @@ void fuzz_read(const std::string& bytes, const std::string& where) {
   } catch (const NetlistError&) {
     return;  // header damage: typed, nothing more to read
   }
+  // The reader's first boundary, and then the one after every record it
+  // returned or recoverably refused: each is a checkpoint cut.
   std::optional<std::pair<std::uint64_t, std::uint64_t>> resume;
+  resume.emplace(reader->offset(), reader->index());
   for (int steps = 0; steps < 10000; ++steps) {
     const std::uint64_t index = reader->index();
     const ReadStep step = read_step(*reader);
     if (resume) {
       std::istringstream again(bytes);
       NetlistReader fresh(again, "fuzz");
-      bool seek_ok = true;
       try {
         fresh.seek(resume->first, resume->second);
-      } catch (const NetlistError&) {
-        seek_ok = false;  // a damaged record may not look like one
+      } catch (const NetlistError& e) {
+        ADD_FAILURE() << where << ": seek refused the boundary at offset "
+                      << resume->first << ": " << e.what();
+        return;
       }
-      if (seek_ok) {
-        const ReadStep resumed = read_step(fresh);
-        EXPECT_EQ(resumed.kind + " " + resumed.detail,
-                  step.kind + " " + step.detail)
-            << where << ", resumed at offset " << resume->first;
-        if (step.kind != "eof" && step.kind == resumed.kind) {
-          EXPECT_EQ(fresh.offset(), reader->offset()) << where;
-          EXPECT_EQ(fresh.index(), reader->index()) << where;
-        }
-      } else {
-        EXPECT_EQ(step.kind, "error")
-            << where << ": seek refused the boundary at offset "
-            << resume->first;
+      const ReadStep resumed = read_step(fresh);
+      EXPECT_EQ(resumed.kind + " " + resumed.detail,
+                step.kind + " " + step.detail)
+          << where << ", resumed at offset " << resume->first;
+      if (step.kind != "eof" && step.kind == resumed.kind) {
+        EXPECT_EQ(fresh.offset(), reader->offset()) << where;
+        EXPECT_EQ(fresh.index(), reader->index()) << where;
       }
       resume.reset();
     }
     if (step.kind == "eof") return;
     if (step.kind == "error" && !step.recoverable) return;
     EXPECT_EQ(reader->index(), index + 1) << where << ": " << step.detail;
-    if (step.kind == "record") {
-      expect_rewrites_exactly(*step.record, where);
-      resume.emplace(reader->offset(), reader->index());
-    }
+    if (step.kind == "record") expect_rewrites_exactly(*step.record, where);
+    resume.emplace(reader->offset(), reader->index());
   }
   ADD_FAILURE() << where << ": the reader never reached EOF";
 }
@@ -950,6 +947,74 @@ std::string fuzz_mutate(std::string bytes, Rng& rng) {
     }
   }
   return bytes;
+}
+
+// A binary name carries a 16-bit length and a text name none: the text
+// reader refuses a net or layer name above 65,535 bytes as a recoverable
+// malformed record, so both encodings accept the same records.
+TEST(NetlistRecoverableRead, OverlongTextNameIsMalformed) {
+  const std::string long_name(70000, 'n');
+  const std::string segment =
+      "segment len_um 1000 r_ohm_per_um 0.1 c_ff_per_um 0.2";
+  const std::string text =
+      "ripnetlist 1\n"
+      "net " + long_name + "\ndriver 120\nreceiver 60\n" + segment +
+      "\nend\n"
+      "net layered\ndriver 120\nreceiver 60\n" + segment + " layer " +
+      long_name + "\nend\n"
+      "net edge\ndriver 120\nreceiver 60\n" + segment + " layer " +
+      std::string(net::kMaxNetlistNameBytes, 'l') + "\nend\n";
+  std::istringstream is(text);
+  NetlistReader reader(is, "mem");
+  for (const char* want : {"net name longer than 65535 bytes",
+                           "layer name longer than 65535 bytes"}) {
+    try {
+      reader.next();
+      FAIL() << "accepted a name of 70000 bytes";
+    } catch (const NetlistError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+      EXPECT_TRUE(e.recoverable());
+    }
+  }
+  // A name at the limit reads, and writes in both encodings.
+  const auto edge = reader.next();
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->net.name(), "edge");
+  expect_rewrites_exactly(*edge, "layer at the name limit");
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+// A checkpoint cut just before a damaged record is a boundary the reader
+// itself reports, so seek must accept it: a resumed run then meets the
+// same error as the uninterrupted one. Here record 1 lost its 'net' line.
+TEST(NetlistSeek, AcceptsTheCutBeforeADamagedRecord) {
+  std::string text = write_all(random_records(3, 7), NetlistFormat::kText);
+  const std::size_t second = text.find("\nnet ", text.find("\nnet ") + 1);
+  ASSERT_NE(second, std::string::npos);
+  text.erase(second + 1, text.find('\n', second + 1) - second);
+
+  std::istringstream scan(text);
+  NetlistReader uninterrupted(scan, "mem");
+  ASSERT_TRUE(uninterrupted.next().has_value());
+  const std::uint64_t cut = uninterrupted.offset();
+  const ReadStep want = read_step(uninterrupted);
+  ASSERT_EQ(want.kind, "error");
+  ASSERT_TRUE(want.recoverable);
+
+  std::istringstream again(text);
+  NetlistReader resumed(again, "mem");
+  resumed.seek(cut, 1);
+  const ReadStep got = read_step(resumed);
+  EXPECT_EQ(got.kind + " " + got.detail, want.kind + " " + want.detail);
+  EXPECT_EQ(resumed.offset(), uninterrupted.offset());
+  // The cut after the damaged record is a boundary too.
+  std::istringstream third(text);
+  NetlistReader after(third, "mem");
+  after.seek(uninterrupted.offset(), 2);
+  const auto record = after.next();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record_bits(*record), record_bits(*uninterrupted.next()));
 }
 
 TEST(NetlistFuzz, MutatedInputsKeepTheReaderContract) {

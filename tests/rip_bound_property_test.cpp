@@ -6,9 +6,15 @@
 // the arbitration "keep stage 3 iff it is feasible and costs no more".
 // Kernel level: wherever the unbounded stage-3 optimum is feasible at a
 // cost within the incumbent, the bounded solve returns it bit for bit;
-// everywhere else the bounded solve reports kInfeasible.
+// everywhere else the bounded solve reports kInfeasible. That holds with
+// no cost floor (lambda = 0) and with the one RIP uses (REFINE's lambda).
+// The rounded REFINE answer (round_refine) is a labeling of the stage-3
+// search space whose score never undercuts the unbounded optimum, and
+// dp::score_labeling gives the optimum's own labeling its exact bits.
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -112,6 +118,7 @@ TEST_P(RipBoundSweep, BoundedStageThreeIsExact) {
   dp::Workspace ws;
   Rng rng(seed);
   int reached_stage3 = 0;
+  int rounded_feasible = 0;  // stage-3 runs with a feasible rounded answer
   for (int ni = 0; ni < kNetsPerSeed; ++ni) {
     const net::Net n = net::random_net(tech, net::RandomNetConfig{}, rng,
                                        "bnet_" + std::to_string(ni));
@@ -152,17 +159,70 @@ TEST_P(RipBoundSweep, BoundedStageThreeIsExact) {
       expect_same(got, want);
 
       // Kernel level: stage 1's incumbent, the unbounded optimum's own
-      // cost (the <= boundary), and just below it (nothing qualifies).
+      // cost (the <= boundary), and just below it (nothing qualifies),
+      // each without and with the cost floor at REFINE's lambda.
       std::vector<double> incumbents = {incumbent};
       if (unbounded.status == dp::Status::kOptimal) {
         incumbents.push_back(unbounded.objective_cost);
         incumbents.push_back(unbounded.objective_cost * 0.999);
       }
       for (const double inc : incumbents) {
-        expect_bounded_exact(
-            dp::run_chain_dp_bounded(n, device, fine.library,
-                                     fine.candidates_um, dp_options, inc, ws),
-            unbounded, inc);
+        for (const double lambda : {0.0, rip.refined.lambda}) {
+          SCOPED_TRACE("lambda " + std::to_string(lambda));
+          expect_bounded_exact(
+              dp::run_chain_dp_bounded(n, device, fine.library,
+                                       fine.candidates_um, dp_options, inc,
+                                       ws, lambda),
+              unbounded, inc);
+        }
+      }
+
+      // The rounded REFINE answer: one repeater at each REFINE position's
+      // candidate, at an allowed width, costing no less than the optimum.
+      const RoundedRefine rounded =
+          round_refine(n, device, fine, dp_options, ws);
+      if (!rounded.buffer_at.empty()) {
+        ASSERT_EQ(rounded.buffer_at.size(), fine.candidates_um.size());
+        std::size_t placed = 0;
+        for (std::size_t k = 0; k < rounded.buffer_at.size(); ++k) {
+          const std::int16_t b = rounded.buffer_at[k];
+          if (b < 0) continue;
+          ++placed;
+          EXPECT_TRUE(std::binary_search(fine.allowed[k].begin(),
+                                         fine.allowed[k].end(), b))
+              << "candidate " << k << " does not allow width " << b;
+        }
+        EXPECT_EQ(placed, rip.refined.positions_um.size());
+        const dp::LabelingScore again =
+            dp::score_labeling(n, device, fine.library, fine.candidates_um,
+                               dp_options, rounded.buffer_at, ws);
+        EXPECT_TRUE(same_bits(again.objective_cost, rounded.objective_cost));
+      }
+      if (std::isfinite(rounded.objective_cost)) {
+        ++rounded_feasible;
+        ASSERT_EQ(unbounded.status, dp::Status::kOptimal);
+        EXPECT_LE(unbounded.objective_cost, rounded.objective_cost);
+      }
+
+      // The scorer on the optimum's own labeling: its cost and slack bits.
+      if (unbounded.status == dp::Status::kOptimal) {
+        std::vector<std::int16_t> labeling(fine.candidates_um.size(), -1);
+        const auto& widths = fine.library.widths_u();
+        for (const net::Repeater& r : unbounded.solution.repeaters()) {
+          const auto at = std::find(fine.candidates_um.begin(),
+                                    fine.candidates_um.end(), r.position_um);
+          ASSERT_NE(at, fine.candidates_um.end());
+          const auto width = std::find(widths.begin(), widths.end(),
+                                       r.width_u);
+          ASSERT_NE(width, widths.end());
+          labeling[static_cast<std::size_t>(at - fine.candidates_um.begin())] =
+              static_cast<std::int16_t>(width - widths.begin());
+        }
+        const dp::LabelingScore score =
+            dp::score_labeling(n, device, fine.library, fine.candidates_um,
+                               dp_options, labeling, ws);
+        EXPECT_TRUE(same_bits(score.objective_cost, unbounded.objective_cost));
+        EXPECT_TRUE(same_bits(score.slack_fs, -unbounded.delay_fs));
       }
     }
   }
@@ -170,6 +230,7 @@ TEST_P(RipBoundSweep, BoundedStageThreeIsExact) {
   // every other backend must actually exercise the bounded stage 3.
   if (std::string(backend_name) != "lowswing") {
     EXPECT_GT(reached_stage3, kNetsPerSeed * kTargetsPerNet / 2);
+    EXPECT_GT(rounded_feasible, reached_stage3 * 9 / 10);
   }
 }
 

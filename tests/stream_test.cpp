@@ -431,6 +431,114 @@ TEST(StreamGuards, ResumeRejectsMismatchedInput) {
   std::filesystem::remove(ckpt);
 }
 
+// A checkpoint cut just before a damaged record resumes: the uninterrupted
+// run quarantines the record and goes on, and a run stopped at that cut
+// and resumed writes the same CSV and sidecar bytes. Record 1 of the text
+// file lost its 'net' line.
+TEST(StreamGuards, ResumesAtTheCutBeforeADamagedRecord) {
+  const Workload w = make_workload(3, 7);
+  const std::string input = temp_path("damaged.rnl");
+  write_workload(w, input, net::NetlistFormat::kText);
+  std::string text = slurp(input);
+  const std::size_t second = text.find("\nnet ", text.find("\nnet ") + 1);
+  ASSERT_NE(second, std::string::npos);
+  text.erase(second + 1, text.find('\n', second + 1) - second);
+  std::ofstream(input, std::ios::binary | std::ios::trunc) << text;
+
+  const std::string golden_csv = temp_path("damaged_golden.csv");
+  const std::string golden_errs = temp_path("damaged_golden_errors.csv");
+  eval::StreamOptions golden;
+  golden.errors_path = golden_errs;
+  const auto straight = eval::run_stream(tech180(), input, golden_csv, golden);
+  ASSERT_TRUE(straight.finished);
+  ASSERT_EQ(straight.rows_quarantined, 1u);
+
+  const std::string csv = temp_path("damaged.csv");
+  const std::string errs = temp_path("damaged_errors.csv");
+  const std::string ckpt = temp_path("damaged.ckpt");
+  std::filesystem::remove(ckpt);
+  eval::StreamOptions options;
+  options.errors_path = errs;
+  options.checkpoint_path = ckpt;
+  options.checkpoint_every = 1;
+  options.stop_after = 1;
+  ASSERT_FALSE(eval::run_stream(tech180(), input, csv, options).finished);
+  options.stop_after = 0;
+  options.resume = true;
+  const auto resumed = eval::run_stream(tech180(), input, csv, options);
+  EXPECT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.resumed_from, 1u);
+  EXPECT_EQ(slurp(csv), slurp(golden_csv));
+  EXPECT_EQ(slurp(errs), slurp(golden_errs));
+  for (const auto& path : {input, golden_csv, golden_errs, csv, errs, ckpt,
+                           ckpt + ".prev"}) {
+    std::filesystem::remove(path);
+  }
+}
+
+// What resume tells the user names no source location: a damaged
+// checkpoint (and its .prev) is reported as unusable and the stream
+// restarts from record 0, and an output shorter than the checkpoint says
+// is a plain error.
+TEST(StreamGuards, ResumeMessagesNameNoSourceLocation) {
+  const Workload w = make_workload(4, 23);
+  const std::string input = temp_path("messages.rnlb");
+  write_workload(w, input, net::NetlistFormat::kBinary);
+  const std::string golden_csv = temp_path("messages_golden.csv");
+  ASSERT_TRUE(eval::run_stream(tech180(), input, golden_csv, {}).finished);
+
+  const std::string csv = temp_path("messages.csv");
+  const std::string ckpt = temp_path("messages.ckpt");
+  std::filesystem::remove(ckpt);
+  eval::StreamOptions options;
+  options.checkpoint_path = ckpt;
+  options.checkpoint_every = 1;
+  options.stop_after = 3;
+  ASSERT_FALSE(eval::run_stream(tech180(), input, csv, options).finished);
+  const auto expect_plain = [](const std::string& message) {
+    EXPECT_EQ(message.find("precondition failed"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+  };
+
+  // Too short an output: a plain error.
+  const std::string saved = slurp(csv);
+  std::filesystem::resize_file(csv, 10);
+  options.stop_after = 0;
+  options.resume = true;
+  try {
+    eval::run_stream(tech180(), input, csv, options);
+    ADD_FAILURE() << "resumed onto an output shorter than the checkpoint";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("is shorter than the checkpoint"),
+              std::string::npos)
+        << e.what();
+    expect_plain(e.what());
+  }
+
+  // Both checkpoints damaged: reported as unusable, restart from 0.
+  std::ofstream(csv, std::ios::binary | std::ios::trunc) << saved;
+  for (const std::string& path : {ckpt, ckpt + ".prev"}) {
+    std::string bytes = slurp(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    bytes[bytes.find("next_index ") + 11] ^= 1;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  }
+  ::testing::internal::CaptureStderr();
+  const auto restarted = eval::run_stream(tech180(), input, csv, options);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(restarted.finished);
+  EXPECT_EQ(restarted.resumed_from, 0u);
+  EXPECT_NE(err.find("ignoring unusable checkpoint"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("checkpoint CRC mismatch"), std::string::npos) << err;
+  expect_plain(err);
+  EXPECT_EQ(slurp(csv), slurp(golden_csv));
+  for (const auto& path : {input, golden_csv, csv, ckpt, ckpt + ".prev"}) {
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(StreamGuards, CheckpointEveryRequiresPath) {
   eval::StreamOptions options;
   options.checkpoint_every = 5;
