@@ -1,5 +1,7 @@
 #include "core/baseline.hpp"
 
+#include <utility>
+
 #include "dp/workspace.hpp"
 #include "net/candidates.hpp"
 
@@ -35,6 +37,11 @@ dp::ChainDpResult run_baseline(const net::Net& net,
   dp_options.mode = dp::Mode::kMinPower;
   dp_options.timing_target_fs = tau_t_fs;
   dp_options.backend = backend;
+  if (auto unbuffered = dp::unbuffered_answer(net, device, options.library,
+                                              candidates, dp_options,
+                                              workspace)) {
+    return *std::move(unbuffered);
+  }
   return dp::run_chain_dp_cached(net, device, options.library, candidates,
                                  dp_options, workspace, cache);
 }

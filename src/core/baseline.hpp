@@ -40,7 +40,10 @@ struct BaselineOptions {
 /// library/pitch per net, so across a target sweep every solve after
 /// the first is a cache hit), and may minimize a pluggable objective
 /// (tech/objective.hpp; nullptr = the paper's minimum-width objective,
-/// bit-identical to before backends existed).
+/// bit-identical to before backends existed). A net that meets the
+/// target unbuffered gets the DP's answer from dp::unbuffered_answer:
+/// no sweep runs and the cache is not consulted, so min_delay_* stay
+/// empty and 0 and stats count no labels.
 dp::ChainDpResult run_baseline(
     const net::Net& net, const tech::RepeaterDevice& device,
     double tau_t_fs, const BaselineOptions& options,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "dp/library.hpp"
 #include "dp/workspace.hpp"
@@ -102,11 +103,9 @@ RoundedRefine round_refine(const net::Net& net,
     }
     at[static_cast<std::size_t>(ci)] = fine.hi[ri];
   }
-  auto score = [&] {
-    return dp::score_labeling(net, device, fine.library, fine.candidates_um,
-                              options, at, ws)
-        .objective_cost;
-  };
+  const dp::LabelingScorer scorer(net, device, fine.library,
+                                  fine.candidates_um, options, ws);
+  auto score = [&] { return scorer.score(at).objective_cost; };
   out.objective_cost = score();
   if (!std::isfinite(out.objective_cost)) return out;
   for (std::size_t ri = 0; ri < fine.centre.size(); ++ri) {
@@ -143,9 +142,17 @@ RipResult rip_insert(const net::Net& net, const tech::RepeaterDevice& device,
   dp_options.mode = dp::Mode::kMinPower;
   dp_options.timing_target_fs = tau_t_fs;
   dp_options.backend = backend;
-  result.coarse =
-      dp::run_chain_dp_cached(net, device, coarse_library, coarse_candidates,
-                              dp_options, workspace, cache);
+  // A net that meets the target with no repeater never reaches the DP
+  // or the cache: that labeling is stage 1's exact answer.
+  if (auto unbuffered =
+          dp::unbuffered_answer(net, device, coarse_library,
+                                coarse_candidates, dp_options, workspace)) {
+    result.coarse = *std::move(unbuffered);
+  } else {
+    result.coarse = dp::run_chain_dp_cached(net, device, coarse_library,
+                                            coarse_candidates, dp_options,
+                                            workspace, cache);
+  }
   result.coarse_s = stage_timer.seconds();
 
   if (result.coarse.status != dp::Status::kOptimal) {

@@ -4,6 +4,9 @@
 /// Algorithm RIP (Fig. 6 of the paper) — the repository's primary
 /// contribution. A hybrid of the DP engine and the analytical solver:
 ///
+///   0. A net that meets the target with no repeater, in the DP's own
+///      label arithmetic, needs none: dp::unbuffered_answer returns
+///      stage 1's exact answer without a sweep, and RIP stops there.
 ///   1. DP with a *coarse* repeater library (Section 6: five widths at
 ///      80u pitch) and coarse uniform locations (200 um) -> initial
 ///      solution.
@@ -74,7 +77,10 @@ struct RipResult {
   double objective_cost = 0;
 
   // Per-stage diagnostics.
-  dp::ChainDpResult coarse;            ///< stage 1
+  /// Stage 1. For a net that meets the target unbuffered no sweep runs
+  /// (dp::unbuffered_answer): min_delay_* stay empty and 0, and stats
+  /// count no labels.
+  dp::ChainDpResult coarse;
   analytical::RefineResult refined;    ///< stage 2 (last repeat)
   /// Stage 3, as swept by the branch-and-bound: min_delay_* and stats
   /// describe the bounded sweep, and status is also kInfeasible when no
@@ -139,7 +145,9 @@ RoundedRefine round_refine(const net::Net& net,
 /// dp::Workspace::local()) across stages and calls, and may consult a
 /// frontier cache for the stage-1 coarse DP (whose library/candidates
 /// are target-independent, so a target sweep over one net hits after
-/// the first solve). The stage-3 fine DP is never cached: its library
+/// the first solve). A net that meets the target unbuffered never
+/// reaches the coarse DP or the cache, so its answer is the same with
+/// the cache on or off. The stage-3 fine DP is never cached: its library
 /// and allowed-width windows derive from the REFINE output, which
 /// changes with the target — caching it would only pollute the cache
 /// with single-use entries.

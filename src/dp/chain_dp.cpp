@@ -577,6 +577,63 @@ ChainDpResult run_chain_dp_bounded(const net::Net& net,
                           &bounds, ws);
 }
 
+LabelingScorer::LabelingScorer(const net::Net& net,
+                               const tech::RepeaterDevice& device,
+                               const RepeaterLibrary& library,
+                               const std::vector<double>& candidates_um,
+                               const ChainDpOptions& options, Workspace& ws)
+    : options_(options),
+      ws_(ws),
+      positions_(candidates_um.size()),
+      seed_cap_ff_(device.co_ff * net.receiver_width_u()),
+      intrinsic_fs_(device.rs_ohm * device.cp_ff),
+      driver_rs_over_w_(device.rs_ohm / net.driver_width_u()) {
+  RIP_REQUIRE(options.mode == Mode::kMinPower,
+              "labelings are scored in kMinPower mode only");
+  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
+  cost_ = resolve_cost(net, options);
+  fill_sweep_terms(net, device, library, candidates_um, cost_, ws);
+}
+
+LabelingScore LabelingScorer::score(
+    const std::vector<std::int16_t>& buffer_at) const {
+  RIP_REQUIRE(buffer_at.size() == positions_,
+              "a labeling names one buffer, or -1, per candidate");
+  return walk(buffer_at.data());
+}
+
+LabelingScore LabelingScorer::walk(const std::int16_t* buffer_at) const {
+  // sweep_chain's seed, and its steps for this one label: the wire map of
+  // propagate_frontier, expand_candidate's repeater expression, and the
+  // driver gate.
+  double cap = seed_cap_ff_;
+  double q = kernel::seed_q_fs(cost_);
+  double w = 0.0;
+  const auto cross = [&](const WireAffine& wire) {
+    if (wire.r_tot == 0 && wire.c_tot == 0) return;
+    q -= wire.r_tot * cap + wire.k;
+    cap += wire.c_tot;
+  };
+  for (std::size_t ci = positions_; ci-- > 0;) {
+    cross(ws_.wire[ci + 1]);
+    const std::int16_t b = buffer_at != nullptr ? buffer_at[ci] : -1;
+    if (b < 0) continue;
+    const std::vector<std::int16_t>& allowed =
+        kernel::allowed_at(cost_, options_.allowed_buffers, ws_, ci);
+    RIP_REQUIRE(std::binary_search(allowed.begin(), allowed.end(), b),
+                "the labeling inserts a width its candidate does not allow");
+    const auto bi = static_cast<std::size_t>(b);
+    q = q - (intrinsic_fs_ + ws_.lib_rs_over_w[bi] * cap);
+    w = w + ws_.lib_cost[bi];
+    cap = ws_.lib_load_ff[bi];
+  }
+  cross(ws_.wire[0]);
+  q = q - (intrinsic_fs_ + driver_rs_over_w_ * cap);
+  const bool feasible = kernel::meets_target(q, options_.timing_target_fs,
+                                             options_.slack_tolerance_fs);
+  return {feasible ? w : std::numeric_limits<double>::infinity(), q};
+}
+
 LabelingScore score_labeling(const net::Net& net,
                              const tech::RepeaterDevice& device,
                              const RepeaterLibrary& library,
@@ -584,45 +641,29 @@ LabelingScore score_labeling(const net::Net& net,
                              const ChainDpOptions& options,
                              const std::vector<std::int16_t>& buffer_at,
                              Workspace& ws) {
-  RIP_REQUIRE(options.mode == Mode::kMinPower,
-              "labelings are scored in kMinPower mode only");
-  validate_inputs(net, library, candidates_um, options, /*need_target=*/true);
-  RIP_REQUIRE(buffer_at.size() == candidates_um.size(),
-              "a labeling names one buffer, or -1, per candidate");
-  const tech::ChainCost cost = resolve_cost(net, options);
-  fill_sweep_terms(net, device, library, candidates_um, cost, ws);
-  const double intrinsic_fs = device.rs_ohm * device.cp_ff;
-  const double driver_rs_over_w = device.rs_ohm / net.driver_width_u();
+  return LabelingScorer(net, device, library, candidates_um, options, ws)
+      .score(buffer_at);
+}
 
-  // sweep_chain's seed, and its steps for this one label: the wire map of
-  // propagate_frontier, expand_candidate's repeater expression, and the
-  // driver gate.
-  double cap = device.co_ff * net.receiver_width_u();
-  double q = kernel::seed_q_fs(cost);
-  double w = 0.0;
-  const auto cross = [&](const WireAffine& wire) {
-    if (wire.r_tot == 0 && wire.c_tot == 0) return;
-    q -= wire.r_tot * cap + wire.k;
-    cap += wire.c_tot;
-  };
-  for (std::size_t ci = candidates_um.size(); ci-- > 0;) {
-    cross(ws.wire[ci + 1]);
-    const std::int16_t b = buffer_at[ci];
-    if (b < 0) continue;
-    const std::vector<std::int16_t>& allowed =
-        kernel::allowed_at(cost, options.allowed_buffers, ws, ci);
-    RIP_REQUIRE(std::binary_search(allowed.begin(), allowed.end(), b),
-                "the labeling inserts a width its candidate does not allow");
-    const auto bi = static_cast<std::size_t>(b);
-    q = q - (intrinsic_fs + ws.lib_rs_over_w[bi] * cap);
-    w = w + ws.lib_cost[bi];
-    cap = ws.lib_load_ff[bi];
+std::optional<ChainDpResult> unbuffered_answer(
+    const net::Net& net, const tech::RepeaterDevice& device,
+    const RepeaterLibrary& library, const std::vector<double>& candidates_um,
+    const ChainDpOptions& options, Workspace& ws) {
+  if (options.mode != Mode::kMinPower) return std::nullopt;
+  const LabelingScorer scorer(net, device, library, candidates_um, options,
+                              ws);
+  if (scorer.cost().allow_repeaters &&
+      !std::all_of(ws.lib_cost.begin(), ws.lib_cost.end(),
+                   [](double c) { return c > 0; })) {
+    return std::nullopt;
   }
-  cross(ws.wire[0]);
-  q = q - (intrinsic_fs + driver_rs_over_w * cap);
-  const bool feasible = kernel::meets_target(q, options.timing_target_fs,
-                                             options.slack_tolerance_fs);
-  return {feasible ? w : std::numeric_limits<double>::infinity(), q};
+  const LabelingScore empty = scorer.unbuffered();
+  if (!std::isfinite(empty.objective_cost)) return std::nullopt;
+  ChainDpResult result;
+  result.status = Status::kOptimal;
+  result.delay_fs = -empty.slack_fs;
+  result.stats.positions = candidates_um.size();
+  return result;
 }
 
 ChainFrontierSolve solve_chain_frontier(

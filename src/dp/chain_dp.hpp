@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dp/library.hpp"
@@ -123,8 +124,10 @@ struct ChainDpResult {
   /// total_width_u on the identity objective (backend == nullptr or
   /// Paper2005Backend); 0 when infeasible.
   double objective_cost = 0;
-  /// The minimum-delay labeling found during the same sweep; populated in
-  /// kMinPower mode even when infeasible (best-effort diagnostics).
+  /// The minimum-delay labeling found during the same sweep; populated
+  /// whenever a sweep ran, in kMinPower mode even when infeasible
+  /// (best-effort diagnostics). Empty and 0 on an unbuffered_answer,
+  /// which runs no sweep.
   net::RepeaterSolution min_delay_solution;
   double min_delay_fs = 0;
   DpStats stats;
@@ -180,14 +183,47 @@ struct LabelingScore {
   double slack_fs;
 };
 
-/// Score a labeling of (library, candidates_um) — `buffer_at[i]` is the
-/// library index inserted at candidate i, or -1 for none, and must be in
-/// the candidate's allowed list — with the kMinPower sweep's own label
-/// arithmetic: the same wire maps, expansion expression, driver gate and
-/// feasibility test, so the result is bit for bit the label the sweep
-/// builds for that labeling. A feasible labeling's cost is therefore an
-/// incumbent the DP's optimum never exceeds, with no rounding margin.
-/// Uses `ws`'s library and wire terms as scratch.
+/// Scores labelings of (library, candidates_um) with the kMinPower
+/// sweep's own label arithmetic: the same seed, wire maps, expansion
+/// expression, driver gate and feasibility test, so a score is bit for
+/// bit the label the sweep builds for that labeling. A feasible
+/// labeling's cost is therefore an incumbent the DP's optimum never
+/// exceeds, with no rounding margin.
+///
+/// Construction validates the inputs as run_chain_dp does and fills the
+/// sweep's terms into `ws` (the library's device and cost terms, the
+/// wire maps) once; every score then walks one labeling over them. The
+/// scorer borrows its arguments and `ws`: it is valid while they live
+/// and until another solve or scorer refills ws's sweep terms.
+class LabelingScorer {
+ public:
+  LabelingScorer(const net::Net& net, const tech::RepeaterDevice& device,
+                 const RepeaterLibrary& library,
+                 const std::vector<double>& candidates_um,
+                 const ChainDpOptions& options, Workspace& ws);
+
+  /// `buffer_at[i]` is the library index inserted at candidate i, or -1
+  /// for none, and must be in the candidate's allowed list.
+  LabelingScore score(const std::vector<std::int16_t>& buffer_at) const;
+  /// The labeling with no repeater.
+  LabelingScore unbuffered() const { return walk(nullptr); }
+  /// The backend's per-net cost coefficients the sweep would use.
+  const tech::ChainCost& cost() const { return cost_; }
+
+ private:
+  /// One labeling's label at the driver; nullptr = no repeater anywhere.
+  LabelingScore walk(const std::int16_t* buffer_at) const;
+
+  const ChainDpOptions& options_;
+  const Workspace& ws_;
+  tech::ChainCost cost_;
+  std::size_t positions_;
+  double seed_cap_ff_;
+  double intrinsic_fs_;
+  double driver_rs_over_w_;
+};
+
+/// One labeling's score: LabelingScorer(...).score(buffer_at).
 LabelingScore score_labeling(const net::Net& net,
                              const tech::RepeaterDevice& device,
                              const RepeaterLibrary& library,
@@ -195,6 +231,38 @@ LabelingScore score_labeling(const net::Net& net,
                              const ChainDpOptions& options,
                              const std::vector<std::int16_t>& buffer_at,
                              Workspace& ws);
+
+/// run_chain_dp's answer, bit for bit and without a sweep, whenever that
+/// answer is the labeling with no repeater and the sweep need not prove
+/// it. Engaged only when all three hold: the mode is kMinPower; the
+/// labeling with no repeater meets the target in the sweep's own label
+/// arithmetic (LabelingScorer::unbuffered); and every labeling with a
+/// repeater costs more than 0, because the backend forbids repeaters or
+/// every entry of the library's cost table is > 0. Why it is exact:
+///  1. every labeling with a repeater costs more than 0: its cost is a
+///     positive width cost plus a non-negative IEEE sum, and rounding is
+///     monotone, so the sum is at least that positive cost;
+///  2. the empty labeling's label costs +0.0, has count 0 and is never
+///     pruned: only a label of cost <= 0 could dominate it (FlatFrontier
+///     keeps any label no seen label beats in both slack and cost), and
+///     it is the only such label;
+///  3. its slack is bit for bit the sweep's: the scorer walks the same
+///     seed, the same wire maps receiver to driver (skipping a zero
+///     interval as propagate_frontier does) and the same driver gate.
+/// So run_chain_dp's min-cost selection among feasible labels picks that
+/// label: status kOptimal, an empty solution, delay_fs = -its slack, and
+/// total_width_u = objective_cost = +0.0. A backend whose widths cost 0
+/// (both coefficients 0, repeaters allowed) breaks step 1, since a free
+/// repeater label can dominate the empty one, so the function declines
+/// there. No sweep runs, so min_delay_* stay empty and 0 and stats count
+/// no labels (stats.positions is the candidate count). In kMinPower mode
+/// it validates its inputs as run_chain_dp does, so a bad input throws
+/// the same error. Uses `ws`'s sweep terms as scratch and counts no solve
+/// on it.
+std::optional<ChainDpResult> unbuffered_answer(
+    const net::Net& net, const tech::RepeaterDevice& device,
+    const RepeaterLibrary& library, const std::vector<double>& candidates_um,
+    const ChainDpOptions& options, Workspace& ws);
 
 // ---------------------------------------------------------------------------
 // Target-independent frontier solves (the solve-cache substrate)

@@ -163,7 +163,7 @@ void write_checkpoint(const std::string& path, const Checkpoint& ck,
       "crc32 " + crc32_hex(crc32(payload.data(), payload.size())) + "\n";
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  RIP_REQUIRE(fd >= 0, "cannot write checkpoint temp file: " + tmp);
+  if (fd < 0) throw Error("cannot write checkpoint temp file: " + tmp);
   const auto write_all = [&](const char* data, std::size_t size) {
     while (size > 0) {
       const ssize_t n = ::write(fd, data, size);
@@ -184,7 +184,7 @@ void write_checkpoint(const std::string& path, const Checkpoint& ck,
     fire_fault("ckpt.write", ordinal);
     write_all(payload.data() + half, payload.size() - half);
     write_all(trailer.data(), trailer.size());
-    RIP_REQUIRE(::fsync(fd) == 0, "cannot fsync checkpoint " + tmp);
+    if (::fsync(fd) != 0) throw Error("cannot fsync checkpoint " + tmp);
   } catch (...) {
     ::close(fd);
     throw;
@@ -193,14 +193,16 @@ void write_checkpoint(const std::string& path, const Checkpoint& ck,
 
   if (std::filesystem::exists(path)) {
     const std::string prev = path + ".prev";
-    RIP_REQUIRE(std::rename(path.c_str(), prev.c_str()) == 0,
-                "cannot rotate checkpoint " + path + " -> " + prev);
+    if (std::rename(path.c_str(), prev.c_str()) != 0) {
+      throw Error("cannot rotate checkpoint " + path + " -> " + prev);
+    }
   }
   // ckpt.rename fires between the rotation and the commit: a 'crash'
   // here leaves only `.prev`, which resume degrades to.
   fire_fault("ckpt.rename", ordinal);
-  RIP_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot rename checkpoint " + tmp + " -> " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw Error("cannot rename checkpoint " + tmp + " -> " + path);
+  }
   // ckpt.commit fires after the rename: a 'crash' here finds the new
   // checkpoint already durable.
   fire_fault("ckpt.commit", ordinal);
@@ -358,7 +360,7 @@ StreamResult run_stream(const tech::Technology& tech,
   std::ofstream out(output_path, fresh
                                      ? std::ios::binary | std::ios::trunc
                                      : std::ios::binary | std::ios::app);
-  RIP_REQUIRE(out.good(), "cannot open output file: " + output_path);
+  if (!out.good()) throw Error("cannot open output file: " + output_path);
   if (fresh) {
     out << kHeader;
     output_bytes = std::string(kHeader).size();
@@ -385,13 +387,27 @@ StreamResult run_stream(const tech::Technology& tech,
     err_out.open(options.errors_path,
                  err_fresh ? std::ios::binary | std::ios::trunc
                            : std::ios::binary | std::ios::app);
-    RIP_REQUIRE(err_out.good(),
-                "cannot open errors file: " + options.errors_path);
+    if (!err_out.good()) {
+      throw Error("cannot open errors file: " + options.errors_path);
+    }
     if (err_fresh) {
       err_out << kErrorsHeader;
       errors_bytes = std::string(kErrorsHeader).size();
     }
   }
+
+  // A failed open, write or flush is the user's file system, not a broken
+  // contract: each is a plain rip::Error, with no source location.
+  const auto flush_outputs = [&] {
+    out.flush();
+    if (!out.good()) throw Error("flush failed on " + output_path);
+    if (quarantine) {
+      err_out.flush();
+      if (!err_out.good()) {
+        throw Error("flush failed on " + options.errors_path);
+      }
+    }
+  };
 
   ServiceOptions service_options;
   service_options.jobs = options.jobs;
@@ -501,7 +517,7 @@ StreamResult run_stream(const tech::Technology& tech,
     }
     if (!row.empty()) {
       out.write(row.data(), static_cast<std::streamsize>(row.size()));
-      RIP_REQUIRE(out.good(), "write failed on " + output_path);
+      if (!out.good()) throw Error("write failed on " + output_path);
       output_bytes += row.size();
       ++result.rows_written;
     } else {
@@ -509,7 +525,9 @@ StreamResult run_stream(const tech::Technology& tech,
                                                    error_class, error_detail);
       err_out.write(err_row.data(),
                     static_cast<std::streamsize>(err_row.size()));
-      RIP_REQUIRE(err_out.good(), "write failed on " + options.errors_path);
+      if (!err_out.good()) {
+        throw Error("write failed on " + options.errors_path);
+      }
       errors_bytes += err_row.size();
       ++result.rows_quarantined;
     }
@@ -518,12 +536,7 @@ StreamResult run_stream(const tech::Technology& tech,
 
     if (options.checkpoint_every > 0 &&
         records_done % options.checkpoint_every == 0) {
-      out.flush();
-      RIP_REQUIRE(out.good(), "flush failed on " + output_path);
-      if (quarantine) {
-        err_out.flush();
-        RIP_REQUIRE(err_out.good(), "flush failed on " + options.errors_path);
-      }
+      flush_outputs();
       Checkpoint next;
       next.input_bytes = input_bytes;
       next.input_offset =
@@ -556,12 +569,7 @@ StreamResult run_stream(const tech::Technology& tech,
   if (result.finished && options.checkpoint_every > 0) {
     // Final checkpoint: marks the whole input as processed, so a resume
     // of a completed run is a no-op with byte-identical output.
-    out.flush();
-    RIP_REQUIRE(out.good(), "flush failed on " + output_path);
-    if (quarantine) {
-      err_out.flush();
-      RIP_REQUIRE(err_out.good(), "flush failed on " + options.errors_path);
-    }
+    flush_outputs();
     Checkpoint final_ck;
     final_ck.input_bytes = input_bytes;
     final_ck.input_offset = reader.offset();
@@ -574,12 +582,7 @@ StreamResult run_stream(const tech::Technology& tech,
     ++result.checkpoints_written;
   }
 
-  out.flush();
-  RIP_REQUIRE(out.good(), "flush failed on " + output_path);
-  if (quarantine) {
-    err_out.flush();
-    RIP_REQUIRE(err_out.good(), "flush failed on " + options.errors_path);
-  }
+  flush_outputs();
   result.elapsed_s = timer.seconds();
   return result;
 }
