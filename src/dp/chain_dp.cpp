@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dp/kernel_ops.hpp"
-#include "dp/pareto.hpp"
 #include "dp/workspace.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -105,18 +104,8 @@ void validate_inputs(const net::Net& net, const RepeaterLibrary& library,
     RIP_REQUIRE(options.timing_target_fs > 0,
                 "kMinPower needs a positive timing target");
   }
-  if (options.allowed_buffers != nullptr) {
-    RIP_REQUIRE(options.allowed_buffers->size() == candidates_um.size(),
-                "allowed_buffers must parallel the candidate list");
-    for (const auto& allowed : *options.allowed_buffers) {
-      RIP_REQUIRE(std::is_sorted(allowed.begin(), allowed.end()),
-                  "allowed_buffers lists must be sorted ascending");
-      for (const auto b : allowed) {
-        RIP_REQUIRE(b >= 0 && static_cast<std::size_t>(b) < library.size(),
-                    "allowed buffer index out of library range");
-      }
-    }
-  }
+  kernel::check_allowed_lists(options.allowed_buffers, candidates_um.size(),
+                              library);
 }
 
 /// The width order of a candidate step's merged frontier `back`, from
@@ -144,18 +133,13 @@ void carry_width_order(const std::vector<std::int32_t>& order,
               fresh.end());
 }
 
-/// The per-solve terms the sweep reads, into `ws`: the library's device
-/// and cost terms, the whole-library allowed list, and the wire maps.
+/// The per-solve terms the sweep reads, into `ws`: the library's terms
+/// and the wire maps.
 void fill_sweep_terms(const net::Net& net, const tech::RepeaterDevice& device,
                       const RepeaterLibrary& library,
                       const std::vector<double>& candidates_um,
                       const tech::ChainCost& cost, Workspace& ws) {
-  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
-  library.fill_cost_terms(cost, ws.lib_cost);
-  const std::size_t lib_n = library.size();
-  ws.all_buffers.resize(lib_n);
-  for (std::size_t b = 0; b < lib_n; ++b)
-    ws.all_buffers[b] = static_cast<std::int16_t>(b);
+  kernel::fill_library_terms(device, library, cost, ws);
   kernel::fill_wire_affines(net, candidates_um, ws);
 }
 
@@ -269,82 +253,10 @@ const ChainFrontier& sweep_chain(const net::Net& net,
     // identity objective, same bits).
     expand_candidate(ws, *front, *order, allowed, ws.lib_cost, intrinsic_fs,
                      power_mode, bounds != nullptr ? &at : nullptr);
-    const std::size_t fn = front->size();
-    const std::size_t gn = ws.expanded.size();
-    stats.labels_created += allowed.size() * fn;
-
-    // Merge the pass-through run (the frontier itself — option A labels
-    // are never copied) with the expansion run, sweeping the global
-    // dominance filter over the combined sorted order and materializing
-    // survivors straight into the back frontier. Surviving repeater
-    // labels append their reconstruction-arena entry here; pass-throughs
-    // keep their node. In power mode order_map records where each
-    // pass-through label lands (-1: pruned), order_fresh the new repeater
-    // labels.
-    back->clear();
-    back->reserve(fn + gn);
-    ws.frontier.clear();
-    if (power_mode) ws.order_map.resize(fn);
-    ws.order_fresh.clear();
-    double best_q = -std::numeric_limits<double>::infinity();
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < fn || j < gn) {
-      bool from_front;
-      if (j >= gn) {
-        from_front = true;
-      } else if (i >= fn) {
-        from_front = false;
-      } else {
-        // (C asc, q desc, w asc); exact ties take the pass-through.
-        const ExpandLabel& g = ws.expanded[j];
-        if (front->cap_ff[i] != g.cap_ff) {
-          from_front = front->cap_ff[i] < g.cap_ff;
-        } else if (front->q_fs[i] != g.q_fs) {
-          from_front = front->q_fs[i] > g.q_fs;
-        } else {
-          from_front = front->width_u[i] <= g.width_u;
-        }
-      }
-      if (from_front) {
-        const double q = front->q_fs[i];
-        const double w = front->width_u[i];
-        const bool survives = power_mode
-                                  ? ws.frontier.try_insert(q, w)
-                                  : q > best_q;
-        if (power_mode) {
-          ws.order_map[i] =
-              survives ? static_cast<std::int32_t>(back->size()) : -1;
-        }
-        if (survives) {
-          best_q = q;
-          back->push(front->cap_ff[i], q, w, front->count[i],
-                     front->node[i]);
-        }
-        ++i;
-      } else {
-        const ExpandLabel& g = ws.expanded[j];
-        const bool survives = power_mode
-                                  ? ws.frontier.try_insert(g.q_fs, g.width_u)
-                                  : g.q_fs > best_q;
-        if (survives) {
-          best_q = g.q_fs;
-          const auto origin = static_cast<std::size_t>(g.origin);
-          ws.a_parent.push_back(front->node[origin]);
-          ws.a_pos.push_back(static_cast<std::int32_t>(ci));
-          ws.a_buffer.push_back(g.buffer);
-          if (power_mode) {
-            ws.order_fresh.push_back(static_cast<std::int32_t>(back->size()));
-          }
-          back->push(g.cap_ff, g.q_fs, g.width_u,
-                     static_cast<std::int16_t>(front->count[origin] + 1),
-                     static_cast<std::int32_t>(ws.a_parent.size() - 1));
-        }
-        ++j;
-      }
-    }
-    stats.labels_pruned += fn * (1 + allowed.size()) - back->size();
-    stats.labels_peak = std::max(stats.labels_peak, back->size());
+    // Option A (the frontier itself) and option B merged into the back
+    // frontier through the dominance filter.
+    kernel::merge_candidate(ws, *front, *back, static_cast<std::int32_t>(ci),
+                            allowed.size(), power_mode, stats);
     if (power_mode) {
       carry_width_order(*order, ws.order_map, ws.order_fresh, *back,
                         *order_back);
@@ -355,18 +267,12 @@ const ChainFrontier& sweep_chain(const net::Net& net,
 
   // Final wire run up to the driver, then the driver gate in place.
   propagate_frontier(*front, ws.wire[0]);
-  double* q = front->q_fs.data();
-  const double* cap = front->cap_ff.data();
-  const std::size_t n = front->size();
-  for (std::size_t i = 0; i < n; ++i) {
-    q[i] = q[i] - (intrinsic_fs + driver_rs_over_w * cap[i]);
-  }
+  kernel::apply_driver_gate(*front, intrinsic_fs, driver_rs_over_w);
   stats.arena_peak = ws.a_parent.size();
   return *front;
 }
 
-/// Answer one target from a finished frontier: feasibility scan,
-/// min-cost (power) / max-slack (delay) selection, reconstruction.
+/// Answer one target from a finished frontier (kernel::select_answer).
 /// `identity` says the labels' value dimension is plain total width
 /// (read it off the winner); otherwise the physical width is re-summed
 /// from the winner's arena chain.
@@ -375,84 +281,19 @@ ChainDpResult select_result(const FrontierView& v,
                             const std::vector<double>& candidates_um,
                             const ChainDpOptions& options, bool identity,
                             const DpStats& stats) {
-  const bool power_mode = (options.mode == Mode::kMinPower);
-  const double target = power_mode ? options.timing_target_fs : 0.0;
   ChainDpResult result;
   result.stats = stats;
-
-  std::int32_t best = -1;          // min width among feasible (power mode)
-  std::int32_t best_delay = -1;    // max final slack overall
-  double best_width = std::numeric_limits<double>::infinity();
-  int best_count = 0;
-  double best_q = -std::numeric_limits<double>::infinity();
-  double best_delay_q = -std::numeric_limits<double>::infinity();
   if (v.size == 0) {
     // Only bounds can empty the frontier: infeasible, no solutions.
-    RIP_ASSERT(power_mode, "DP lost all labels");
+    RIP_ASSERT(options.mode == Mode::kMinPower, "DP lost all labels");
     return result;
   }
-  for (std::size_t i = 0; i < v.size; ++i) {
-    const double q_final = v.q_fs[i];  // target-relative, driver applied
-    if (q_final > best_delay_q) {
-      best_delay_q = q_final;
-      best_delay = static_cast<std::int32_t>(i);
-    }
-    if (power_mode &&
-        kernel::meets_target(q_final, target, options.slack_tolerance_fs)) {
-      // Selection order: total width, then repeater count, then slack.
-      const bool better =
-          v.width_u[i] < best_width ||
-          (v.width_u[i] == best_width &&
-           (v.count[i] < best_count ||
-            (v.count[i] == best_count && q_final > best_q)));
-      if (better) {
-        best_width = v.width_u[i];
-        best_count = v.count[i];
-        best_q = q_final;
-        best = static_cast<std::int32_t>(i);
-      }
-    }
-  }
-  RIP_ASSERT(best_delay >= 0, "DP lost all labels");
-
-  const auto delay_i = static_cast<std::size_t>(best_delay);
-  if (options.reconstruct_solutions) {
-    result.min_delay_solution = reconstruct(v, v.node[delay_i],
-                                            v.count[delay_i], library,
-                                            candidates_um);
-  }
-  result.min_delay_fs = -best_delay_q;
-
-  if (power_mode) {
-    if (best >= 0) {
-      const auto best_i = static_cast<std::size_t>(best);
-      result.status = Status::kOptimal;
-      if (options.reconstruct_solutions) {
-        result.solution = reconstruct(v, v.node[best_i], v.count[best_i],
-                                      library, candidates_um);
-      }
-      result.total_width_u =
-          identity ? v.width_u[best_i]
-                   : arena_total_width(v, v.node[best_i], library);
-      result.objective_cost = v.width_u[best_i];
-      result.delay_fs = -best_q;
-    } else {
-      result.status = Status::kInfeasible;
-      result.total_width_u = 0;
-      result.objective_cost = 0;
-      result.delay_fs = result.min_delay_fs;
-    }
-  } else {
-    result.status = Status::kOptimal;
-    if (options.reconstruct_solutions) {
-      result.solution = result.min_delay_solution;
-    }
-    result.total_width_u =
-        identity ? v.width_u[delay_i]
-                 : arena_total_width(v, v.node[delay_i], library);
-    result.objective_cost = v.width_u[delay_i];
-    result.delay_fs = result.min_delay_fs;
-  }
+  kernel::select_answer(
+      result, v.q_fs, v.width_u, v.count, v.size, options, identity,
+      [&](std::size_t i) {
+        return reconstruct(v, v.node[i], v.count[i], library, candidates_um);
+      },
+      [&](std::size_t i) { return arena_total_width(v, v.node[i], library); });
   return result;
 }
 
@@ -521,9 +362,9 @@ std::uint64_t chain_solve_key(const net::Net& net,
   // Library contents and candidate positions.
   h << std::span<const double>(library.widths_u());
   h << std::span<const double>(candidates_um);
-  // Sweep-shaping options. The timing target, slack tolerance, and
-  // reconstruct flag are selection-time knobs and deliberately excluded:
-  // one cached frontier answers every target.
+  // Sweep-shaping options. The timing target and reconstruct flag are
+  // selection-time knobs and deliberately excluded: one cached frontier
+  // answers every target.
   h << static_cast<int>(options.mode);
   h << (options.allowed_buffers != nullptr);
   if (options.allowed_buffers != nullptr) {
@@ -568,8 +409,7 @@ ChainDpResult run_chain_dp_bounded(const net::Net& net,
               "the bounded chain DP is kMinPower only");
   RIP_REQUIRE(std::isfinite(lambda) && lambda >= 0,
               "the delay price must be finite and non-negative");
-  kernel::LabelBounds bounds{options.timing_target_fs,
-                             options.slack_tolerance_fs, incumbent_cost};
+  kernel::LabelBounds bounds{options.timing_target_fs, incumbent_cost};
   // lambda prices delay in repeater width; the cost floor prices it in
   // the objective's cost, which charges width_weight per unit of width.
   bounds.price_delay(lambda * resolve_cost(net, options).width_weight);
@@ -629,8 +469,8 @@ LabelingScore LabelingScorer::walk(const std::int16_t* buffer_at) const {
   }
   cross(ws_.wire[0]);
   q = q - (intrinsic_fs_ + driver_rs_over_w_ * cap);
-  const bool feasible = kernel::meets_target(q, options_.timing_target_fs,
-                                             options_.slack_tolerance_fs);
+  const bool feasible =
+      kernel::meets_target(q, options_.timing_target_fs, kSlackToleranceFs);
   return {feasible ? w : std::numeric_limits<double>::infinity(), q};
 }
 

@@ -51,13 +51,16 @@ enum class Status {
   kInfeasible,  ///< no feasible labeling meets the target (kMinPower)
 };
 
+/// Feasibility slack tolerance [fs]: a label whose target-relative final
+/// slack q meets q + target >= -kSlackToleranceFs is accepted (guards
+/// against float round-off at the boundary). Final selection, the
+/// stage-3 bounds and LabelingScorer all read this one constant.
+inline constexpr double kSlackToleranceFs = 1e-6;
+
 /// Engine options.
 struct ChainDpOptions {
   Mode mode = Mode::kMinPower;
   double timing_target_fs = 0;  ///< required in kMinPower mode
-  /// Feasibility slack tolerance [fs]; labels with q_final >= -tolerance
-  /// are accepted (guards against float round-off at the boundary).
-  double slack_tolerance_fs = 1e-6;
   /// Optional per-candidate restriction: allowed_buffers[i] lists the
   /// library indices that may be inserted at candidate i, sorted
   /// ascending (the kernel concatenates the per-buffer label groups
@@ -273,15 +276,15 @@ std::optional<ChainDpResult> unbuffered_answer(
 // depend only on C, never on q itself. The swept frontier is therefore a
 // pure function of (net, device, library, candidates, mode,
 // allowed_buffers) — the timing target enters only in the final label
-// selection, as `q_rel + target >= -tolerance`. That is what makes a
-// solved frontier reusable across targets: caching it turns every
+// selection, as `q_rel + target >= -kSlackToleranceFs`. That is what
+// makes a solved frontier reusable across targets: caching it turns every
 // subsequent target on the same net into an O(frontier) selection walk.
 
 /// A completed frontier solve: the post-driver label arrays plus the
 /// reconstruction arena, detached from any workspace. `q_fs[i]` is label
 /// i's *target-relative* final slack (driver gate already applied);
-/// feasibility at a target is `q_fs[i] + target >= -tolerance` and the
-/// realized delay is `-q_fs[i]`.
+/// feasibility at a target is `q_fs[i] + target >= -kSlackToleranceFs`
+/// and the realized delay is `-q_fs[i]`.
 struct ChainFrontierSolve {
   std::vector<double> q_fs;
   /// Objective value per label: total repeater width on the identity
@@ -309,11 +312,10 @@ struct ChainFrontierSolve {
 /// net geometry (segments, zones, terminal widths), device, library
 /// widths, candidate positions, mode, allowed_buffers, and (when a
 /// backend is set) the backend fingerprint plus its derived per-net cost
-/// coefficients — and excludes
-/// the selection-time knobs (timing target, slack tolerance,
-/// reconstruct_solutions). Two calls with equal keys produce bit-identical
-/// frontiers; the cache compares by hash only (see util/hash.hpp for the
-/// collision trade).
+/// coefficients — and excludes the selection-time knobs (timing target,
+/// reconstruct_solutions). Two calls with equal keys produce
+/// bit-identical frontiers; the cache compares by hash only (see
+/// util/hash.hpp for the collision trade).
 std::uint64_t chain_solve_key(const net::Net& net,
                               const tech::RepeaterDevice& device,
                               const RepeaterLibrary& library,

@@ -1,15 +1,18 @@
 #pragma once
 
 /// @file kernel_ops.hpp
-/// SoA frontier primitives shared by the chain and tree DP kernels.
+/// The label algebra of the chain and tree DP kernels, in one place.
 ///
-/// Both kernels sweep the same label algebra over a ChainFrontier kept
-/// sorted by (C asc, q desc, w asc): affine wire propagation, per-group
-/// candidate expansion, and staircase dominance. The chain kernel walks
-/// a candidate list; the tree kernel walks nodes bottom-up and adds a
-/// junction merge — everything else is these shared primitives, so a
-/// path-shaped tree reproduces the chain solve bit for bit (which
-/// tests/tree_oracle_property_test.cpp pins).
+/// Both kernels sweep labels (C, q, cost) over a ChainFrontier kept
+/// sorted by (C asc, q desc, w asc), with the same steps: input checks
+/// and the library's terms, affine wire propagation, per-group candidate
+/// expansion, the staircase merge into the next frontier (which writes
+/// the one reconstruction arena), the driver gate, and final selection.
+/// The chain kernel walks a candidate list; the tree kernel walks nodes
+/// bottom-up and adds a junction merge. Each keeps only its traversal and
+/// its own reconstruction walk, so a path-shaped tree reproduces the
+/// chain solve bit for bit (which tests/tree_oracle_property_test.cpp
+/// pins).
 ///
 /// Internal header: included by the kernels only, not part of the
 /// public dp/ API surface.
@@ -19,9 +22,12 @@
 #include <limits>
 #include <vector>
 
+#include "dp/chain_dp.hpp"
+#include "dp/library.hpp"
 #include "dp/workspace.hpp"
 #include "net/net.hpp"
 #include "tech/objective.hpp"
+#include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
 
@@ -64,9 +70,43 @@ inline double seed_q_fs(const tech::ChainCost& cost) {
 }
 
 /// Feasibility of a target-relative slack, shared by final selection and
-/// the stage-3 slack bound so the bound never drops an acceptable label.
+/// the stage-3 slack bound (both at kSlackToleranceFs) so the bound never
+/// drops an acceptable label.
 inline bool meets_target(double q_rel_fs, double target_fs, double tol_fs) {
   return q_rel_fs + target_fs >= -tol_fs;
+}
+
+/// Check the caller's allowed lists (nullptr = the whole library at every
+/// position): one list per candidate position (tree node), each sorted
+/// ascending, so that expand_candidate's groups concatenate into a
+/// capacitance-sorted run, and each index within the library.
+inline void check_allowed_lists(
+    const std::vector<std::vector<std::int16_t>>* allowed_buffers,
+    std::size_t positions, const RepeaterLibrary& library) {
+  if (allowed_buffers == nullptr) return;
+  RIP_REQUIRE(allowed_buffers->size() == positions,
+              "allowed_buffers must parallel the candidate positions");
+  for (const auto& allowed : *allowed_buffers) {
+    RIP_REQUIRE(std::is_sorted(allowed.begin(), allowed.end()),
+                "allowed_buffers lists must be sorted ascending");
+    for (const auto b : allowed) {
+      RIP_REQUIRE(b >= 0 && static_cast<std::size_t>(b) < library.size(),
+                  "allowed buffer index out of library range");
+    }
+  }
+}
+
+/// The library's per-solve terms, into `ws`: input load co*w, driving
+/// resistance rs/w and objective cost per width, and the whole-library
+/// allowed list.
+inline void fill_library_terms(const tech::RepeaterDevice& device,
+                               const RepeaterLibrary& library,
+                               const tech::ChainCost& cost, Workspace& ws) {
+  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
+  library.fill_cost_terms(cost, ws.lib_cost);
+  ws.all_buffers.resize(library.size());
+  for (std::size_t b = 0; b < library.size(); ++b)
+    ws.all_buffers[b] = static_cast<std::int16_t>(b);
 }
 
 /// The lookahead cut's margin, relative to the target: the cut drops a
@@ -132,13 +172,13 @@ inline constexpr double kFloorMargin = 1e-9;
 ///    answer is the unbounded sweep's whenever it costs no more than the
 ///    incumbent. lambda only decides how much is cut; at 0 nothing is.
 /// The floor fields describe the candidate being swept (the chain sweep
-/// sets them per candidate). A LabelBounds built from its first three
+/// sets them per candidate). A LabelBounds built from its first two
 /// fields has a zero floor, whose cut at a positive target (the margin
 /// widening the tolerance) is weaker than the slack cut: it applies no
-/// floor, and no cost floor (cost_ceiling is +inf).
+/// floor, and no cost floor (cost_ceiling is +inf). The tolerance is
+/// final selection's, kSlackToleranceFs.
 struct LabelBounds {
   double target_fs;
-  double slack_tolerance_fs;
   double max_cost;
   double pass_floor_fs = 0;   ///< D0 at this candidate [fs]
   double pass_floor_ohm = 0;  ///< Rmin at this candidate [Ohm]
@@ -161,12 +201,12 @@ struct LabelBounds {
     lambda = price;
     cost_ceiling =
         price == 0 ? std::numeric_limits<double>::infinity()
-                   : max_cost + price * (target_fs + slack_tolerance_fs) +
+                   : max_cost + price * (target_fs + kSlackToleranceFs) +
                          kFloorMargin * (max_cost + price * target_fs);
   }
 
   bool admits(double q_rel_fs, double cost) const {
-    return meets_target(q_rel_fs, target_fs, slack_tolerance_fs) &&
+    return meets_target(q_rel_fs, target_fs, kSlackToleranceFs) &&
            cost <= max_cost;
   }
   /// admits(), the lookahead cut of a label every completion of which
@@ -177,7 +217,7 @@ struct LabelBounds {
               double floor_cost) const {
     return admits(q_rel_fs, cost) &&
            meets_target(q_rel_fs - floor_fs, target_fs,
-                        slack_tolerance_fs + kFloorMargin * target_fs) &&
+                        kSlackToleranceFs + kFloorMargin * target_fs) &&
            cost + floor_cost - lambda * q_rel_fs <= cost_ceiling;
   }
 };
@@ -559,6 +599,177 @@ inline void expand_candidate(Workspace& ws, const ChainFrontier& front,
     std::reverse(ws.expanded.begin() + static_cast<std::ptrdiff_t>(first),
                  ws.expanded.end());
   }
+}
+
+/// A candidate step's merge into `back`: the pass-through run (`front`
+/// itself; its labels are never copied first) and the expansion run
+/// (ws.expanded, from expand_candidate), both sorted by (C asc, q desc,
+/// w asc), swept in their combined order through the dominance filter:
+/// the (q, w) staircase in power mode, q alone in delay mode. Exact ties
+/// take the pass-through, and `back` comes out in the same order.
+/// A surviving repeater label appends its reconstruction-arena entry
+/// (a_parent: its downstream label's entry, a_pos: `pos`, a_buffer: its
+/// width); a pass-through keeps its entry. In power mode ws.order_map
+/// records where each pass-through label lands (-1: pruned) and
+/// ws.order_fresh the new repeater labels, from which the chain sweep
+/// carries its width order. Counts the step into `stats`: `allowed_n`
+/// groups of |front| labels created, all but |back| of the
+/// (1 + allowed_n) * |front| offered pruned. Forced inline: it is the
+/// chain sweep's inner loop, and each kernel calls it from one place.
+[[gnu::always_inline]] inline void merge_candidate(Workspace& ws, const ChainFrontier& front,
+                            ChainFrontier& back, std::int32_t pos,
+                            std::size_t allowed_n, bool power_mode,
+                            DpStats& stats) {
+  const std::size_t fn = front.size();
+  const std::size_t gn = ws.expanded.size();
+  back.clear();
+  back.reserve(fn + gn);
+  ws.frontier.clear();
+  if (power_mode) ws.order_map.resize(fn);
+  ws.order_fresh.clear();
+  double best_q = -std::numeric_limits<double>::infinity();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < fn || j < gn) {
+    bool from_front;
+    if (j >= gn) {
+      from_front = true;
+    } else if (i >= fn) {
+      from_front = false;
+    } else {
+      // (C asc, q desc, w asc); exact ties take the pass-through.
+      const ExpandLabel& g = ws.expanded[j];
+      if (front.cap_ff[i] != g.cap_ff) {
+        from_front = front.cap_ff[i] < g.cap_ff;
+      } else if (front.q_fs[i] != g.q_fs) {
+        from_front = front.q_fs[i] > g.q_fs;
+      } else {
+        from_front = front.width_u[i] <= g.width_u;
+      }
+    }
+    if (from_front) {
+      const double q = front.q_fs[i];
+      const double w = front.width_u[i];
+      const bool survives =
+          power_mode ? ws.frontier.try_insert(q, w) : q > best_q;
+      if (power_mode) {
+        ws.order_map[i] =
+            survives ? static_cast<std::int32_t>(back.size()) : -1;
+      }
+      if (survives) {
+        best_q = q;
+        back.push(front.cap_ff[i], q, w, front.count[i], front.node[i]);
+      }
+      ++i;
+    } else {
+      const ExpandLabel& g = ws.expanded[j];
+      const bool survives = power_mode
+                                ? ws.frontier.try_insert(g.q_fs, g.width_u)
+                                : g.q_fs > best_q;
+      if (survives) {
+        best_q = g.q_fs;
+        const auto origin = static_cast<std::size_t>(g.origin);
+        ws.a_parent.push_back(front.node[origin]);
+        ws.a_pos.push_back(pos);
+        ws.a_buffer.push_back(g.buffer);
+        if (power_mode) {
+          ws.order_fresh.push_back(static_cast<std::int32_t>(back.size()));
+        }
+        back.push(g.cap_ff, g.q_fs, g.width_u,
+                  static_cast<std::int16_t>(front.count[origin] + 1),
+                  static_cast<std::int32_t>(ws.a_parent.size() - 1));
+      }
+      ++j;
+    }
+  }
+  stats.labels_created += allowed_n * fn;
+  stats.labels_pruned += fn * (1 + allowed_n) - back.size();
+  stats.labels_peak = std::max(stats.labels_peak, back.size());
+}
+
+/// The driver gate, in place over the frontier at the driver:
+/// q -= rs*cp + (rs/w_d) * C. Afterwards q_fs[i] is label i's
+/// target-relative final slack: it meets target t iff
+/// meets_target(q, t, kSlackToleranceFs), and its delay is -q.
+inline void apply_driver_gate(ChainFrontier& front, double intrinsic_fs,
+                              double driver_rs_over_w) {
+  double* __restrict q = front.q_fs.data();
+  const double* __restrict cap = front.cap_ff.data();
+  const std::size_t n = front.size();
+  RIP_SIMD_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    q[i] = q[i] - (intrinsic_fs + driver_rs_over_w * cap[i]);
+  }
+}
+
+/// Final selection over a finished, non-empty frontier (q_fs: final
+/// slack, after apply_driver_gate; cost: the labels' objective values;
+/// count: their repeater counts), into `result`'s answer fields. The
+/// min-delay answer is the label of greatest slack (the first on a tie).
+/// In power mode the answer is the cheapest label that meets the target
+/// (ties: fewer repeaters, then more slack, then the first), or
+/// kInfeasible when none does; in delay mode it is the min-delay label.
+/// `rebuild(i)` reconstructs label i's solution (called only with
+/// options.reconstruct_solutions); `arena_width(i)` re-sums its physical
+/// width, read off the label instead on the identity objective
+/// (`identity`: re-summing reverses the accumulation order and can
+/// differ in the last ulp).
+template <class Result, class Rebuild, class ArenaWidth>
+void select_answer(Result& result, const double* q_fs, const double* cost,
+                   const std::int16_t* count, std::size_t n,
+                   const ChainDpOptions& options, bool identity,
+                   Rebuild&& rebuild, ArenaWidth&& arena_width) {
+  const bool power_mode = (options.mode == Mode::kMinPower);
+  std::int32_t best = -1;
+  std::int32_t best_delay = -1;
+  double best_cost = std::numeric_limits<double>::infinity();
+  int best_count = 0;
+  double best_q = -std::numeric_limits<double>::infinity();
+  double best_delay_q = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double q = q_fs[i];
+    if (q > best_delay_q) {
+      best_delay_q = q;
+      best_delay = static_cast<std::int32_t>(i);
+    }
+    if (power_mode &&
+        meets_target(q, options.timing_target_fs, kSlackToleranceFs)) {
+      // Selection order: cost, then repeater count, then slack.
+      const bool better =
+          cost[i] < best_cost ||
+          (cost[i] == best_cost &&
+           (count[i] < best_count ||
+            (count[i] == best_count && q > best_q)));
+      if (better) {
+        best_cost = cost[i];
+        best_count = count[i];
+        best_q = q;
+        best = static_cast<std::int32_t>(i);
+      }
+    }
+  }
+  RIP_ASSERT(best_delay >= 0, "DP lost all labels");
+
+  const auto delay_i = static_cast<std::size_t>(best_delay);
+  const bool rebuild_solutions = options.reconstruct_solutions;
+  if (rebuild_solutions) result.min_delay_solution = rebuild(delay_i);
+  result.min_delay_fs = -best_delay_q;
+  const std::int32_t pick = power_mode ? best : best_delay;
+  if (pick < 0) {
+    result.status = Status::kInfeasible;
+    result.total_width_u = 0;
+    result.objective_cost = 0;
+    result.delay_fs = result.min_delay_fs;
+    return;
+  }
+  const auto i = static_cast<std::size_t>(pick);
+  result.status = Status::kOptimal;
+  if (rebuild_solutions) {
+    result.solution = power_mode ? rebuild(i) : result.min_delay_solution;
+  }
+  result.total_width_u = identity ? cost[i] : arena_width(i);
+  result.objective_cost = cost[i];
+  result.delay_fs = -q_fs[i];
 }
 
 }  // namespace rip::dp::kernel

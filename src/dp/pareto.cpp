@@ -4,13 +4,6 @@
 
 namespace rip::dp {
 
-bool dominates(const Label& a, const Label& b, bool use_width) {
-  if (a.cap_ff > b.cap_ff) return false;
-  if (a.q_fs < b.q_fs) return false;
-  if (use_width && a.width_u > b.width_u) return false;
-  return true;
-}
-
 bool FlatFrontier::try_insert(double q_fs, double width_u) {
   // First staircase point with q' >= q; if its width is no larger, the
   // candidate is dominated.
@@ -41,50 +34,6 @@ bool FlatFrontier::try_insert(double q_fs, double width_u) {
     w_.insert(w_.begin() + static_cast<std::ptrdiff_t>(lo), width_u);
   }
   return true;
-}
-
-void prune_dominated(std::vector<Label>& labels, bool use_width) {
-  thread_local FlatFrontier frontier;
-  prune_dominated(labels, use_width, frontier);
-}
-
-void prune_dominated(std::vector<Label>& labels, bool use_width,
-                     FlatFrontier& frontier) {
-  if (labels.size() <= 1) return;
-  // Sort by C ascending; ties by q descending, then width ascending.
-  // After this, a label can only be dominated by one that precedes it.
-  std::sort(labels.begin(), labels.end(), [&](const Label& a, const Label& b) {
-    if (a.cap_ff != b.cap_ff) return a.cap_ff < b.cap_ff;
-    if (a.q_fs != b.q_fs) return a.q_fs > b.q_fs;
-    return a.width_u < b.width_u;
-  });
-
-  // Compact survivors toward the front in place; kept <= i always, so
-  // the write never clobbers an unread label.
-  std::size_t kept = 0;
-  if (!use_width) {
-    // 2-D: keep a label iff its q strictly exceeds the best q seen.
-    double best_q = -1e300;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (labels[i].q_fs > best_q) {
-        best_q = labels[i].q_fs;
-        if (kept != i) labels[kept] = labels[i];
-        ++kept;
-      }
-    }
-  } else {
-    // 3-D: a label survives iff the (q, width) staircase over all labels
-    // seen so far (all of which have C <= current C) does not dominate it.
-    frontier.clear();
-    frontier.reserve(labels.size());
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (frontier.try_insert(labels[i].q_fs, labels[i].width_u)) {
-        if (kept != i) labels[kept] = labels[i];
-        ++kept;
-      }
-    }
-  }
-  labels.resize(kept);
 }
 
 }  // namespace rip::dp

@@ -6,34 +6,22 @@
 /// Power mode keeps the 3-D Pareto frontier over (C, q, p): a label is
 /// dominated if another has no-larger downstream capacitance, no-smaller
 /// required arrival time, and no-larger total repeater width (Lillis'
-/// power-aware generalization of van Ginneken pruning). Delay mode prunes
-/// in 2-D (C, q), ignoring p.
+/// power-aware generalization of van Ginneken pruning). The kernels
+/// visit labels in (C asc, q desc, p asc) order (kernel::merge_candidate),
+/// so a label is dominated iff some label seen before it has no-smaller q
+/// and no-larger p: the (q, p) staircase below decides. Delay mode prunes
+/// in 2-D (C, q) and needs only the best q seen.
 ///
-/// The frontier itself is a sorted flat vector pair (FlatFrontier), not a
-/// node-based tree: staircase queries are binary searches over contiguous
-/// doubles and updates are single splices, so pruning allocates nothing
-/// once the vectors have warmed up — the property the zero-allocation DP
+/// The staircase is a sorted flat vector pair (FlatFrontier), not a
+/// node-based tree: queries are binary searches over contiguous doubles
+/// and updates are single splices, so pruning allocates nothing once the
+/// vectors have warmed up — the property the zero-allocation DP
 /// workspace (dp/workspace.hpp) is built on.
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 namespace rip::dp {
-
-/// One DP label: the downstream state at a point of the net.
-struct Label {
-  double cap_ff = 0;    ///< downstream lumped capacitance C
-  double q_fs = 0;      ///< required arrival time (larger is better)
-  double width_u = 0;   ///< downstream total repeater width p
-  std::int32_t parent = -1;  ///< arena index of the downstream label
-  std::int32_t pos = -1;     ///< candidate index where a repeater was added
-  std::int16_t buffer = -1;  ///< library index of that repeater (-1: none)
-  /// Downstream repeater count. Not part of the dominance relation; used
-  /// only to break total-width ties at the final selection (fewer
-  /// repeaters preferred — REFINE keeps the repeater count fixed, so
-  /// handing it the leaner structure matters).
-  std::int16_t count = 0;
-};
 
 /// The (q, width) staircase over every label seen so far during a 3-D
 /// prune: only points not dominated by another seen point are kept, so
@@ -46,10 +34,6 @@ class FlatFrontier {
     q_.clear();
     w_.clear();
   }
-  void reserve(std::size_t n) {
-    q_.reserve(n);
-    w_.reserve(n);
-  }
   std::size_t size() const { return q_.size(); }
 
   /// If some seen point has q' >= q and width' <= width, the candidate
@@ -61,18 +45,5 @@ class FlatFrontier {
   std::vector<double> q_;  ///< ascending
   std::vector<double> w_;  ///< parallel to q_, ascending
 };
-
-/// Remove dominated labels from `labels`, in place (compaction, no side
-/// copy). If `use_width` is false the width field is ignored (pure delay
-/// mode). Exactly one of any set of mutually identical labels is kept.
-/// O(n log n). The two-argument overload uses a thread-local frontier;
-/// the three-argument one reuses the caller's (dp::Workspace::frontier).
-void prune_dominated(std::vector<Label>& labels, bool use_width);
-void prune_dominated(std::vector<Label>& labels, bool use_width,
-                     FlatFrontier& frontier);
-
-/// True if `a` dominates `b` (a at least as good in every tracked
-/// dimension). Identical labels dominate each other.
-bool dominates(const Label& a, const Label& b, bool use_width);
 
 }  // namespace rip::dp

@@ -1,12 +1,10 @@
 #include "dp/tree_dp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "dp/kernel_ops.hpp"
-#include "dp/pareto.hpp"
 #include "dp/workspace.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -53,18 +51,6 @@ std::size_t TreeSolution::repeater_count() const {
 
 namespace {
 
-/// Append one reconstruction-arena entry and return its index. Buffer
-/// entries carry (left = downstream label's arena index, node, buffer);
-/// junction entries carry (left, right) and node/buffer -1.
-std::int32_t arena_push(Workspace& ws, std::int32_t left, std::int32_t right,
-                        std::int32_t node, std::int16_t buffer) {
-  ws.tree_a_left.push_back(left);
-  ws.tree_a_right.push_back(right);
-  ws.tree_a_node.push_back(node);
-  ws.tree_a_buffer.push_back(buffer);
-  return static_cast<std::int32_t>(ws.tree_a_left.size() - 1);
-}
-
 /// Copy one frontier's contents into another, preserving the
 /// destination's vector capacities (assign never shrinks capacity, so
 /// once a slot has served its role it stays allocation-free). The
@@ -101,9 +87,9 @@ void copy_frontier(ChainFrontier& dst, const ChainFrontier& src) {
 /// rounding collisions, which the next junction or candidate sweep
 /// filters. The tree-oracle battery pins optimality either way.
 ///
-/// A reconstruction-arena join entry is appended only for survivors
-/// whose *both* sides carry downstream repeaters; otherwise the merged
-/// label simply inherits the non-empty side's arena index.
+/// A junction arena entry is appended only for survivors whose *both*
+/// sides carry downstream repeaters; otherwise the merged label simply
+/// inherits the non-empty side's arena index.
 void merge_junction(Workspace& ws, ChainFrontier& a, ChainFrontier& b,
                     bool power_mode, DpStats& stats) {
   const bool a_rows = a.size() <= b.size();
@@ -182,9 +168,16 @@ void merge_junction(Workspace& ws, ChainFrontier& a, ChainFrontier& b,
     const std::size_t ib = a_rows ? pend_j : pend_i;
     const std::int32_t la = a.node[ia];
     const std::int32_t lb = b.node[ib];
-    const std::int32_t idx = la < 0   ? lb
-                             : lb < 0 ? la
-                                      : arena_push(ws, la, lb, -1, -1);
+    std::int32_t idx = la < 0 ? lb : la;
+    if (la >= 0 && lb >= 0) {
+      // A junction entry (see workspace.hpp): a_parent the left entry,
+      // a_pos the slot of a_right holding the right one, a_buffer -1.
+      ws.a_parent.push_back(la);
+      ws.a_pos.push_back(static_cast<std::int32_t>(ws.a_right.size()));
+      ws.a_buffer.push_back(-1);
+      ws.a_right.push_back(lb);
+      idx = static_cast<std::int32_t>(ws.a_parent.size() - 1);
+    }
     out.push(pend_c, pend_q, pend_w,
              static_cast<std::int16_t>(a.count[ia] + b.count[ib]), idx);
   };
@@ -236,112 +229,26 @@ void merge_junction(Workspace& ws, ChainFrontier& a, ChainFrontier& b,
   b.clear();
 }
 
-/// The candidate step's merge: sweep the pass-through run (the frontier
-/// itself) and the expansion run (ws.expanded, built by
-/// kernel::expand_candidate) in their combined sorted order through the
-/// dominance staircase, materializing survivors into the scratch
-/// frontier which is then swapped into `front`. Identical arithmetic
-/// and tie rules to the chain kernel's merge (exact ties take the
-/// pass-through); only the arena shape differs.
-void merge_expanded(Workspace& ws, ChainFrontier& front, std::int32_t ni,
-                    bool power_mode) {
-  ChainFrontier& back = ws.tree_scratch;
-  const std::size_t fn = front.size();
-  const std::size_t gn = ws.expanded.size();
-  back.clear();
-  back.reserve(fn + gn);
-  ws.frontier.clear();
-  double best_q = -std::numeric_limits<double>::infinity();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < fn || j < gn) {
-    bool from_front;
-    if (j >= gn) {
-      from_front = true;
-    } else if (i >= fn) {
-      from_front = false;
-    } else {
-      // (C asc, q desc, w asc); exact ties take the pass-through.
-      const ExpandLabel& g = ws.expanded[j];
-      if (front.cap_ff[i] != g.cap_ff) {
-        from_front = front.cap_ff[i] < g.cap_ff;
-      } else if (front.q_fs[i] != g.q_fs) {
-        from_front = front.q_fs[i] > g.q_fs;
-      } else {
-        from_front = front.width_u[i] <= g.width_u;
-      }
-    }
-    if (from_front) {
-      const double q = front.q_fs[i];
-      const double w = front.width_u[i];
-      const bool survives =
-          power_mode ? ws.frontier.try_insert(q, w) : q > best_q;
-      if (survives) {
-        best_q = q;
-        back.push(front.cap_ff[i], q, w, front.count[i], front.node[i]);
-      }
-      ++i;
-    } else {
-      const ExpandLabel& g = ws.expanded[j];
-      const bool survives =
-          power_mode ? ws.frontier.try_insert(g.q_fs, g.width_u)
-                     : g.q_fs > best_q;
-      if (survives) {
-        best_q = g.q_fs;
-        const auto origin = static_cast<std::size_t>(g.origin);
-        const std::int32_t idx =
-            arena_push(ws, front.node[origin], -1, ni, g.buffer);
-        back.push(g.cap_ff, g.q_fs, g.width_u,
-                  static_cast<std::int16_t>(front.count[origin] + 1), idx);
-      }
-      ++j;
-    }
-  }
-  copy_frontier(front, back);
-}
-
-/// Iterative DFS over the survivor arena DAG: record each buffer
-/// entry's width at its node.
-void collect_buffers(const Workspace& ws, std::int32_t idx,
-                     TreeSolution& solution, const RepeaterLibrary& library,
-                     std::vector<std::int32_t>& stack) {
+/// Visit the buffer entries of a label's arena DAG (from entry `idx`;
+/// -1 = none) depth first, each junction's left side first. On a
+/// path-shaped tree that is upstream before downstream, the chain
+/// kernel's own arena walk order, so widths re-summed in it agree bit for
+/// bit.
+template <class Visit>
+void walk_arena(Workspace& ws, std::int32_t idx, Visit&& visit) {
+  std::vector<std::int32_t>& stack = ws.tree_stack;
   stack.clear();
   if (idx >= 0) stack.push_back(idx);
   while (!stack.empty()) {
     const auto cur = static_cast<std::size_t>(stack.back());
     stack.pop_back();
-    if (ws.tree_a_buffer[cur] >= 0) {
-      solution.width_u[static_cast<std::size_t>(ws.tree_a_node[cur])] =
-          library.widths_u()[static_cast<std::size_t>(ws.tree_a_buffer[cur])];
+    if (ws.a_buffer[cur] >= 0) {
+      visit(static_cast<std::size_t>(ws.a_pos[cur]), ws.a_buffer[cur]);
+    } else {
+      stack.push_back(ws.a_right[static_cast<std::size_t>(ws.a_pos[cur])]);
     }
-    if (ws.tree_a_right[cur] >= 0) stack.push_back(ws.tree_a_right[cur]);
-    if (ws.tree_a_left[cur] >= 0) stack.push_back(ws.tree_a_left[cur]);
+    if (ws.a_parent[cur] >= 0) stack.push_back(ws.a_parent[cur]);
   }
-}
-
-/// Physical total width of a label, re-summed from its arena DAG in
-/// upstream-before-downstream order — on a path-shaped tree this is the
-/// exact summation order of the chain kernel's arena walk, so the two
-/// kernels agree bit for bit. Only the non-identity objectives use
-/// this: on the identity path the label's accumulated value IS the
-/// total width.
-double arena_total_width(Workspace& ws, std::int32_t idx,
-                         const RepeaterLibrary& library) {
-  double w = 0;
-  auto& stack = ws.tree_stack;
-  stack.clear();
-  if (idx >= 0) stack.push_back(idx);
-  while (!stack.empty()) {
-    const auto cur = static_cast<std::size_t>(stack.back());
-    stack.pop_back();
-    if (ws.tree_a_buffer[cur] >= 0) {
-      w += library.widths_u()[static_cast<std::size_t>(
-          ws.tree_a_buffer[cur])];
-    }
-    if (ws.tree_a_right[cur] >= 0) stack.push_back(ws.tree_a_right[cur]);
-    if (ws.tree_a_left[cur] >= 0) stack.push_back(ws.tree_a_left[cur]);
-  }
-  return w;
 }
 
 }  // namespace
@@ -360,18 +267,7 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
                 "kMinPower needs a positive timing target");
   }
 
-  if (options.allowed_buffers != nullptr) {
-    RIP_REQUIRE(options.allowed_buffers->size() == nodes.size(),
-                "allowed_buffers must parallel the tree nodes");
-    for (const auto& allowed : *options.allowed_buffers) {
-      RIP_REQUIRE(std::is_sorted(allowed.begin(), allowed.end()),
-                  "allowed_buffers lists must be sorted ascending");
-      for (const auto b : allowed) {
-        RIP_REQUIRE(b >= 0 && static_cast<std::size_t>(b) < library.size(),
-                    "allowed buffer index out of library range");
-      }
-    }
-  }
+  kernel::check_allowed_lists(options.allowed_buffers, nodes.size(), library);
 
   // Objective backend: the tree carries no route length or net name, so
   // the profile is synthetic — anonymous, zero length, wire cap = total
@@ -387,15 +283,8 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
   }
   const bool identity = kernel::identity_cost_table(cost);
 
-  // Per-solve precompute, shared with the chain kernel: input loads,
-  // driving resistances, and objective costs per library width, plus the
-  // intrinsic delay.
-  library.fill_device_terms(device, ws.lib_load_ff, ws.lib_rs_over_w);
-  library.fill_cost_terms(cost, ws.lib_cost);
+  kernel::fill_library_terms(device, library, cost, ws);
   const double intrinsic_fs = device.rs_ohm * device.cp_ff;
-  ws.all_buffers.resize(library.size());
-  for (std::size_t b = 0; b < library.size(); ++b)
-    ws.all_buffers[b] = static_cast<std::int16_t>(b);
 
   TreeDpResult result;
   result.stats.positions = nodes.size();
@@ -406,10 +295,10 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
   if (ws.tree_frontiers.size() < nodes.size())
     ws.tree_frontiers.resize(nodes.size());
   ws.tree_slot.resize(nodes.size());
-  ws.tree_a_left.clear();
-  ws.tree_a_right.clear();
-  ws.tree_a_node.clear();
-  ws.tree_a_buffer.clear();
+  ws.a_parent.clear();
+  ws.a_pos.clear();
+  ws.a_buffer.clear();
+  ws.a_right.clear();
 
   const double seed_q = kernel::seed_q_fs(cost);
 
@@ -462,23 +351,19 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
       }
     }
 
-    // Optional repeater at this node: per-group expansion + staircase
-    // merge, shared with the chain kernel's candidate step. The width
-    // order is sorted afresh here (power mode only); junction merges do
-    // not carry it.
+    // Optional repeater at this node: the chain kernel's candidate step,
+    // expansion and merge, on a width order sorted afresh (power mode
+    // only; junction merges do not carry it).
     const std::vector<std::int16_t>& allowed =
-        !cost.allow_repeaters              ? kernel::kNoBuffers
-        : options.allowed_buffers != nullptr ? (*options.allowed_buffers)[ni]
-                                             : ws.all_buffers;
+        kernel::allowed_at(cost, options.allowed_buffers, ws, ni);
     if (node.candidate && !allowed.empty()) {
-      const std::size_t fn = front.size();
       if (power_mode) kernel::width_order(front, ws.width_order);
       kernel::expand_candidate(ws, front, ws.width_order, allowed,
                                ws.lib_cost, intrinsic_fs, power_mode);
-      merge_expanded(ws, front, static_cast<std::int32_t>(ni), power_mode);
-      result.stats.labels_created += allowed.size() * fn;
-      result.stats.labels_pruned +=
-          fn * (1 + allowed.size()) - front.size();
+      kernel::merge_candidate(ws, front, ws.tree_scratch,
+                              static_cast<std::int32_t>(ni), allowed.size(),
+                              power_mode, result.stats);
+      copy_frontier(front, ws.tree_scratch);
     }
 
     // Traverse the edge to the parent: the same affine interval map as
@@ -491,91 +376,30 @@ TreeDpResult run_tree_dp(const BufferTree& tree,
         std::max(result.stats.labels_peak, front.size());
   }
 
-  // Driver gate at the root, applied in place: afterwards q_fs[i] holds
-  // the label's target-relative final slack (feasibility at a target is
-  // q_rel + target >= -tol and the realized worst-sink delay is -q_rel).
   ChainFrontier& root =
       ws.tree_frontiers[static_cast<std::size_t>(ws.tree_slot[0])];
   RIP_ASSERT(root.size() > 0, "tree DP lost all labels");
-  {
-    const double driver_rs_over_w = device.rs_ohm / driver_width_u;
-    double* __restrict q = root.q_fs.data();
-    const double* __restrict cap = root.cap_ff.data();
-    const std::size_t rn = root.size();
-    RIP_SIMD_LOOP
-    for (std::size_t i = 0; i < rn; ++i) {
-      q[i] = q[i] - (intrinsic_fs + driver_rs_over_w * cap[i]);
-    }
-  }
-
-  // Selection: feasibility scan, min-cost (power) / max-slack (delay),
-  // with the chain's exact tie order (width, then count, then slack).
-  const double target = power_mode ? options.timing_target_fs : 0.0;
-  std::int32_t best = -1;
-  std::int32_t best_delay = -1;
-  double best_width = std::numeric_limits<double>::infinity();
-  int best_count = 0;
-  double best_q = -std::numeric_limits<double>::infinity();
-  double best_delay_q = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < root.size(); ++i) {
-    const double q_final = root.q_fs[i];
-    if (q_final > best_delay_q) {
-      best_delay_q = q_final;
-      best_delay = static_cast<std::int32_t>(i);
-    }
-    if (power_mode && q_final + target >= -options.slack_tolerance_fs) {
-      const bool better =
-          root.width_u[i] < best_width ||
-          (root.width_u[i] == best_width &&
-           (root.count[i] < best_count ||
-            (root.count[i] == best_count && q_final > best_q)));
-      if (better) {
-        best_width = root.width_u[i];
-        best_count = root.count[i];
-        best_q = q_final;
-        best = static_cast<std::int32_t>(i);
-      }
-    }
-  }
-
-  result.stats.arena_peak = ws.tree_a_left.size();
-
-  auto reconstruct = [&](std::size_t label) {
-    TreeSolution s;
-    s.width_u.assign(nodes.size(), 0.0);
-    collect_buffers(ws, root.node[label], s, library, ws.tree_stack);
-    return s;
-  };
-
-  const auto delay_i = static_cast<std::size_t>(best_delay);
-  result.min_delay_fs = -best_delay_q;
-  if (options.reconstruct_solutions) {
-    result.min_delay_solution = reconstruct(delay_i);
-  }
-  if (power_mode) {
-    if (best >= 0) {
-      const auto best_i = static_cast<std::size_t>(best);
-      result.status = Status::kOptimal;
-      if (options.reconstruct_solutions) result.solution = reconstruct(best_i);
-      result.total_width_u =
-          identity ? root.width_u[best_i]
-                   : arena_total_width(ws, root.node[best_i], library);
-      result.objective_cost = root.width_u[best_i];
-      result.delay_fs = -best_q;
-    } else {
-      result.status = Status::kInfeasible;
-      result.delay_fs = result.min_delay_fs;
-    }
-  } else {
-    result.status = Status::kOptimal;
-    if (options.reconstruct_solutions)
-      result.solution = result.min_delay_solution;
-    result.total_width_u =
-        identity ? root.width_u[delay_i]
-                 : arena_total_width(ws, root.node[delay_i], library);
-    result.objective_cost = root.width_u[delay_i];
-    result.delay_fs = result.min_delay_fs;
-  }
+  kernel::apply_driver_gate(root, intrinsic_fs,
+                            device.rs_ohm / driver_width_u);
+  result.stats.arena_peak = ws.a_parent.size();
+  kernel::select_answer(
+      result, root.q_fs.data(), root.width_u.data(), root.count.data(),
+      root.size(), options, identity,
+      [&](std::size_t i) {
+        TreeSolution s;
+        s.width_u.assign(nodes.size(), 0.0);
+        walk_arena(ws, root.node[i], [&](std::size_t at, std::int16_t b) {
+          s.width_u[at] = library.widths_u()[static_cast<std::size_t>(b)];
+        });
+        return s;
+      },
+      [&](std::size_t i) {
+        double w = 0;
+        walk_arena(ws, root.node[i], [&](std::size_t, std::int16_t b) {
+          w += library.widths_u()[static_cast<std::size_t>(b)];
+        });
+        return w;
+      });
 
   ++ws.stats_.tree_solves;
   ws.stats_.labels_created += result.stats.labels_created;

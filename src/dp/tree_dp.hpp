@@ -8,15 +8,17 @@
 /// branch points (C adds, q takes the min, p adds) with the same 3-D
 /// Pareto pruning.
 ///
-/// The kernel is built from the same SoA primitives as the chain DP
-/// (dp/kernel_ops.hpp): per-subtree frontiers live in role-stable
-/// dp::Workspace pool slots (zero steady-state allocations per solve),
-/// straight-line passes vectorize over the contiguous frontier arrays,
-/// junction merges stream the child cross product through a heap of
-/// sorted rows, and objective backends flow through the shared lib_cost
-/// table. A root-to-sink path tree therefore reproduces run_chain_dp
-/// bit for bit; tests/tree_oracle_property_test.cpp pins that and the
-/// kernel's optimality against an exhaustive tree oracle.
+/// The kernel runs the chain DP's label algebra (dp/kernel_ops.hpp): the
+/// same input checks and library terms, wire propagation, candidate
+/// expansion and merge, reconstruction arena, driver gate and selection.
+/// Of its own it keeps the bottom-up traversal, the junction merge,
+/// which streams the child cross product through a heap of sorted rows
+/// and adds the arena's junction entries, and the arena walk that turns a
+/// label into a TreeSolution. Per-subtree frontiers live in role-stable
+/// dp::Workspace pool slots (zero steady-state allocations per solve). A
+/// root-to-sink path tree therefore reproduces run_chain_dp bit for bit;
+/// tests/tree_oracle_property_test.cpp pins that and the kernel's
+/// optimality against an exhaustive tree oracle.
 ///
 /// Because REFINE's closed-form width equations are chain-specific, the
 /// tree hybrid here ("tree-RIP-lite", see rip::core) refines widths by

@@ -11,7 +11,10 @@
 /// buffers — and hands it back, capacity intact, solve after solve. After
 /// a warm-up solve per shape, steady-state solves perform zero heap
 /// allocations in the kernel (bench_dp asserts this with a counting
-/// operator new).
+/// operator new). Both kernels share one label algebra
+/// (dp/kernel_ops.hpp), and with it one candidate merge and one
+/// reconstruction arena; the tree adds its frontier pool, its junction
+/// scratch and the arena's junction column.
 ///
 /// Threading model: a Workspace is single-threaded state. Every solver
 /// entry point takes one `Workspace&` parameter that defaults to
@@ -39,8 +42,8 @@ namespace rip::dp {
 /// straight vectorizable loop; count rides along for the final
 /// tie-break; node points into the reconstruction arena. The chain
 /// kernel keeps two of these and ping-pongs between them each candidate
-/// step; the tree kernel pools one per tree node (plus a scratch
-/// double-buffer) and swaps child frontiers upward through junctions.
+/// step; the tree kernel pools one per subtree (plus a scratch it merges
+/// into and copies back from).
 struct ChainFrontier {
   std::vector<double> cap_ff;
   std::vector<double> q_fs;
@@ -152,10 +155,12 @@ class Workspace {
   /// memory-pressure tests; steady-state callers never need it.
   void release_memory();
 
-  // ---- chain DP: the alive frontier double-buffer (current and next)
-  // and the concatenated group survivors the merge step consumes.
+  // ---- chain DP: the alive frontier double-buffer (current and next).
   ChainFrontier chain_front;
   ChainFrontier chain_back;
+
+  // ---- both DPs: one candidate's group survivors
+  // (kernel::expand_candidate), which kernel::merge_candidate consumes.
   std::vector<ExpandLabel> expanded;
 
   // ---- both DPs: the frontier's width order (its label indices by
@@ -164,17 +169,25 @@ class Workspace {
   // candidate to candidate: order_map sends old frontier indices to new
   // ones (-1: dropped) across a bound filter or a merge, and order_fresh
   // collects the merge's new repeater labels. The tree DP sorts
-  // width_order afresh at each candidate node.
+  // width_order afresh at each candidate node; its merges fill
+  // order_map and order_fresh too, and it ignores them.
   std::vector<std::int32_t> width_order;
   std::vector<std::int32_t> width_order_back;
   std::vector<std::int32_t> order_map;
   std::vector<std::int32_t> order_fresh;
 
-  // ---- chain DP: append-only reconstruction arena. One entry per
-  // surviving repeater insertion; pass-throughs reuse their node.
+  // ---- both DPs: the append-only reconstruction arena, written by
+  // kernel::merge_candidate. One entry per surviving repeater insertion
+  // (a_parent: the downstream label's entry, -1 = none; a_pos: the
+  // candidate index or tree node; a_buffer: the library index);
+  // pass-throughs reuse their entry. The tree DP adds one junction entry
+  // per merged label whose two branches both hold repeaters: a_parent is
+  // the left branch's entry, a_buffer -1, and a_pos indexes a_right,
+  // which holds the right branch's entry. Only junctions fill a_right.
   std::vector<std::int32_t> a_parent;
   std::vector<std::int32_t> a_pos;
   std::vector<std::int16_t> a_buffer;
+  std::vector<std::int32_t> a_right;
 
   // ---- chain DP: the candidate intervals' wire maps, driver to
   // receiver (kernel::fill_wire_affines): wire[k] ends at candidate k,
@@ -243,15 +256,7 @@ class Workspace {
   std::vector<double> tree_pair_cap;
   std::vector<double> tree_pair_q;
 
-  // ---- tree DP: survivor-only reconstruction arena (SoA). Buffer
-  // entries carry (left = downstream label, node, buffer); junction
-  // entries carry (left, right) with node/buffer -1. Labels whose
-  // subtree holds no repeater carry arena index -1 and never
-  // materialize an entry.
-  std::vector<std::int32_t> tree_a_left;
-  std::vector<std::int32_t> tree_a_right;
-  std::vector<std::int32_t> tree_a_node;
-  std::vector<std::int16_t> tree_a_buffer;
+  // ---- tree DP: the arena walk's stack, and tree_delay_fs's sweep.
   std::vector<std::int32_t> tree_stack;
   std::vector<double> tree_cap;    ///< tree_delay_fs bottom-up caps
   std::vector<double> tree_delay;  ///< tree_delay_fs bottom-up delays

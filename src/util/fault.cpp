@@ -85,6 +85,7 @@ std::uint64_t parse_u64_or(const std::string& entry, const std::string& s,
 
 /// Parse '50ms' / '200us' / '3s' / '750ns'; returns false if `s` is not
 /// a duration at all (so the caller can reject it as an unknown action).
+/// A duration past nanoseconds::max() is refused, not wrapped.
 bool parse_duration(const std::string& entry, const std::string& s,
                     std::chrono::nanoseconds* out) {
   std::size_t digits = 0;
@@ -105,7 +106,10 @@ bool parse_duration(const std::string& entry, const std::string& s,
   }
   const std::uint64_t value =
       parse_u64_or(entry, s.substr(0, digits), "duration");
-  *out = std::chrono::nanoseconds(value * scale);
+  const auto max_ns =
+      static_cast<std::uint64_t>(std::chrono::nanoseconds::max().count());
+  if (value > max_ns / scale) bad_spec(entry, "duration out of range");
+  *out = std::chrono::nanoseconds(static_cast<std::int64_t>(value * scale));
   return true;
 }
 

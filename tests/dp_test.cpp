@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,6 @@
 #include "dp/kernel_ops.hpp"
 #include "dp/library.hpp"
 #include "dp/min_delay.hpp"
-#include "dp/pareto.hpp"
 #include "net/candidates.hpp"
 #include "rc/buffered_chain.hpp"
 #include "test_helpers.hpp"
@@ -101,27 +102,17 @@ TEST(Library, SizeIsCappedAtTheKernelIndexRange) {
 
 // --------------------------------------------------------------- pareto
 
-TEST(Pareto, DominatesRelation) {
-  const Label a{10.0, 100.0, 5.0, -1, -1, -1, 0};
-  const Label b{12.0, 90.0, 6.0, -1, -1, -1, 0};
-  EXPECT_TRUE(dominates(a, b, true));
-  EXPECT_FALSE(dominates(b, a, true));
-  EXPECT_TRUE(dominates(a, a, true));
-  // Width ignored in 2-D mode.
-  const Label c{10.0, 100.0, 99.0, -1, -1, -1, 0};
-  EXPECT_TRUE(dominates(c, b, false));
-  EXPECT_FALSE(dominates(c, b, true));
-}
+using test::staircase_survivors;
+using test::TestLabel;
 
 TEST(Pareto, PruneKeepsFrontierOnly3D) {
-  std::vector<Label> labels{
-      {10, 100, 5, -1, -1, -1, 0},   // dominated by (10, 100, 4)
-      {12, 90, 6, -1, -1, -1, 0},    // dominated by (10, 100, 5)
-      {8, 80, 9, -1, -1, -1, 0},     // kept (smallest C)
-      {10, 110, 9, -1, -1, -1, 0},   // kept (best q)
-      {10, 100, 4, -1, -1, -1, 0},   // kept (best p at C=10, q=100)
-  };
-  prune_dominated(labels, true);
+  const std::vector<TestLabel> labels = staircase_survivors({
+      {10, 100, 5, 0},  // dominated by (10, 100, 4)
+      {12, 90, 6, 1},   // dominated by (10, 100, 5)
+      {8, 80, 9, 2},    // kept (smallest C)
+      {10, 110, 9, 3},  // kept (best q)
+      {10, 100, 4, 4},  // kept (best p at C=10, q=100)
+  });
   ASSERT_EQ(labels.size(), 3u);
   for (const auto& l : labels) {
     EXPECT_NE(l.cap_ff, 12.0) << "dominated label survived";
@@ -132,36 +123,27 @@ TEST(Pareto, PruneKeepsFrontierOnly3D) {
 }
 
 TEST(Pareto, PruneRemovesExactDuplicatesKeepingOne) {
-  std::vector<Label> labels{
-      {10, 100, 5, -1, -1, -1, 0},
-      {10, 100, 5, -1, -1, -1, 0},
-      {10, 100, 5, -1, -1, -1, 0},
-  };
-  prune_dominated(labels, true);
+  const std::vector<TestLabel> labels = staircase_survivors({
+      {10, 100, 5, 0},
+      {10, 100, 5, 1},
+      {10, 100, 5, 2},
+  });
   EXPECT_EQ(labels.size(), 1u);
 }
 
-TEST(Pareto, Prune2DIgnoresWidth) {
-  std::vector<Label> labels{
-      {10, 100, 99, -1, -1, -1, 0},  // dominated by (8, 120) despite width
-      {12, 90, 1, -1, -1, -1, 0},    // dominated in (C, q) despite tiny p
-      {8, 120, 50, -1, -1, -1, 0},   // dominates everything in (C, q)
+/// Reference O(n^2) pruner: keep each label that no other label
+/// dominates in (C, q, w), and of mutually identical labels the first.
+std::vector<TestLabel> prune_quadratic(const std::vector<TestLabel>& labels) {
+  const auto dominates = [](const TestLabel& a, const TestLabel& b) {
+    return a.cap_ff <= b.cap_ff && a.q_fs >= b.q_fs && a.width_u <= b.width_u;
   };
-  prune_dominated(labels, false);
-  ASSERT_EQ(labels.size(), 1u);
-  EXPECT_DOUBLE_EQ(labels[0].cap_ff, 8.0);
-}
-
-/// Reference O(n^2) pruner used to validate the O(n log n) one.
-std::vector<Label> prune_quadratic(std::vector<Label> labels,
-                                   bool use_width) {
-  std::vector<Label> kept;
+  std::vector<TestLabel> kept;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     bool dominated = false;
     for (std::size_t j = 0; j < labels.size() && !dominated; ++j) {
       if (i == j) continue;
-      if (!dominates(labels[j], labels[i], use_width)) continue;
-      if (dominates(labels[i], labels[j], use_width)) {
+      if (!dominates(labels[j], labels[i])) continue;
+      if (dominates(labels[i], labels[j])) {
         // Mutually identical: keep only the first occurrence.
         dominated = (j < i);
       } else {
@@ -178,36 +160,29 @@ class ParetoRandomized : public ::testing::TestWithParam<int> {};
 TEST_P(ParetoRandomized, FastPrunerMatchesQuadraticReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int round = 0; round < 20; ++round) {
-    std::vector<Label> labels;
+    std::vector<TestLabel> labels;
     const int n = rng.uniform_int(1, 60);
     for (int i = 0; i < n; ++i) {
-      Label l;
       // Small discrete grids force plenty of ties.
-      l.cap_ff = rng.uniform_int(1, 6);
-      l.q_fs = rng.uniform_int(1, 6);
-      l.width_u = rng.uniform_int(1, 6);
-      labels.push_back(l);
+      labels.push_back(TestLabel{static_cast<double>(rng.uniform_int(1, 6)),
+                                 static_cast<double>(rng.uniform_int(1, 6)),
+                                 static_cast<double>(rng.uniform_int(1, 6)),
+                                 i});
     }
-    for (const bool use_width : {true, false}) {
-      auto fast = labels;
-      prune_dominated(fast, use_width);
-      const auto slow = prune_quadratic(labels, use_width);
-      EXPECT_EQ(fast.size(), slow.size());
-      // Same multiset of survivors in the *tracked* dimensions. (Which
-      // representative survives among labels identical in the tracked
-      // dimensions is implementation-defined, so 2-D mode compares only
-      // (C, q).)
-      auto key = [&](const Label& l) {
-        return std::make_tuple(l.cap_ff, l.q_fs,
-                               use_width ? l.width_u : 0.0);
-      };
-      std::vector<std::tuple<double, double, double>> fk, sk;
-      for (const auto& l : fast) fk.push_back(key(l));
-      for (const auto& l : slow) sk.push_back(key(l));
-      std::sort(fk.begin(), fk.end());
-      std::sort(sk.begin(), sk.end());
-      EXPECT_EQ(fk, sk);
-    }
+    const auto fast = staircase_survivors(labels);
+    const auto slow = prune_quadratic(labels);
+    EXPECT_EQ(fast.size(), slow.size());
+    // Same multiset of survivors in (C, q, w). (Which representative
+    // survives among identical labels is the filter's business.)
+    auto key = [](const TestLabel& l) {
+      return std::make_tuple(l.cap_ff, l.q_fs, l.width_u);
+    };
+    std::vector<std::tuple<double, double, double>> fk, sk;
+    for (const auto& l : fast) fk.push_back(key(l));
+    for (const auto& l : slow) sk.push_back(key(l));
+    std::sort(fk.begin(), fk.end());
+    std::sort(sk.begin(), sk.end());
+    EXPECT_EQ(fk, sk);
   }
 }
 
@@ -561,7 +536,7 @@ TEST(ChainDp, LinearGroupSweepEqualsTheSortedStaircase) {
     std::vector<double> w_rank = up_w;
     std::sort(q_rank.begin(), q_rank.end());
     std::sort(w_rank.begin(), w_rank.end());
-    const kernel::LabelBounds bounds{-q_rank[q_rank.size() * 3 / 10], 0.0,
+    const kernel::LabelBounds bounds{-q_rank[q_rank.size() * 3 / 10],
                                      w_rank[w_rank.size() * 7 / 10]};
     for (std::size_t k = 0; k < up_q.size(); ++k) {
       admitted += bounds.admits(up_q[k], up_w[k]) ? 1 : 0;

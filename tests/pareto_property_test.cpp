@@ -1,13 +1,13 @@
-// Property tests for the flat-vector Pareto pruning and the reusable DP
+// Property tests for the flat-vector Pareto staircase and the reusable DP
 // workspace.
 //
-// prune_dominated moved from a std::map staircase to a sorted
-// flat-vector frontier with in-place compaction; these tests pin its
-// semantics against a brute-force O(n^2) domination oracle over
-// randomized label sets (2-D and 3-D, with heavy duplicate/tie traffic,
-// which is where staircase splicing bugs live). The workspace tests
-// prove the arena-reuse contract: a solve on a dirty, many-times-reused
-// dp::Workspace is bit-identical to the same solve on a fresh one.
+// The kernels prune labels by offering them, sorted by (C asc, q desc,
+// w asc), to a dp::FlatFrontier; these tests pin that filter against a
+// brute-force O(n^2) domination oracle over randomized label sets with
+// heavy duplicate/tie traffic, which is where staircase splicing bugs
+// live. The workspace tests prove the arena-reuse contract: a solve on a
+// dirty, many-times-reused dp::Workspace is bit-identical to the same
+// solve on a fresh one.
 
 #include <gtest/gtest.h>
 
@@ -29,20 +29,22 @@
 namespace rip::dp {
 namespace {
 
+using test::TestLabel;
 using Key = std::tuple<double, double, double>;  // (C, -q, w) ascending
 
-Key key_of(const Label& l, bool use_width) {
-  return Key{l.cap_ff, -l.q_fs, use_width ? l.width_u : 0.0};
+Key key_of(const TestLabel& l) { return Key{l.cap_ff, -l.q_fs, l.width_u}; }
+
+bool dominates(const TestLabel& a, const TestLabel& b) {
+  return a.cap_ff <= b.cap_ff && a.q_fs >= b.q_fs && a.width_u <= b.width_u;
 }
 
-/// The oracle survivor keys: every distinct tracked-dimension tuple that
-/// no *different* tuple dominates. (Mutually identical labels collapse
-/// to one representative, exactly like prune_dominated promises.)
-std::vector<Key> oracle_keys(const std::vector<Label>& labels,
-                             bool use_width) {
+/// The oracle survivor keys: every distinct (C, q, w) tuple that no
+/// *different* tuple dominates. (Mutually identical labels collapse to
+/// one representative, as the staircase keeps one.)
+std::vector<Key> oracle_keys(const std::vector<TestLabel>& labels) {
   std::vector<Key> keys;
   keys.reserve(labels.size());
-  for (const Label& l : labels) keys.push_back(key_of(l, use_width));
+  for (const TestLabel& l : labels) keys.push_back(key_of(l));
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
@@ -67,74 +69,66 @@ std::vector<Key> oracle_keys(const std::vector<Label>& labels,
 
 /// Random label with values drawn from a coarse grid so exact C/q/w
 /// ties and full duplicates occur constantly.
-Label grid_label(Rng& rng) {
-  Label l;
-  l.cap_ff = 0.5 * rng.uniform_int(0, 12);
-  l.q_fs = 2.5 * rng.uniform_int(0, 12);
-  l.width_u = 10.0 * rng.uniform_int(0, 8);
-  l.parent = rng.uniform_int(0, 1000);
-  l.buffer = static_cast<std::int16_t>(rng.uniform_int(-1, 5));
-  l.count = static_cast<std::int16_t>(rng.uniform_int(0, 9));
-  return l;
+TestLabel grid_label(Rng& rng, int tag) {
+  return TestLabel{0.5 * rng.uniform_int(0, 12), 2.5 * rng.uniform_int(0, 12),
+                   10.0 * rng.uniform_int(0, 8), tag};
 }
 
-class PruneVsOracle : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PruneVsOracle, MatchesBruteForceDomination) {
-  const bool use_width = GetParam();
-  Rng rng(use_width ? 77001 : 77002);
+// The kernels' power-mode dominance filter (labels offered in
+// (C asc, q desc, w asc) order to a FlatFrontier) against brute-force
+// domination, on random grid labels full of ties and duplicates.
+TEST(PruneVsOracle, MatchesBruteForceDomination) {
+  Rng rng(77001);
   for (int round = 0; round < 300; ++round) {
     const int n = rng.uniform_int(0, 120);
-    std::vector<Label> labels;
-    labels.reserve(static_cast<std::size_t>(n));
+    std::vector<TestLabel> input;
+    input.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      if (!labels.empty() && rng.bernoulli(0.2)) {
-        // Exact duplicate of an earlier label (tracked dims and all).
-        labels.push_back(labels[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(labels.size()) - 1))]);
+      if (!input.empty() && rng.bernoulli(0.2)) {
+        // Exact duplicate of an earlier label, under a tag of its own.
+        TestLabel copy = input[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(input.size()) - 1))];
+        copy.tag = i;
+        input.push_back(copy);
       } else {
-        labels.push_back(grid_label(rng));
+        input.push_back(grid_label(rng, i));
       }
     }
-    const std::vector<Label> input = labels;
 
-    prune_dominated(labels, use_width);
+    const std::vector<TestLabel> labels = test::staircase_survivors(input);
 
     // Survivor keys must be exactly the oracle's non-dominated set,
     // one representative per identical group.
     std::vector<Key> got;
-    for (const Label& l : labels) got.push_back(key_of(l, use_width));
+    for (const TestLabel& l : labels) got.push_back(key_of(l));
     std::vector<Key> got_sorted = got;
     std::sort(got_sorted.begin(), got_sorted.end());
     ASSERT_TRUE(std::adjacent_find(got_sorted.begin(), got_sorted.end()) ==
                 got_sorted.end())
         << "two survivors share tracked dimensions (round " << round << ")";
-    EXPECT_EQ(got_sorted, oracle_keys(input, use_width))
+    EXPECT_EQ(got_sorted, oracle_keys(input))
         << "survivor set mismatch (round " << round << ", n " << n << ")";
 
     // Every survivor must be one of the input labels (pruning never
     // invents or mutates labels).
-    for (const Label& l : labels) {
+    for (const TestLabel& l : labels) {
       const bool found = std::any_of(
-          input.begin(), input.end(), [&](const Label& in) {
+          input.begin(), input.end(), [&](const TestLabel& in) {
             return in.cap_ff == l.cap_ff && in.q_fs == l.q_fs &&
-                   in.width_u == l.width_u && in.parent == l.parent &&
-                   in.buffer == l.buffer && in.count == l.count;
+                   in.width_u == l.width_u && in.tag == l.tag;
           });
       EXPECT_TRUE(found) << "survivor not present in input";
     }
 
     // Every input label is dominated by (or identical to) a survivor.
-    for (const Label& in : input) {
+    for (const TestLabel& in : input) {
       const bool covered = std::any_of(
           labels.begin(), labels.end(),
-          [&](const Label& s) { return dominates(s, in, use_width); });
+          [&](const TestLabel& s) { return dominates(s, in); });
       EXPECT_TRUE(covered) << "input label escaped domination";
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, PruneVsOracle, ::testing::Values(false, true));
 
 TEST(FlatFrontier, RejectsDominatedAndEvictsDominated) {
   FlatFrontier frontier;

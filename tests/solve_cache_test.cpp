@@ -156,7 +156,6 @@ TEST(SolveCacheKey, TargetAndToleranceDoNotEnterTheKey) {
   a.timing_target_fs = 1e6;
   dp::ChainDpOptions b;
   b.timing_target_fs = 2e6;
-  b.slack_tolerance_fs = 1.0;
   b.reconstruct_solutions = false;
   EXPECT_EQ(dp::chain_solve_key(n, tech.device(), library, candidates, a),
             dp::chain_solve_key(n, tech.device(), library, candidates, b));

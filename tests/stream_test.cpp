@@ -243,6 +243,7 @@ TEST_P(StreamResumeTest, KilledAndResumedOutputIsByteIdentical) {
     const std::string ckpt = temp_path(std::string(variant.name) + "_c" +
                                        std::to_string(chain) + ".ckpt");
     std::filesystem::remove(ckpt);
+    std::filesystem::remove(ckpt + ".prev");
     bool finished = false;
     bool resume = false;
     int runs = 0;
@@ -276,10 +277,12 @@ TEST_P(StreamResumeTest, KilledAndResumedOutputIsByteIdentical) {
         << " runs";
     std::filesystem::remove(csv);
     std::filesystem::remove(ckpt);
+    std::filesystem::remove(ckpt + ".prev");
   }
   std::filesystem::remove(input);
   std::filesystem::remove(golden_csv);
   std::filesystem::remove(golden_ckpt);
+  std::filesystem::remove(golden_ckpt + ".prev");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,11 +2,13 @@
 
 /// @file test_helpers.hpp
 /// Shared fixtures for the test suite: canonical nets and devices small
-/// enough to reason about by hand, plus random-net helpers for the
-/// property sweeps.
+/// enough to reason about by hand, random-net helpers for the property
+/// sweeps, and the kernels' dominance filter for the pruning tests.
 
+#include <algorithm>
 #include <vector>
 
+#include "dp/pareto.hpp"
 #include "net/generator.hpp"
 #include "net/net.hpp"
 #include "tech/technology.hpp"
@@ -54,6 +56,34 @@ inline net::Net paper_net(std::uint64_t seed) {
   net::RandomNetConfig config;
   Rng rng(seed);
   return net::random_net(tech, config, rng, "pnet");
+}
+
+/// A label for the dominance tests: (C, q, w) and a tag naming it.
+struct TestLabel {
+  double cap_ff = 0;
+  double q_fs = 0;
+  double width_u = 0;
+  int tag = 0;
+};
+
+/// The labels the kernels' power-mode dominance filter keeps
+/// (kernel::merge_candidate): offered in (C asc, q desc, w asc) order,
+/// ties in input order, to a dp::FlatFrontier staircase. Survivors come
+/// out in that order.
+inline std::vector<TestLabel> staircase_survivors(
+    std::vector<TestLabel> labels) {
+  std::stable_sort(labels.begin(), labels.end(),
+                   [](const TestLabel& a, const TestLabel& b) {
+                     if (a.cap_ff != b.cap_ff) return a.cap_ff < b.cap_ff;
+                     if (a.q_fs != b.q_fs) return a.q_fs > b.q_fs;
+                     return a.width_u < b.width_u;
+                   });
+  dp::FlatFrontier frontier;
+  std::vector<TestLabel> kept;
+  for (const TestLabel& l : labels) {
+    if (frontier.try_insert(l.q_fs, l.width_u)) kept.push_back(l);
+  }
+  return kept;
 }
 
 }  // namespace rip::test

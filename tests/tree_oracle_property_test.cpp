@@ -44,7 +44,7 @@
 namespace rip::dp {
 namespace {
 
-constexpr double kTolFs = 1e-6;  ///< ChainDpOptions::slack_tolerance_fs
+constexpr double kTolFs = kSlackToleranceFs;
 
 /// The cost coefficients the tree kernel derives for `backend`. The tree
 /// profile is synthetic (anonymous name), and every shipped backend's
@@ -510,7 +510,7 @@ TEST(TreeWorkspaceSteadyState, PooledFrontiersStopReallocatingAfterWarmup) {
     ptrs.push_back(ws.tree_scratch.cap_ff.data());
     ptrs.push_back(ws.tree_pair_cap.data());
     caps.push_back(ws.tree_scratch.cap_ff.capacity());
-    caps.push_back(ws.tree_a_left.capacity());
+    caps.push_back(ws.a_parent.capacity());
     caps.push_back(ws.tree_order.capacity());
     caps.push_back(ws.expanded.capacity());
   };

@@ -117,11 +117,11 @@ net::RandomNetConfig small_nets(bool zone) {
 }
 
 /// The targets around the unbuffered labeling's delay d0 = -q: the exact
-/// boundary -q - tolerance, its two neighbours, d0 a hair either side,
-/// and d0 scaled well below and above.
-std::vector<double> targets_around(double q, double tol) {
+/// boundary -q - kSlackToleranceFs, its two neighbours, d0 a hair either
+/// side, and d0 scaled well below and above.
+std::vector<double> targets_around(double q) {
   const double d0 = -q;
-  const double boundary = -q - tol;
+  const double boundary = -q - dp::kSlackToleranceFs;
   std::vector<double> targets = {
       boundary,
       std::nextafter(boundary, 0.0),
@@ -161,51 +161,45 @@ TEST_P(UnbufferedExactness, MatchesRunChainDpBitForBit) {
     const auto candidates = net::uniform_candidates(n, 200.0);
     for (const dp::RepeaterLibrary* library :
          {&baseline_library, &coarse_library}) {
-      // Tolerance 0 puts the boundary on a target whose slack is exactly
-      // -0 + 0: the feasibility test must accept it, as the sweep does.
-      for (const double tol : {1e-6, 0.0}) {
-        dp::ChainDpOptions options;
-        options.mode = dp::Mode::kMinPower;
-        options.timing_target_fs = 1.0;
-        options.slack_tolerance_fs = tol;
-        options.backend = backend.get();
-        const double q =
-            dp::LabelingScorer(n, device, *library, candidates, options, ws)
-                .unbuffered()
-                .slack_fs;
-        for (const double target : targets_around(q, tol)) {
-          SCOPED_TRACE("net " + std::to_string(ni) + ", library of " +
-                       std::to_string(library->size()) + ", tol " +
-                       std::to_string(tol) + ", target " +
-                       std::to_string(target));
-          options.timing_target_fs = target;
-          const std::optional<dp::ChainDpResult> fast = dp::unbuffered_answer(
-              n, device, *library, candidates, options, ws);
-          const dp::ChainDpResult dp =
-              dp::run_chain_dp(n, device, *library, candidates, options, ws);
-          if (fast.has_value()) {
-            ++engaged;
-            EXPECT_FALSE(free_repeaters);
-            EXPECT_EQ(fast->status, dp.status);
-            EXPECT_TRUE(same_solution(fast->solution, dp.solution));
-            EXPECT_TRUE(same_bits(fast->delay_fs, dp.delay_fs));
-            EXPECT_TRUE(same_bits(fast->total_width_u, dp.total_width_u));
-            EXPECT_TRUE(same_bits(fast->objective_cost, dp.objective_cost));
-            EXPECT_TRUE(fast->min_delay_solution.empty());
-            EXPECT_EQ(fast->stats.labels_created, 0u);
-            EXPECT_EQ(fast->stats.positions, candidates.size());
-            continue;
-          }
-          ++declined;
-          const bool unbuffered_fits = q + target >= -tol;
-          if (free_repeaters) {
-            if (unbuffered_fits && !dp.solution.empty()) ++free_repeater_wins;
-            continue;
-          }
-          EXPECT_TRUE(dp.status == dp::Status::kInfeasible ||
-                      !dp.solution.empty())
-              << "declined, but the DP picked the unbuffered labeling";
+      dp::ChainDpOptions options;
+      options.mode = dp::Mode::kMinPower;
+      options.timing_target_fs = 1.0;
+      options.backend = backend.get();
+      const double q =
+          dp::LabelingScorer(n, device, *library, candidates, options, ws)
+              .unbuffered()
+              .slack_fs;
+      for (const double target : targets_around(q)) {
+        SCOPED_TRACE("net " + std::to_string(ni) + ", library of " +
+                     std::to_string(library->size()) + ", target " +
+                     std::to_string(target));
+        options.timing_target_fs = target;
+        const std::optional<dp::ChainDpResult> fast = dp::unbuffered_answer(
+            n, device, *library, candidates, options, ws);
+        const dp::ChainDpResult dp =
+            dp::run_chain_dp(n, device, *library, candidates, options, ws);
+        if (fast.has_value()) {
+          ++engaged;
+          EXPECT_FALSE(free_repeaters);
+          EXPECT_EQ(fast->status, dp.status);
+          EXPECT_TRUE(same_solution(fast->solution, dp.solution));
+          EXPECT_TRUE(same_bits(fast->delay_fs, dp.delay_fs));
+          EXPECT_TRUE(same_bits(fast->total_width_u, dp.total_width_u));
+          EXPECT_TRUE(same_bits(fast->objective_cost, dp.objective_cost));
+          EXPECT_TRUE(fast->min_delay_solution.empty());
+          EXPECT_EQ(fast->stats.labels_created, 0u);
+          EXPECT_EQ(fast->stats.positions, candidates.size());
+          continue;
         }
+        ++declined;
+        const bool unbuffered_fits = q + target >= -dp::kSlackToleranceFs;
+        if (free_repeaters) {
+          if (unbuffered_fits && !dp.solution.empty()) ++free_repeater_wins;
+          continue;
+        }
+        EXPECT_TRUE(dp.status == dp::Status::kInfeasible ||
+                    !dp.solution.empty())
+            << "declined, but the DP picked the unbuffered labeling";
       }
     }
   }

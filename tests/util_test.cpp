@@ -1,14 +1,19 @@
 // Unit tests for the util module: RNG, statistics, the tridiagonal
-// solver, strings, tables, deadlines.
+// solver, strings, tables, deadlines, the fault-spec parser.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/deadline.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/solver.hpp"
 #include "util/stats.hpp"
@@ -288,6 +293,165 @@ TEST(Deadline, BudgetPastTheClockRangeNeverExpires) {
   }
   EXPECT_FALSE(Deadline(1e12).expired());
   EXPECT_FALSE(Deadline(0.0).active());
+}
+
+// ----------------------------------------------------------- fault spec
+
+// A delay past nanoseconds::max() is refused, naming its entry, instead
+// of wrapping into a short one; the largest delay in range is accepted.
+TEST(FaultSpec, DurationPastTheClockRangeIsRefused) {
+  for (const std::string spec :
+       {"p:9300000000s@0", "p:9223372037s", "p:9223372036855ms",
+        "p:9223372036854776us", "p:9223372036854775808ns",
+        "p:18446744073709551615us"}) {
+    try {
+      FaultInjector::configure(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad fault spec entry '" + spec + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("duration out of range"), std::string::npos)
+          << what;
+    }
+    EXPECT_FALSE(FaultInjector::enabled()) << spec;
+  }
+  for (const std::string spec :
+       {"p:9223372036s", "p:9223372036854ms", "p:9223372036854775us",
+        "p:9223372036854775807ns"}) {
+    EXPECT_NO_THROW(FaultInjector::configure(spec)) << spec;
+    EXPECT_TRUE(FaultInjector::enabled()) << spec;
+  }
+  FaultInjector::reset();
+}
+
+/// One mutant of a fault spec: one to three byte flips, truncations,
+/// splices of a piece of some seed, inserted grammar tokens, or digit
+/// runs swapped for huge or malformed numbers.
+std::string mutate_spec(std::string spec,
+                        const std::vector<std::string>& seeds, Rng& rng) {
+  static const std::string kNumbers[] = {
+      "0", "18446744073709551615", "18446744073709551616",
+      "9223372036854775807", "9223372036854775808", "9300000000",
+      "99999999999999999999999", "1e999", "-1", "0.5", "nan"};
+  static const std::string kTokens[] = {";", ":", "@", "p=", "ns", "us",
+                                        "ms", "s",  "err", "fail", "crash"};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  const int mutations = rng.uniform_int(1, 3);
+  for (int m = 0; m < mutations; ++m) {
+    const std::size_t at = pick(spec.size() + 1);
+    switch (rng.uniform_int(0, 4)) {
+      case 0:  // byte flip
+        if (!spec.empty()) {
+          const std::size_t i = pick(spec.size());
+          spec[i] = static_cast<char>(spec[i] ^ (1 + pick(255)));
+        }
+        break;
+      case 1:  // truncation
+        spec.resize(at);
+        break;
+      case 2: {  // splice in a piece of a seed
+        const std::string& from = seeds[pick(seeds.size())];
+        const std::size_t begin = pick(from.size());
+        spec.insert(at, from.substr(begin, pick(from.size() - begin + 1)));
+        break;
+      }
+      case 3:  // a grammar token
+        spec.insert(at, kTokens[pick(std::size(kTokens))]);
+        break;
+      default: {  // a digit run swapped for a huge or malformed number
+        const std::string& number = kNumbers[pick(std::size(kNumbers))];
+        std::size_t begin = spec.find_first_of("0123456789", at);
+        if (begin == std::string::npos) begin = spec.find_first_of("0123456789");
+        if (begin == std::string::npos) {
+          spec.insert(at, number);
+          break;
+        }
+        std::size_t end = spec.find_first_not_of("0123456789.", begin);
+        if (end == std::string::npos) end = spec.size();
+        spec.replace(begin, end - begin, number);
+        break;
+      }
+    }
+  }
+  return spec;
+}
+
+/// The fault points' counters, comparable.
+std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> point_counts() {
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& [point, stats] : FaultInjector::stats()) {
+    out[point] = {stats.hits, stats.fired};
+  }
+  return out;
+}
+
+// Seeded fuzzer for FaultInjector::configure. Each case first installs a
+// known configuration: every other case a disabled one, else one `err`
+// rule on a probe point, hit once through fire_fault_soft so that the
+// counters are not empty (the probe's one rule is `err`, so no injected
+// delay ever runs, and no mutant is ever fired). Then it configures a
+// mutant of a valid spec:
+//  - only rip::Error may escape, in the parser's one message shape, and
+//    no message may name a source location;
+//  - a refused spec leaves the previous configuration in force:
+//    enabled() and stats() unchanged;
+//  - an accepted spec enables injection iff it holds an entry, with
+//    fresh counters.
+TEST(FaultSpecFuzz, MutatedSpecsKeepTheConfigureContract) {
+  const std::vector<std::string> seeds = {
+      "netlist.read:err@3;solve.delay:1500ms@9;solve.err:err@p=0.5",
+      "ckpt.rename:crash@2;cache.insert:fail;netlist.write:750ns@p=0.01",
+      "solve.delay:200us;;ckpt.commit:3s@18446744073709551615"};
+  Rng rng(2005);
+  constexpr int kCases = 20000;
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const bool was_enabled = i % 2 == 0;
+    FaultInjector::configure(was_enabled ? "fuzz.probe:err" : "");
+    if (was_enabled) {
+      ASSERT_TRUE(fire_fault_soft("fuzz.probe"));
+    }
+    const auto before = point_counts();
+    const std::string spec = mutate_spec(
+        seeds[static_cast<std::size_t>(i) % seeds.size()], seeds, rng);
+    const std::string where = "case " + std::to_string(i) + ", spec " +
+                              ::testing::PrintToString(spec);
+    try {
+      FaultInjector::configure(spec, static_cast<std::uint64_t>(i));
+      ++accepted;
+      bool has_entry = false;
+      for (std::size_t start = 0; start <= spec.size();) {
+        std::size_t end = spec.find(';', start);
+        if (end == std::string::npos) end = spec.size();
+        has_entry = has_entry || end > start;
+        start = end + 1;
+      }
+      EXPECT_EQ(FaultInjector::enabled(), has_entry) << where;
+      EXPECT_TRUE(FaultInjector::stats().empty()) << where;
+    } catch (const Error& e) {
+      ++refused;
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("bad fault spec entry '", 0), 0u)
+          << where << ": " << what;
+      EXPECT_EQ(what.find("precondition failed"), std::string::npos)
+          << where << ": " << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos)
+          << where << ": " << what;
+      EXPECT_EQ(FaultInjector::enabled(), was_enabled) << where;
+      EXPECT_EQ(point_counts(), before) << where;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << ": " << e.what() << " escaped configure";
+    }
+    if (HasFailure()) break;
+  }
+  FaultInjector::reset();
+  EXPECT_GT(accepted, kCases / 20);
+  EXPECT_GT(refused, kCases / 20);
 }
 
 // ---------------------------------------------------------------- error
